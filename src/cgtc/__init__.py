@@ -5,6 +5,7 @@ from .cells import (
     RuleReport,
     TrajectoryCell,
     build_cell_set,
+    cell_library,
     generate_cell,
     transform_cell,
     validate_rules,
@@ -73,6 +74,7 @@ __all__ = [
     "TrajectoryCell",
     "VirtualObstacle",
     "build_cell_set",
+    "cell_library",
     "classify_encounter",
     "compare_planners",
     "compass_bearing",

@@ -13,7 +13,7 @@ import heapq
 import math
 from typing import TYPE_CHECKING, Optional
 
-from .cells import CellSet, build_cell_set, generate_cell, transform_cell
+from .cells import CellSet, cell_library, generate_cell, transform_cell
 from .errors import NoGridPath
 from .grid import CompassAngle, GridNode, compass_bearing, signed_degrees
 from .ship import ShipState
@@ -142,8 +142,8 @@ def grid_baseline_plan(scenario: "Scenario", cells: Optional[CellSet] = None) ->
     waypoints = collapse_collinear(astar_grid_path(start_xy, dest, pitch, obstacles))
 
     if cells is None:
-        cells = build_cell_set(params, pitch, scenario.cell_resolution_deg,
-                               dt=scenario.dt_s)
+        cells = cell_library(params, pitch, scenario.cell_resolution_deg,
+                             dt=scenario.dt_s)
 
     cell_cache = {0.0: cells.nearest_cell(0.0)}
 
@@ -203,7 +203,8 @@ def grid_baseline_plan(scenario: "Scenario", cells: Optional[CellSet] = None) ->
 
     min_clear = None
     if obstacles:
-        min_clear = min(clearance((s.x_m, s.y_m), obstacles) for s in trajectory)
+        pts = [(s.x_m, s.y_m) for s in trajectory] or [start_xy]
+        min_clear = min(clearance(pt, obstacles) for pt in pts)
 
     return PlanResult(
         nodes=nodes,

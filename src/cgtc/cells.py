@@ -303,6 +303,35 @@ def build_cell_set(params: ShipParams, radius_m: float,
     )
 
 
+# The one library set kept for reuse, as (key, CellSet), or None. It is read
+# and replaced as one tuple, so a concurrent caller never pairs a key with a
+# set built for another key.
+_library_slot: tuple[tuple, CellSet] | None = None
+
+
+def cell_library(params: ShipParams, radius_m: float,
+                 resolution_deg: float = DEFAULT_RESOLUTION_DEG,
+                 dt: float = DEFAULT_DT_S) -> CellSet:
+    """The cell set for (params, radius, resolution, dt), built once and reused.
+
+    The planners take their cells here when none are passed, so a process
+    that plans many scenarios on one hull and grid builds the library once.
+    One slot only: on a miss the kept set is released before the new one is
+    built, so the process never holds two library sets at once.
+    build_cell_set stays the uncached way to generate a set.
+    """
+    global _library_slot
+    key = (params, radius_m, resolution_deg, dt)
+    slot = _library_slot
+    if slot is not None and slot[0] == key:
+        return slot[1]
+    # drop both references to the kept set before building the next one
+    slot = _library_slot = None
+    cells = build_cell_set(params, radius_m, resolution_deg, dt=dt)
+    _library_slot = (key, cells)
+    return cells
+
+
 def validate_rules(cell: TrajectoryCell, params: ShipParams) -> RuleReport:
     """Measure a cell against the three standardization rules."""
     first, last = cell.samples[0], cell.samples[-1]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
-from .cells import CellSet, build_cell_set, transform_cell
+from .cells import CellSet, cell_library, transform_cell
 from .errors import (
     DestinationInsideObstacle,
     LengthMismatch,
@@ -291,8 +291,8 @@ def plan_dynamic(scenario: "Scenario", cells: Optional[CellSet] = None) -> PlanR
             raise DestinationInsideObstacle(f"destination {dest} inside obstacle at {o.center}")
 
     if cells is None:
-        cells = build_cell_set(scenario.ship, scenario.radius_m,
-                               scenario.cell_resolution_deg, dt=scenario.dt_s)
+        cells = cell_library(scenario.ship, scenario.radius_m,
+                             scenario.cell_resolution_deg, dt=scenario.dt_s)
     reach_tol = scenario.reach_tolerance_m
     v_s = scenario.ship.steady_speed_mps
     r_own = scenario.radius_m
@@ -387,7 +387,8 @@ def plan_dynamic(scenario: "Scenario", cells: Optional[CellSet] = None) -> PlanR
 
     min_clear = None
     if statics:
-        min_clear = min(clearance((s.x_m, s.y_m), statics) for s in trajectory)
+        pts = [(s.x_m, s.y_m) for s in trajectory] or [start_xy]
+        min_clear = min(clearance(pt, statics) for pt in pts)
 
     return PlanResult(
         nodes=nodes,

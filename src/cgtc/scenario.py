@@ -8,6 +8,7 @@ instead of silently falling back to defaults.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 
@@ -68,6 +69,7 @@ def _take_number(obj: dict, key: str, where: str, *, required: bool = True,
     val = obj[key]
     _require(isinstance(val, (int, float)) and not isinstance(val, bool),
              f"{where}.{key}: expected a number, got {val!r}")
+    _require(math.isfinite(val), f"{where}.{key}: expected a finite number, got {val!r}")
     return float(val)
 
 
@@ -91,8 +93,9 @@ def scenario_from_dict(data: dict, name: str = "") -> Scenario:
     ship_fields = {f.name for f in dc_fields(ShipParams)}
     _reject_unknown(ship_obj, ship_fields, "scenario.ship")
     try:
-        ship = ShipParams(**{k: float(v) for k, v in ship_obj.items()})
-    except (TypeError, ValueError) as exc:
+        ship = ShipParams(**{k: _take_number(ship_obj, k, "scenario.ship")
+                             for k in ship_obj})
+    except ValueError as exc:
         raise ValidationError(f"scenario.ship: {exc}") from exc
 
     start = data.get("start")
@@ -172,6 +175,11 @@ def scenario_from_dict(data: dict, name: str = "") -> Scenario:
     )
 
 
+def _reject_constant(name: str):
+    # Python's json accepts NaN and Infinity, which are not JSON numbers
+    raise ValueError(f"{name} is not a number in JSON")
+
+
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
@@ -179,9 +187,11 @@ def load_scenario(path: str | Path) -> Scenario:
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     return scenario_from_dict(data, name=path.stem)
 
 

@@ -51,10 +51,14 @@ class ShipParams:
     speed_recovery_s: float = 4.0
 
     def __post_init__(self):
+        if self.length_m <= 0:
+            raise ValueError("length_m must be positive")
         if not (self.rudder_limit_port_deg < 0.0 < self.rudder_limit_stbd_deg):
             raise ValueError("rudder limits must straddle zero (port < 0 < starboard)")
         if self.steady_speed_mps <= 0:
             raise ValueError("steady_speed_mps must be positive")
+        if self.turn_gain <= 0:
+            raise ValueError("turn_gain must be positive")
         if self.turn_lag_s <= 0 or self.speed_recovery_s <= 0:
             raise ValueError("time constants must be positive")
         if self.asymmetry_factor < 1.0:

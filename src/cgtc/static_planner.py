@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from .cells import CellSet, TrajectoryCell, build_cell_set, transform_cell
+from .cells import CellSet, TrajectoryCell, cell_library, transform_cell
 from .errors import (
     DestinationInsideObstacle,
     InsideObstacle,
@@ -296,8 +296,8 @@ def plan_static(scenario: "Scenario", cells: Optional[CellSet] = None) -> PlanRe
             raise DestinationInsideObstacle(f"destination {dest} inside obstacle at {o.center}")
 
     if cells is None:
-        cells = build_cell_set(scenario.ship, scenario.radius_m,
-                               scenario.cell_resolution_deg, dt=scenario.dt_s)
+        cells = cell_library(scenario.ship, scenario.radius_m,
+                             scenario.cell_resolution_deg, dt=scenario.dt_s)
     reach_tol = scenario.reach_tolerance_m
 
     pose = GridNode(position=start_xy, heading=CompassAngle(scenario.start_heading_deg))

@@ -1,20 +1,29 @@
 """Trajectory cell generation: rules, solving, splicing, relation fit."""
 
 import math
+import weakref
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+from cgtc import cells as cells_mod
 from cgtc.cells import (
     TrajectoryCell,
     _roll_until_crossing,
     build_cell_set,
+    cell_library,
     generate_cell,
     transform_cell,
     validate_rules,
 )
 from cgtc.errors import Unreachable
 from cgtc.relation import pearson
+from cgtc.scenario import load_scenario
 from cgtc.ship import ShipParams, ShipState
+from cgtc.static_planner import PlanResult, plan_static
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_straight_cell(params, cells_factor6):
@@ -179,3 +188,42 @@ def test_command_for_monotone(cells_factor6):
     cmds = [cells_factor6.command_for(c) for c in changes]
     assert all(b > a for a, b in zip(cmds, cmds[1:]))
     assert cells_factor6.command_for(0.0) == pytest.approx(0.0, abs=1.0)
+
+
+@pytest.fixture
+def empty_library(monkeypatch):
+    """Start with no library set kept; the previous slot is restored afterwards."""
+    monkeypatch.setattr(cells_mod, "_library_slot", None)
+
+
+def test_cell_library_reuses_set_for_repeated_key(params, empty_library):
+    first = cell_library(params, 600.0, 15.0)
+    assert cell_library(params, 600.0, 15.0) is first
+    assert cell_library(ShipParams(), 600.0, 15.0, dt=0.5) is first
+    assert cell_library(params, 650.0, 15.0) is not first
+
+
+def test_cell_library_releases_old_set_before_building(params, empty_library,
+                                                       monkeypatch):
+    ref = weakref.ref(cell_library(params, 600.0, 15.0))
+    alive_during_build = []
+    real_build = cells_mod.build_cell_set
+
+    def build(*args, **kwargs):
+        alive_during_build.append(ref() is not None)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(cells_mod, "build_cell_set", build)
+    cell_library(params, 650.0, 15.0)
+    assert alive_during_build == [False]
+    assert ref() is None
+
+
+def test_plan_from_library_equals_plan_from_explicit_cells(empty_library):
+    scn = load_scenario(SCENARIO_DIR / "free_bearing37.json")
+    explicit = build_cell_set(scn.ship, scn.radius_m, scn.cell_resolution_deg,
+                              dt=scn.dt_s)
+    from_library = plan_static(scn)
+    from_explicit = plan_static(scn, explicit)
+    for f in fields(PlanResult):
+        assert getattr(from_library, f.name) == getattr(from_explicit, f.name), f.name

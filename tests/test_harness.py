@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from cgtc import cells as cells_mod
 from cgtc.cli import main as cli_main
 from cgtc.errors import NonPositiveDt, ParseError, ValidationError
-from cgtc.harness import compare_planners, online_generate, run_scenario
+from cgtc.harness import compare_planners, online_generate, run_batch, run_scenario
 from cgtc.scenario import Scenario, load_scenario, scenario_from_dict
 from cgtc.ship import trimmed_state
 from cgtc.static_planner import Obstacle
@@ -126,6 +127,26 @@ class TestScenarioFiles:
         data["ship"] = {"cruise": 9.0}
         with pytest.raises(ValidationError):
             scenario_from_dict(data)
+        for not_a_number in ("10", True, None):
+            data["ship"] = {"steady_speed_mps": not_a_number}
+            with pytest.raises(ValidationError) as err:
+                scenario_from_dict(data)
+            assert "steady_speed_mps" in str(err.value)
+
+    def test_non_finite_numbers_rejected(self, tmp_path):
+        text = json.dumps(GOOD_SCENARIO)
+        for constant in ("NaN", "Infinity", "-Infinity"):
+            path = tmp_path / "nonfinite.json"
+            path.write_text(text.replace('"x_m": 100.0', f'"x_m": {constant}'))
+            with pytest.raises(ParseError) as err:
+                load_scenario(path)
+            assert constant in str(err.value)
+            rc = cli_main(["plan", str(path), "--out-dir", str(tmp_path / "out")])
+            assert rc == 2
+        # an overflowing literal parses to inf without passing through NaN/Infinity
+        path.write_text(text.replace('"x_m": 100.0', '"x_m": 1e999'))
+        with pytest.raises(ValidationError):
+            load_scenario(path)
 
     def test_shipped_scenarios_parse(self):
         for path in sorted(SCENARIO_DIR.glob("*.json")):
@@ -274,3 +295,27 @@ class TestCliExitCodes:
         assert rc == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["one"]["reached"] is True
+
+
+class TestCellLibraryReuse:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Arguments of every build_cell_set call, starting from an empty library."""
+        monkeypatch.setattr(cells_mod, "_library_slot", None)
+        calls = []
+        real_build = cells_mod.build_cell_set
+
+        def counting_build(*args, **kwargs):
+            calls.append(args)
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(cells_mod, "build_cell_set", counting_build)
+        return calls
+
+    def test_batch_builds_each_distinct_key_once(self, tmp_path, builds):
+        run_batch(SCENARIO_DIR, tmp_path)
+        assert len(builds) == 3  # dynamic_sit1..3 share one key
+
+    def test_compare_builds_once(self, builds):
+        compare_planners(load_scenario(SCENARIO_DIR / "fig25_analog.json"))
+        assert len(builds) == 1

@@ -156,3 +156,11 @@ def test_params_validation():
         ShipParams(asymmetry_factor=0.9)
     with pytest.raises(ValueError):
         ShipParams(speed_loss_gain=1.0)
+    with pytest.raises(ValueError):
+        ShipParams(length_m=0.0)
+    with pytest.raises(ValueError):
+        ShipParams(length_m=-63.6)
+    with pytest.raises(ValueError):
+        ShipParams(turn_gain=0.0)
+    with pytest.raises(ValueError):
+        ShipParams(turn_gain=-0.126)

@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from cgtc.baseline import grid_baseline_plan
+from cgtc.dynamic_planner import plan_dynamic
 from cgtc.errors import DestinationInsideObstacle, InsideObstacle, StartInsideObstacle
 from cgtc.grid import CompassAngle, GridNode, compass_bearing, signed_degrees
 from cgtc.scenario import Scenario, mirror_scenario
@@ -269,3 +271,22 @@ def test_safety_over_random_two_obstacle_scenes(params, cells600):
         for s in res.trajectory:
             for o in obstacles:
                 assert math.dist((s.x_m, s.y_m), o.center) > o.radius_m
+
+
+@pytest.mark.parametrize("planner", [plan_static, plan_dynamic, grid_baseline_plan])
+def test_start_within_reach_tolerance(planner):
+    """Already at the destination: no cell runs, clearance is the start's."""
+    static = Obstacle(center=(2000.0, 2000.0), radius_m=500.0)
+    mover = Obstacle(center=(-3000.0, 3000.0), radius_m=600.0,
+                     speed_mps=5.0, course_deg=90.0)
+    dynamic = planner is plan_dynamic
+    sc = Scenario(mode="dynamic" if dynamic else "static", ship=ShipParams(),
+                  start_x_m=0.0, start_y_m=0.0, start_heading_deg=0.0,
+                  dest_x_m=0.0, dest_y_m=100.0, circle_radius_m=600.0,
+                  obstacles=[static, mover] if dynamic else [static])
+    result = planner(sc)
+    assert result.reached
+    assert result.trajectory == []
+    assert result.path_length_m == 0.0
+    assert result.min_clearance_m == pytest.approx(math.dist((0.0, 0.0), static.center)
+                                                   - static.radius_m)
