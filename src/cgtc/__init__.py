@@ -39,7 +39,6 @@ from .ship import (
     ShipState,
     simulate_turn,
     step,
-    trim_steady_speed,
     trimmed_state,
 )
 from .static_planner import (
@@ -102,7 +101,6 @@ __all__ = [
     "step",
     "tangent_angles",
     "transform_cell",
-    "trim_steady_speed",
     "trimmed_state",
     "validate_rules",
     "virtual_obstacle_radius",

@@ -131,7 +131,9 @@ def grid_baseline_plan(scenario: "Scenario", cells: Optional[CellSet] = None) ->
     the bearing to the current corner rounded to the nearest multiple of 45
     degrees, executed as a generated maneuver of the same cell structure
     (one steering per heading change). A corner is considered passed once
-    the vehicle is within one pitch of it.
+    the vehicle is within one pitch of it. cells, when given, must be the
+    scenario's set (its hull, radius and dt): a change that is a multiple of
+    its resolution takes that cell instead of generating it again.
     """
     obstacles = scenario.obstacles
     start_xy = (scenario.start_x_m, scenario.start_y_m)
@@ -145,10 +147,14 @@ def grid_baseline_plan(scenario: "Scenario", cells: Optional[CellSet] = None) ->
         cells = cell_library(params, pitch, scenario.cell_resolution_deg,
                              dt=scenario.dt_s)
 
-    cell_cache = {0.0: cells.nearest_cell(0.0)}
+    cell_cache = {}
 
     def cell_for_change(change: float):
+        # a change the set was built for is that cell (the same solve);
+        # any other is generated once per plan
         key = round(change, 2)
+        if round(key / cells.resolution_deg) * cells.resolution_deg == key:
+            return cells.nearest_cell(key)
         if key not in cell_cache:
             cell_cache[key] = generate_cell(params, key, pitch, dt=scenario.dt_s)
         return cell_cache[key]

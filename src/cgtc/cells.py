@@ -14,7 +14,9 @@ With the settle-based stage switch the delivered heading change is a strict
 monotone function of delta0 alone, so delta0 is solved by bracketed
 bisection against the heading change measured at the circle crossing. The
 switch instant is located inside an integration step (split step) to keep
-that function continuous in delta0.
+that function continuous in delta0. A cell set solves all of its targets
+together: the bisection probes of every target are rolled in lockstep as
+numpy lanes, with the same arithmetic as the scalar rollout.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NonConvergence, Unreachable
+import numpy as np
+
+from .errors import NonConvergence, NonPositiveDt, Unreachable
 from .grid import compass_bearing, wrap_degrees
 from .relation import CubicRelation, RelationSample, fit_poly, invert_relation
 from .ship import ShipParams, ShipState, step, trimmed_state
@@ -40,6 +44,7 @@ YAW_SETTLE_FRAC = 0.01
 # the tighter tolerance the bisection actually aims for.
 CELL_TARGET_TOL_DEG = 0.2
 _SOLVE_TOL_DEG = 0.02
+_MAX_BISECTIONS = 80
 
 _RULE1_SPEED_FRAC = 0.001
 _RULE3_RADIUS_FRAC = 0.005
@@ -197,6 +202,128 @@ def _roll_until_crossing(params: ShipParams, delta0: float, radius_m: float,
             )
 
 
+# Row layouts of the lane arrays rolled by _heading_changes: the ship state
+# in ShipState field order, and each lane's bookkeeping (heading change and
+# time so far, delta0, turn sign, settle threshold, Posture Adjustment flag,
+# index in the caller's delta0 list).
+_X, _Y, _HDG, _U, _V, _R, _RUD = range(7)
+_HC, _T, _D0, _SIGN, _THRESH, _ADJ, _LANE = range(7)
+
+
+def _step_lanes(params: ShipParams, st: np.ndarray, cmd, dt) -> np.ndarray:
+    """ship.step on a (7, n) array of states, operation for operation.
+
+    cmd and dt may be scalars or per-lane arrays; cmd must lie within the
+    rudder limits (clamping would leave it unchanged). The heading is
+    wrapped as ShipState does on construction.
+    """
+    x, y, hdg, u, v, r, rud = st
+    max_travel = params.rudder_rate_degps * dt
+    delta_move = np.minimum(np.maximum(cmd - rud, -max_travel), max_travel)
+    rudder_new = rud + delta_move
+
+    yaw_rate_target = np.where(rudder_new >= 0.0, params.turn_gain * rudder_new,
+                               params.turn_gain * rudder_new / params.asymmetry_factor)
+    u_target = params.steady_speed_mps * (
+        1.0 - params.speed_loss_gain * np.abs(rudder_new) / params.rudder_limit_stbd_deg
+    )
+    kick_coeff = params.kick_gain * params.steady_speed_mps / params.rudder_limit_stbd_deg
+
+    h = np.radians(hdg)
+    sh, ch = np.sin(h), np.cos(h)
+    new = np.empty_like(st)
+    new[_X] = x + dt * (u * sh + v * ch)
+    new[_Y] = y + dt * (u * ch - v * sh)
+    new[_HDG] = np.remainder(hdg + dt * r, 360.0)
+    new[_U] = u + dt * (u_target - u) / params.speed_recovery_s
+    new[_V] = v - dt * v / params.turn_lag_s - kick_coeff * delta_move
+    new[_R] = r + dt * (yaw_rate_target - r) / params.turn_lag_s
+    new[_RUD] = rudder_new
+    return new
+
+
+def _heading_changes(params: ShipParams, delta0s, radius_m: float,
+                     dt: float) -> np.ndarray:
+    """Heading change at the circle crossing for each delta0, rolled in lockstep.
+
+    Lane i repeats _roll_until_crossing(params, delta0s[i], radius_m, dt)
+    in the same order of operations (rate-limited rudder, split step at the
+    settle instant, interpolation onto the circle) and returns its
+    heading_change_deg bit for bit. A lane still inside the circle after
+    max_t gives NaN, where the scalar rollout raises NonConvergence. Each
+    delta0 must lie within the rudder limits.
+    """
+    if dt <= 0:
+        raise NonPositiveDt(f"dt must be > 0, got {dt}")
+    d0 = np.asarray(delta0s, dtype=float)
+    out = np.full(d0.size, np.nan)
+    st = np.zeros((_RUD + 1, d0.size))
+    st[_U] = params.steady_speed_mps
+    aux = np.zeros((_LANE + 1, d0.size))
+    aux[_D0] = d0
+    aux[_SIGN] = np.where(d0 >= 0.0, 1.0, -1.0)
+    yaw_steady = np.where(d0 >= 0.0, params.turn_gain * d0,
+                          params.turn_gain * d0 / params.asymmetry_factor)
+    aux[_THRESH] = (1.0 - YAW_SETTLE_FRAC) * yaw_steady
+    aux[_ADJ] = d0 != 0.0
+    aux[_LANE] = np.arange(d0.size)
+    n_adjusting = int(np.count_nonzero(aux[_ADJ]))
+    max_t = 200.0 * radius_m / params.steady_speed_mps
+    t_bound = 0.0  # no lane's elapsed time exceeds this
+    # np.hypot may differ from math.hypot in the last bit, so it only
+    # preselects the lanes whose crossing math.hypot then decides
+    near = radius_m * (1.0 - 1e-9)
+
+    while st.shape[1]:
+        step_dt = dt
+        if n_adjusting:
+            adjusting = aux[_ADJ] != 0.0
+            new = _step_lanes(params, st, np.where(adjusting, aux[_D0], 0.0), dt)
+            sign = aux[_SIGN]
+            settled = (adjusting & (new[_RUD] == aux[_D0])
+                       & (sign * new[_R] >= sign * aux[_THRESH]))
+            if settled.any():
+                i = np.flatnonzero(settled)
+                denom = new[_R, i] - st[_R, i]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    w = np.where(denom != 0.0, (aux[_THRESH, i] - st[_R, i]) / denom, 0.0)
+                # settle mid-step: integrate only up to the threshold
+                # crossing; already settled: a full step with zero rudder
+                partial = (0.0 < w) & (w < 1.0)
+                sub_dt = np.where(partial, w * dt, dt)
+                new[:, i] = _step_lanes(params, st[:, i],
+                                        np.where(partial, aux[_D0, i], 0.0), sub_dt)
+                step_dt = np.full(st.shape[1], dt)
+                step_dt[i] = sub_dt
+                aux[_ADJ, i] = 0.0
+                n_adjusting -= i.size
+        else:
+            new = _step_lanes(params, st, 0.0, dt)
+
+        done = np.hypot(new[_X], new[_Y]) >= near
+        if done.any():
+            for i in np.flatnonzero(done).tolist():
+                d = math.hypot(new[_X, i], new[_Y, i])
+                if d < radius_m:
+                    done[i] = False
+                    continue
+                d_prev = math.hypot(st[_X, i], st[_Y, i])
+                w = 1.0 if d == d_prev else (radius_m - d_prev) / (d - d_prev)
+                lane_dt = step_dt if np.isscalar(step_dt) else float(step_dt[i])
+                out[int(aux[_LANE, i])] = float(aux[_HC, i]) + w * lane_dt * float(st[_R, i])
+
+        aux[_HC] += step_dt * st[_R]
+        aux[_T] += step_dt
+        st = new
+        t_bound += dt
+        if t_bound > max_t:
+            done |= aux[_T] > max_t
+        if done.any():
+            st, aux = st[:, ~done], aux[:, ~done]
+            n_adjusting = int(np.count_nonzero(aux[_ADJ]))
+    return out
+
+
 def _cell_from_rollout(roll: _Rollout, delta0: float, radius_m: float) -> TrajectoryCell:
     end = roll.samples[-1]
     offset = (end.x_m, end.y_m)
@@ -213,6 +340,98 @@ def _cell_from_rollout(roll: _Rollout, delta0: float, radius_m: float) -> Trajec
     )
 
 
+def check_radius(params: ShipParams, radius_m: float) -> None:
+    """Raise ValueError when the circle is too small to hold a cell of this hull."""
+    if radius_m < 2.0 * params.length_m:
+        raise ValueError(
+            f"radius {radius_m} m below twice the hull length ({2 * params.length_m} m)"
+        )
+
+
+def check_resolution(resolution_deg: float,
+                     max_heading_change_deg: float = MAX_HEADING_CHANGE_DEG) -> None:
+    """Raise ValueError unless the resolution tiles [-max, +max] evenly."""
+    if not 1.0 <= resolution_deg <= 15.0:
+        raise ValueError(f"resolution must be in [1, 15] deg, got {resolution_deg}")
+    n_steps = 2.0 * max_heading_change_deg / resolution_deg
+    if abs(n_steps - round(n_steps)) > 1e-9:
+        raise ValueError(
+            f"resolution {resolution_deg} must divide {2 * max_heading_change_deg} evenly"
+        )
+
+
+def _check_target(target: float) -> None:
+    if abs(target) > MAX_HEADING_CHANGE_DEG + 1e-9:
+        raise ValueError(f"|target| must be <= {MAX_HEADING_CHANGE_DEG}, got {target}")
+
+
+def _full_rudder(params: ShipParams, target: float) -> float:
+    """delta0 of full rudder toward the target's side."""
+    return params.rudder_limit_stbd_deg if target > 0.0 else params.rudder_limit_port_deg
+
+
+class _Bisection:
+    """Bracketed bisection on |delta0| for one nonzero target heading change.
+
+    It holds the bracket, the best probe so far and the iteration budget;
+    the caller rolls full rudder for start(), then each probe, one at a
+    time (generate_cell) or for many targets in lockstep (build_cell_set),
+    and hands the measured heading change to record(). Once solved,
+    `result` is the chosen (|delta0|, rollout), the rollout being whatever
+    the caller passed with that probe.
+    """
+
+    def __init__(self, params: ShipParams, target: float, radius_m: float):
+        self.target = target
+        self.radius_m = radius_m
+        self.sign = 1.0 if target > 0.0 else -1.0
+        self.full_rudder = _full_rudder(params, target)
+        self.lo, self.hi = 0.0, self.sign * self.full_rudder
+        self.best: tuple[float, float, _Rollout | None] | None = None
+        self.iterations = 0
+        self.result: tuple[float, _Rollout | None] | None = None
+
+    def start(self, full_heading_change: float, full_roll: _Rollout | None = None) -> None:
+        """Take the full-rudder heading change: the reach check and first best."""
+        s = self.sign
+        if s * full_heading_change < s * self.target - CELL_TARGET_TOL_DEG:
+            raise Unreachable(
+                f"target {self.target:+.1f} deg unreachable at radius {self.radius_m} m: "
+                f"full rudder reaches {full_heading_change:+.2f} deg at the crossing"
+            )
+        self.best = (abs(full_heading_change - self.target), self.hi, full_roll)
+
+    def probe(self) -> float:
+        """The next |delta0| to roll."""
+        return 0.5 * (self.lo + self.hi)
+
+    def next_two_levels(self) -> tuple[float, float, float]:
+        """This level's probe and both candidates for the level after it."""
+        mid = self.probe()
+        return mid, 0.5 * (self.lo + mid), 0.5 * (mid + self.hi)
+
+    def record(self, mag: float, heading_change: float,
+               roll: _Rollout | None = None) -> None:
+        """Take the heading change rolled for the probe `mag`."""
+        err = heading_change - self.target
+        if abs(err) < self.best[0]:
+            self.best = (abs(err), mag, roll)
+        self.iterations += 1
+        if abs(err) <= _SOLVE_TOL_DEG:
+            self.result = (mag, roll)
+            return
+        if self.sign * err < 0.0:
+            self.lo = mag
+        else:
+            self.hi = mag
+        if self.iterations == _MAX_BISECTIONS:
+            best_err, best_mag, best_roll = self.best
+            if best_err > CELL_TARGET_TOL_DEG:
+                raise NonConvergence(f"bisection on delta0 left a {best_err:.3f} deg "
+                                     f"error for target {self.target:+.1f}")
+            self.result = (best_mag, best_roll)
+
+
 def generate_cell(params: ShipParams, target_heading_change_deg: float,
                   radius_m: float, dt: float = DEFAULT_DT_S) -> TrajectoryCell:
     """Solve delta0 so the heading change at the circle crossing hits the target.
@@ -222,70 +441,102 @@ def generate_cell(params: ShipParams, target_heading_change_deg: float,
     this hull), and NonConvergence if the bisection budget runs out.
     """
     target = target_heading_change_deg
-    if abs(target) > MAX_HEADING_CHANGE_DEG + 1e-9:
-        raise ValueError(f"|target| must be <= {MAX_HEADING_CHANGE_DEG}, got {target}")
-    if radius_m < 2.0 * params.length_m:
-        raise ValueError(
-            f"radius {radius_m} m below twice the hull length ({2 * params.length_m} m)"
-        )
+    _check_target(target)
+    check_radius(params, radius_m)
 
     if target == 0.0:
         roll = _roll_until_crossing(params, 0.0, radius_m, dt)
         return _cell_from_rollout(roll, 0.0, radius_m)
 
-    s = 1.0 if target > 0.0 else -1.0
-    limit = params.rudder_limit_stbd_deg if target > 0.0 else -params.rudder_limit_port_deg
+    solve = _Bisection(params, target, radius_m)
+    roll_hi = _roll_until_crossing(params, solve.full_rudder, radius_m, dt)
+    solve.start(roll_hi.heading_change_deg, roll_hi)
+    while solve.result is None:
+        mag = solve.probe()
+        roll = _roll_until_crossing(params, solve.sign * mag, radius_m, dt)
+        solve.record(mag, roll.heading_change_deg, roll)
+    mag, roll = solve.result
+    return _cell_from_rollout(roll, solve.sign * mag, radius_m)
 
-    roll_hi = _roll_until_crossing(params, s * limit, radius_m, dt)
-    if s * roll_hi.heading_change_deg < s * target - CELL_TARGET_TOL_DEG:
-        raise Unreachable(
-            f"target {target:+.1f} deg unreachable at radius {radius_m} m: "
-            f"full rudder reaches {roll_hi.heading_change_deg:+.2f} deg at the crossing"
-        )
 
-    lo, hi = 0.0, limit
-    best_roll, best_mag = roll_hi, limit
-    best_err = abs(roll_hi.heading_change_deg - target)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        roll = _roll_until_crossing(params, s * mid, radius_m, dt)
-        err = roll.heading_change_deg - target
-        if abs(err) < best_err:
-            best_roll, best_mag, best_err = roll, mid, abs(err)
-        if abs(err) <= _SOLVE_TOL_DEG:
-            return _cell_from_rollout(roll, s * mid, radius_m)
-        if s * err < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    if best_err <= CELL_TARGET_TOL_DEG:
-        return _cell_from_rollout(best_roll, s * best_mag, radius_m)
-    raise NonConvergence(
-        f"bisection on delta0 left a {best_err:.3f} deg error for target {target:+.1f}"
-    )
+def _target_error(target: float, exc: Exception) -> Exception:
+    return type(exc)(f"target {target:+.1f} deg: {exc}")
+
+
+def _solve_delta0s(params: ShipParams, targets: list[float], radius_m: float,
+                   dt: float) -> list[float]:
+    """delta0 of every target, all bisections advancing together.
+
+    Each pass rolls, for every unsolved target, this level's probe and both
+    candidates for the next one, and advances each bisection by two levels;
+    equal probes of different targets share a lane, and the full-rudder
+    rollout of each side rides along the first pass. The probe sequence of
+    each target is therefore exactly generate_cell's. Raises the error of
+    the lowest failing target, as a target-by-target loop would.
+    """
+    def measured(delta0: float, hc: float) -> float:
+        if math.isnan(hc):  # lane did not cross in time: the scalar rollout raises
+            hc = _roll_until_crossing(params, delta0, radius_m, dt).heading_change_deg
+        return hc
+
+    solves = [_Bisection(params, t, radius_m) for t in targets if t != 0.0]
+    full_rudder = [b.full_rudder for b in solves]
+    errors: dict[float, Exception] = {}
+    active = solves
+    while active:
+        lanes = list(dict.fromkeys([*full_rudder, *(b.sign * mag for b in active
+                                                   for mag in b.next_two_levels())]))
+        hc = dict(zip(lanes, _heading_changes(params, lanes, radius_m, dt).tolist()))
+        if full_rudder:
+            for n, solve in enumerate(active):
+                try:
+                    solve.start(measured(solve.full_rudder, hc[solve.full_rudder]))
+                except (Unreachable, NonConvergence) as exc:
+                    errors[solve.target] = exc
+                    active = active[:n]  # targets above this one cannot fail first
+                    break
+            full_rudder = []
+        for solve in active:
+            try:
+                for _ in range(2):
+                    mag = solve.probe()
+                    solve.record(mag, measured(solve.sign * mag, hc[solve.sign * mag]))
+                    if solve.result is not None:
+                        break
+            except NonConvergence as exc:
+                errors[solve.target] = exc
+        active = [b for b in active if b.result is None and b.target not in errors]
+
+    if errors:
+        target = min(errors)
+        raise _target_error(target, errors[target]) from errors[target]
+    delta0 = {b.target: b.sign * b.result[0] for b in solves}
+    return [delta0.get(t, 0.0) for t in targets]
 
 
 def build_cell_set(params: ShipParams, radius_m: float,
                    resolution_deg: float = DEFAULT_RESOLUTION_DEG,
                    max_heading_change_deg: float = MAX_HEADING_CHANGE_DEG,
                    dt: float = DEFAULT_DT_S) -> CellSet:
-    """Generate the full cell family and fit its rudder/heading relation."""
-    if not 1.0 <= resolution_deg <= 15.0:
-        raise ValueError(f"resolution must be in [1, 15] deg, got {resolution_deg}")
-    n_steps = 2.0 * max_heading_change_deg / resolution_deg
-    if abs(n_steps - round(n_steps)) > 1e-9:
-        raise ValueError(
-            f"resolution {resolution_deg} must divide {2 * max_heading_change_deg} evenly"
-        )
+    """Generate the full cell family and fit its rudder/heading relation.
+
+    delta0 is solved for all targets together (_solve_delta0s); each cell
+    is then rolled once by _roll_until_crossing, so the set equals one built
+    target by target with generate_cell.
+    """
+    check_resolution(resolution_deg, max_heading_change_deg)
+    half = int(round(max_heading_change_deg / resolution_deg))
+    targets = [k * resolution_deg for k in range(-half, half + 1)]
+    _check_target(targets[0])
+    check_radius(params, radius_m)
 
     cells = []
-    half = int(round(max_heading_change_deg / resolution_deg))
-    for k in range(-half, half + 1):
-        target = k * resolution_deg
+    for target, delta0 in zip(targets, _solve_delta0s(params, targets, radius_m, dt)):
         try:
-            cells.append(generate_cell(params, target, radius_m, dt))
-        except (Unreachable, NonConvergence) as exc:
-            raise type(exc)(f"target {target:+.1f} deg: {exc}") from exc
+            roll = _roll_until_crossing(params, delta0, radius_m, dt)
+        except NonConvergence as exc:
+            raise _target_error(target, exc) from exc
+        cells.append(_cell_from_rollout(roll, delta0, radius_m))
 
     pairs = [RelationSample(c.delta0_deg, c.heading_change_deg) for c in cells]
     relation, _ = fit_poly(pairs, 3)

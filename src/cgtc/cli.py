@@ -20,7 +20,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .cells import build_cell_set
+from .cells import build_cell_set, check_radius, check_resolution
 from .errors import CGTCError, ScenarioError
 from .harness import compare_planners, run_batch, run_scenario, scenario_is_safe
 from .relation import RelationSample, fit_poly, pearson
@@ -31,6 +31,12 @@ from .ship import ShipParams, fitted_turn_radius, simulate_turn
 def _cmd_gen_cells(args) -> int:
     params = ShipParams()
     radius = args.radius if args.radius else 6.0 * params.length_m
+    try:
+        check_resolution(args.resolution)
+        check_radius(params, radius)
+    except ValueError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
     cells = build_cell_set(params, radius, args.resolution, dt=args.dt)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 
+from .cells import check_radius, check_resolution
 from .errors import ParseError, ValidationError
 from .grid import DOMAIN_FACTOR_MAX, DOMAIN_FACTOR_MIN
 from .ship import ShipParams
@@ -122,6 +123,10 @@ def scenario_from_dict(data: dict, name: str = "") -> Scenario:
         _require(DOMAIN_FACTOR_MIN <= factor <= DOMAIN_FACTOR_MAX,
                  f"scenario.domain_factor: must be in [{DOMAIN_FACTOR_MIN}, "
                  f"{DOMAIN_FACTOR_MAX}], got {factor}")
+    try:
+        check_radius(ship, radius if radius is not None else factor * ship.length_m)
+    except ValueError as exc:
+        raise ValidationError(f"scenario: circle {exc}") from exc
     reach = _take_number(data, "reach_tolerance_m", "scenario", required=False)
 
     obstacles = []
@@ -152,6 +157,15 @@ def scenario_from_dict(data: dict, name: str = "") -> Scenario:
              f"scenario.sim.max_steps: expected a positive integer, got {max_steps!r}")
     resolution = _take_number(sim, "cell_resolution_deg", "scenario.sim",
                               required=False, default=_DEFAULT_RESOLUTION_DEG)
+    try:
+        check_resolution(resolution)
+    except ValueError as exc:
+        raise ValidationError(f"scenario.sim.cell_resolution_deg: {exc}") from exc
+    # explicit Euler on the first-order yaw and speed lags stops being
+    # monotone once a step reaches their time constant
+    lag = min(ship.turn_lag_s, ship.speed_recovery_s)
+    _require(dt < lag, f"scenario.sim.dt_s: must be below the ship's shortest time "
+                       f"constant ({lag} s), got {dt}")
 
     movers = [o for o in obstacles if o.moving]
     if mode == "dynamic":
@@ -183,8 +197,8 @@ def _reject_constant(name: str):
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     try:
         data = json.loads(text, parse_constant=_reject_constant)

@@ -18,7 +18,7 @@ concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import NonPositiveDt
 from .grid import wrap_degrees
@@ -90,16 +90,6 @@ def trimmed_state(params: ShipParams, x_m: float = 0.0, y_m: float = 0.0,
     """Steady straight-ahead state: u at trim speed, everything else zero."""
     return ShipState(x_m=x_m, y_m=y_m, heading_deg=heading_deg,
                      u_mps=params.steady_speed_mps)
-
-
-def trim_steady_speed(params: ShipParams) -> float:
-    """Straight-running equilibrium speed u0.
-
-    By construction of the surrogate the zero-rudder surge equation has its
-    fixed point exactly at steady_speed_mps; stepping a trimmed state with
-    zero rudder leaves u unchanged bit-for-bit.
-    """
-    return params.steady_speed_mps
 
 
 def clamp_rudder(params: ShipParams, rudder_command_deg: float) -> tuple[float, bool]:
@@ -196,11 +186,6 @@ def steady_turn_radius(params: ShipParams, rudder_deg: float) -> float:
         1.0 - params.speed_loss_gain * abs(cmd) / params.rudder_limit_stbd_deg
     )
     return abs(u_ss / math.radians(omega))
-
-
-def with_overrides(params: ShipParams, **kwargs) -> ShipParams:
-    """Copy params with selected fields replaced (scenario-file overrides)."""
-    return replace(params, **kwargs)
 
 
 def fitted_turn_radius(states: list[ShipState]) -> float:

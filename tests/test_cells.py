@@ -1,6 +1,7 @@
 """Trajectory cell generation: rules, solving, splicing, relation fit."""
 
 import math
+import random
 import weakref
 from dataclasses import fields
 from pathlib import Path
@@ -9,7 +10,9 @@ import pytest
 
 from cgtc import cells as cells_mod
 from cgtc.cells import (
+    CellSet,
     TrajectoryCell,
+    _heading_changes,
     _roll_until_crossing,
     build_cell_set,
     cell_library,
@@ -17,8 +20,8 @@ from cgtc.cells import (
     transform_cell,
     validate_rules,
 )
-from cgtc.errors import Unreachable
-from cgtc.relation import pearson
+from cgtc.errors import NonConvergence, Unreachable
+from cgtc.relation import RelationSample, fit_poly, pearson
 from cgtc.scenario import load_scenario
 from cgtc.ship import ShipParams, ShipState
 from cgtc.static_planner import PlanResult, plan_static
@@ -58,6 +61,66 @@ def test_delta0_matches_dense_scan_oracle(params):
     cell = generate_cell(params, target, radius)
     assert found is not None
     assert abs(cell.delta0_deg - found) < 0.05
+
+
+def test_lane_kernel_matches_scalar_rollout():
+    hull = ShipParams(steady_speed_mps=9.1, turn_gain=0.15, asymmetry_factor=1.2,
+                      rudder_rate_degps=4.0, kick_gain=0.13, speed_loss_gain=0.03,
+                      rudder_limit_port_deg=-33.0)
+    port, stbd = hull.rudder_limit_port_deg, hull.rudder_limit_stbd_deg
+    rng = random.Random(20220209)
+    lanes = [0.0, 1e-6, -1e-6, port, stbd, 0.01, -0.01]
+    lanes += [rng.uniform(port, stbd) for _ in range(40)]
+    for radius, dt in ((520.0, 0.5), (2.5 * hull.length_m, 0.7)):
+        scalar = [_roll_until_crossing(hull, d, radius, dt).heading_change_deg
+                  for d in lanes]
+        assert _heading_changes(hull, lanes, radius, dt).tolist() == scalar
+
+
+def _cell_set_from_generate_cell(params, radius, resolution):
+    """The reference set: one scalar generate_cell solve per target."""
+    half = int(round(90.0 / resolution))
+    cells = tuple(generate_cell(params, k * resolution, radius)
+                  for k in range(-half, half + 1))
+    relation, _ = fit_poly([RelationSample(c.delta0_deg, c.heading_change_deg)
+                            for c in cells], 3)
+    return CellSet(radius_m=radius, cells=cells, max_heading_change_deg=90.0,
+                   resolution_deg=resolution, relation=relation)
+
+
+@pytest.mark.parametrize("resolution", [5.0, 2.0])
+def test_cell_set_equals_per_target_generate_cell(params, resolution):
+    expected = _cell_set_from_generate_cell(params, 600.0, resolution)
+    assert build_cell_set(params, 600.0, resolution) == expected
+
+
+def test_timed_out_lanes_fall_back_to_scalar_rollouts(params, cells_factor6,
+                                                     monkeypatch):
+    real = cells_mod._heading_changes
+
+    def nan_lanes(*args):
+        hc = real(*args)
+        hc[::2] = math.nan  # as if these lanes had not crossed by max_t
+        return hc
+
+    monkeypatch.setattr(cells_mod, "_heading_changes", nan_lanes)
+    assert build_cell_set(params, 6.0 * params.length_m, 5.0) == cells_factor6
+
+
+def test_set_errors_name_their_target(params, monkeypatch):
+    weak = ShipParams(turn_gain=0.02)
+    with pytest.raises(Unreachable) as err:
+        build_cell_set(weak, 6.0 * weak.length_m, 15.0)
+    with pytest.raises(Unreachable) as alone:
+        generate_cell(weak, -90.0, 6.0 * weak.length_m)
+    assert str(err.value) == f"target -90.0 deg: {alone.value}"
+
+    monkeypatch.setattr(cells_mod, "_MAX_BISECTIONS", 2)
+    with pytest.raises(NonConvergence) as err:
+        build_cell_set(params, 600.0, 15.0)
+    with pytest.raises(NonConvergence) as alone:
+        generate_cell(params, -90.0, 600.0)
+    assert str(err.value) == f"target -90.0 deg: {alone.value}"
 
 
 def test_cell_count_and_coverage(cells_factor6):

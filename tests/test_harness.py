@@ -1,18 +1,20 @@
 """Scenario files, the on-line generator, artifact outputs, CLI exit codes."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
 
 import pytest
 
+from cgtc import baseline as baseline_mod
 from cgtc import cells as cells_mod
 from cgtc.cli import main as cli_main
 from cgtc.errors import NonPositiveDt, ParseError, ValidationError
 from cgtc.harness import compare_planners, online_generate, run_batch, run_scenario
 from cgtc.scenario import Scenario, load_scenario, scenario_from_dict
 from cgtc.ship import trimmed_state
-from cgtc.static_planner import Obstacle
+from cgtc.static_planner import Obstacle, PlanResult
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -148,6 +150,38 @@ class TestScenarioFiles:
         with pytest.raises(ValidationError):
             load_scenario(path)
 
+    @pytest.mark.parametrize("change, field", [
+        ({"sim": {"cell_resolution_deg": 7.0}}, "cell_resolution_deg"),  # 180/7 not whole
+        ({"sim": {"cell_resolution_deg": 0.5}}, "cell_resolution_deg"),
+        ({"sim": {"cell_resolution_deg": 16.0}}, "cell_resolution_deg"),
+        ({"circle_radius_m": 100.0}, "radius"),  # below 2 x 63.6 m
+        ({"sim": {"dt_s": 12.0}}, "dt_s"),
+        ({"sim": {"dt_s": 4.0}}, "dt_s"),  # equal to the 4 s lags
+        ({"ship": {"speed_recovery_s": 0.4}}, "dt_s"),  # 0.5 s default step
+    ])
+    def test_cell_arguments_rejected(self, tmp_path, change, field):
+        data = {**GOOD_SCENARIO, **change}
+        with pytest.raises(ValidationError) as err:
+            scenario_from_dict(data)
+        assert field in str(err.value)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert cli_main(["plan", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+
+    def test_cell_arguments_at_their_limits_accepted(self):
+        data = {**GOOD_SCENARIO, "circle_radius_m": 2 * 63.6,
+                "sim": {"dt_s": 3.9, "cell_resolution_deg": 15.0}}
+        sc = scenario_from_dict(data)
+        assert (sc.radius_m, sc.dt_s, sc.cell_resolution_deg) == (127.2, 3.9, 15.0)
+
+    def test_non_utf8_file_is_parse_error(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(GOOD_SCENARIO).encode("utf-16-le"))
+        with pytest.raises(ParseError) as err:
+            load_scenario(path)
+        assert "utf16.json" in str(err.value)
+        assert cli_main(["plan", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+
     def test_shipped_scenarios_parse(self):
         for path in sorted(SCENARIO_DIR.glob("*.json")):
             sc = load_scenario(path)
@@ -271,6 +305,14 @@ class TestCliExitCodes:
         index = (tmp_path / "cells" / "index.csv").read_text().splitlines()
         assert len(index) - 1 == 13
 
+    @pytest.mark.parametrize("args", [["--resolution", "7"], ["--resolution", "0.5"],
+                                      ["--radius", "100"]])
+    def test_gen_cells_bad_arguments_exit_two(self, tmp_path, capsys, args):
+        rc = cli_main(["gen-cells", *args, "--out-dir", str(tmp_path / "cells")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("input error:")
+        assert not (tmp_path / "cells").exists()
+
     def test_fit_relation(self, tmp_path):
         csv = tmp_path / "rel.csv"
         from conftest import RUDDER_HEADING_TABLE
@@ -319,3 +361,49 @@ class TestCellLibraryReuse:
     def test_compare_builds_once(self, builds):
         compare_planners(load_scenario(SCENARIO_DIR / "fig25_analog.json"))
         assert len(builds) == 1
+
+
+class TestBaselineCells:
+    @pytest.fixture
+    def generated(self, monkeypatch):
+        """Targets of every generate_cell call the baseline makes."""
+        monkeypatch.setattr(cells_mod, "_library_slot", None)
+        calls = []
+        real_generate = baseline_mod.generate_cell
+
+        def counting_generate(params, target, *args, **kwargs):
+            calls.append(target)
+            return real_generate(params, target, *args, **kwargs)
+
+        monkeypatch.setattr(baseline_mod, "generate_cell", counting_generate)
+        return calls
+
+    @staticmethod
+    def generating_every_cell(scn):
+        """The library set as the baseline used it before: each change generated."""
+        cells = cells_mod.cell_library(scn.ship, scn.radius_m, scn.cell_resolution_deg,
+                                       dt=scn.dt_s)
+        generating = dataclasses.replace(cells)
+        object.__setattr__(generating, "nearest_cell", lambda change: cells_mod.generate_cell(
+            scn.ship, change, scn.radius_m, dt=scn.dt_s))
+        return generating
+
+    @pytest.mark.parametrize("scene, expected_calls", [
+        ({**GOOD_SCENARIO, "destination": {"x_m": -6000.0, "y_m": 6000.0},
+          "obstacles": [{"x_m": -3000.0, "y_m": 2500.0, "radius_m": 500.0}]}, 0),
+        (GOOD_SCENARIO, 3),  # heading drift leaves changes like 44.99 to generate
+    ])
+    def test_changes_held_by_the_set_are_not_generated(self, generated, scene,
+                                                       expected_calls):
+        scn = scenario_from_dict(scene)
+        assert scn.cell_resolution_deg == 5.0
+        report = compare_planners(scn)
+        assert report.grid.reached
+        assert len(generated) == expected_calls
+        assert all(round(t / 5.0) * 5.0 != t for t in generated)
+
+        new = baseline_mod.grid_baseline_plan(scn)
+        assert any(abs(c) > 44.0 for c in new.heading_changes_deg)
+        old = baseline_mod.grid_baseline_plan(scn, self.generating_every_cell(scn))
+        for f in dataclasses.fields(PlanResult):
+            assert getattr(new, f.name) == getattr(old, f.name), f.name

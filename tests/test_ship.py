@@ -13,7 +13,6 @@ from cgtc.ship import (
     simulate_turn,
     steady_turn_radius,
     step,
-    trim_steady_speed,
     trimmed_state,
 )
 
@@ -27,7 +26,6 @@ def test_zero_rudder_straight_line(params):
 
 
 def test_trim_is_exact_fixed_point(params):
-    assert trim_steady_speed(params) == params.steady_speed_mps
     st = trimmed_state(params)
     for _ in range(1000):
         st = step(st, params, 0.0, 0.5)
