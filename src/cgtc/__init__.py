@@ -31,12 +31,13 @@ from .dynamic_planner import (
     plan_dynamic,
     virtual_obstacle_radius,
 )
-from .harness import compare_planners, online_generate, run_batch, run_scenario
+from .harness import compare_planners, run_batch, run_scenario
 from .relation import CubicRelation, RelationSample, fit_poly, invert_relation, pearson
 from .scenario import Scenario, load_scenario
 from .ship import (
     ShipParams,
     ShipState,
+    online_generate,
     simulate_turn,
     step,
     trimmed_state,

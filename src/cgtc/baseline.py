@@ -13,17 +13,10 @@ import heapq
 import math
 from typing import TYPE_CHECKING, Optional
 
-from .cells import CellSet, cell_library, generate_cell, transform_cell
+from .cells import CellSet, cell_library, generate_cell
 from .errors import NoGridPath
-from .grid import CompassAngle, GridNode, compass_bearing, signed_degrees
-from .ship import ShipState
-from .static_planner import (
-    STEERING_THRESHOLD_DEG,
-    Obstacle,
-    PlanResult,
-    advance_pose,
-    clearance,
-)
+from .grid import GridNode, compass_bearing, signed_degrees
+from .static_planner import Obstacle, PlanResult, execute_cells
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -159,21 +152,10 @@ def grid_baseline_plan(scenario: "Scenario", cells: Optional[CellSet] = None) ->
             cell_cache[key] = generate_cell(params, key, pitch, dt=scenario.dt_s)
         return cell_cache[key]
 
-    pose = GridNode(position=start_xy, heading=CompassAngle(scenario.start_heading_deg))
-    nodes = [pose]
-    trajectory: list[ShipState] = []
-    times: list[float] = []
-    commands: list[float] = []
-    changes: list[float] = []
-    t = 0.0
-    reached = False
     wp_i = 1 if len(waypoints) > 1 else 0
-    reach_tol = scenario.reach_tolerance_m
 
-    for _ in range(scenario.max_steps):
-        if math.dist(pose.position, dest) < reach_tol:
-            reached = True
-            break
+    def next_cell(pose: GridNode, t: float):
+        nonlocal wp_i
         while wp_i < len(waypoints) - 1 and math.dist(pose.position, waypoints[wp_i]) <= pitch:
             wp_i += 1
         target = waypoints[wp_i]
@@ -185,41 +167,6 @@ def grid_baseline_plan(scenario: "Scenario", cells: Optional[CellSet] = None) ->
         change = max(-cells.max_heading_change_deg,
                      min(cells.max_heading_change_deg, change))
         cell = cell_for_change(change)
-        commands.append(cell.delta0_deg)
-        changes.append(cell.heading_change_deg)
+        return cell, cells.nearest_index(cell.heading_change_deg), cell.delta0_deg
 
-        world = transform_cell(cell, pose.position[0], pose.position[1],
-                               pose.heading.degrees)
-        offsets = cell.sample_times_s
-        if trajectory:
-            trajectory.extend(world[1:])
-            times.extend(t + dt_off for dt_off in offsets[1:])
-        else:
-            trajectory.extend(world)
-            times.extend(offsets)
-        t += cell.duration_s
-        pose = advance_pose(pose, cell, cells.nearest_index(cell.heading_change_deg))
-        nodes.append(pose)
-    else:
-        reached = math.dist(pose.position, dest) < reach_tol
-
-    path_length = 0.0
-    for a, b in zip(trajectory, trajectory[1:]):
-        path_length += math.hypot(b.x_m - a.x_m, b.y_m - a.y_m)
-
-    min_clear = None
-    if obstacles:
-        pts = [(s.x_m, s.y_m) for s in trajectory] or [start_xy]
-        min_clear = min(clearance(pt, obstacles) for pt in pts)
-
-    return PlanResult(
-        nodes=nodes,
-        trajectory=trajectory,
-        sample_times_s=times,
-        rudder_commands=commands,
-        heading_changes_deg=changes,
-        path_length_m=path_length,
-        steering_count=sum(1 for c in commands if abs(c) >= STEERING_THRESHOLD_DEG),
-        reached=reached,
-        min_clearance_m=min_clear,
-    )
+    return execute_cells(scenario, next_cell, obstacles)

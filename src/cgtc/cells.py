@@ -360,6 +360,18 @@ def check_resolution(resolution_deg: float,
         )
 
 
+def check_dt(params: ShipParams, dt: float) -> None:
+    """Raise ValueError unless dt is a usable Euler step for this hull.
+
+    Explicit Euler on the first-order yaw and speed lags stops being
+    monotone once a step reaches their time constant.
+    """
+    lag = min(params.turn_lag_s, params.speed_recovery_s)
+    if not 0.0 < dt < lag:
+        raise ValueError(f"dt must be positive and below the ship's shortest time "
+                         f"constant ({lag} s), got {dt}")
+
+
 def _check_target(target: float) -> None:
     if abs(target) > MAX_HEADING_CHANGE_DEG + 1e-9:
         raise ValueError(f"|target| must be <= {MAX_HEADING_CHANGE_DEG}, got {target}")

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .cells import build_cell_set, check_radius, check_resolution
+from .cells import build_cell_set, check_dt, check_radius, check_resolution
 from .errors import CGTCError, ScenarioError
 from .harness import compare_planners, run_batch, run_scenario, scenario_is_safe
 from .relation import RelationSample, fit_poly, pearson
@@ -34,6 +35,7 @@ def _cmd_gen_cells(args) -> int:
     try:
         check_resolution(args.resolution)
         check_radius(params, radius)
+        check_dt(params, args.dt)
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -55,39 +57,50 @@ def _cmd_gen_cells(args) -> int:
     return 0
 
 
-def _cmd_fit_relation(args) -> int:
-    rows = []
+def _read_relation_csv(path: str) -> list[RelationSample]:
+    """Rows of a two-column rudder/heading CSV; ValueError says what is wrong."""
     try:
-        for ln, line in enumerate(Path(args.csv).read_text().splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                print(f"{args.csv}:{ln}: expected two columns", file=sys.stderr)
-                return 2
-            try:
-                rows.append(RelationSample(float(parts[0]), float(parts[1])))
-            except ValueError:
-                if ln == 1:
-                    continue  # header row
-                print(f"{args.csv}:{ln}: not numeric", file=sys.stderr)
-                return 2
-    except OSError as exc:
-        print(f"cannot read {args.csv}: {exc}", file=sys.stderr)
-        return 2
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    rows = []
+    for ln, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{ln}: expected two columns")
+        try:
+            rudder, heading = float(parts[0]), float(parts[1])
+        except ValueError:
+            if ln == 1:
+                continue  # header row
+            raise ValueError(f"{path}:{ln}: not numeric") from None
+        if not (math.isfinite(rudder) and math.isfinite(heading)):
+            raise ValueError(f"{path}:{ln}: not a finite number")
+        rows.append(RelationSample(rudder, heading))
+    return rows
 
-    r = pearson([s.rudder_deg for s in rows], [s.heading_change_deg for s in rows])
-    rel, resid = fit_poly(rows, 3)
+
+def _cmd_fit_relation(args) -> int:
+    try:
+        rows = _read_relation_csv(args.csv)
+        r = pearson([s.rudder_deg for s in rows], [s.heading_change_deg for s in rows])
+        rel, resid = fit_poly(rows, 3)
+        by_degree = {deg: fit_poly(rows, deg)[1] for deg in range(1, 6)}
+    except (ValueError, CGTCError) as exc:
+        # the fit fails only on its input: too few rows, a constant column
+        # or a non-monotone cubic
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
     report = {
         "samples": len(rows),
         "pearson_r": r,
         "cubic": {"a": rel.a, "b": rel.b, "c": rel.c, "d": rel.d},
         "domain_deg": [rel.domain_lo_deg, rel.domain_hi_deg],
         "residual_stddev_deg": resid,
-        "residual_stddev_by_degree": {
-            deg: fit_poly(rows, deg)[1] for deg in range(1, 6)
-        },
+        "residual_stddev_by_degree": by_degree,
     }
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -135,18 +148,26 @@ def _cmd_batch(args) -> int:
 
 def _cmd_turn_test(args) -> int:
     params = ShipParams()
+    runs = {}
+    try:
+        check_dt(params, args.dt)
+        for name, rudder in (("starboard", params.rudder_limit_stbd_deg),
+                             ("port", params.rudder_limit_port_deg)):
+            states = simulate_turn(params, rudder, args.duration, args.dt)
+            runs[name] = (rudder, states, fitted_turn_radius(states))
+    except (ValueError, OverflowError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report = {}
-    for name, rudder in (("starboard", params.rudder_limit_stbd_deg),
-                         ("port", params.rudder_limit_port_deg)):
-        states = simulate_turn(params, rudder, args.duration, args.dt)
+    for name, (rudder, states, radius) in runs.items():
         lines = ["t_s,x_m,y_m,heading_deg,u_mps,v_mps,yaw_rate_degps,rudder_deg"]
         for i, s in enumerate(states):
             lines.append(f"{i * args.dt:.3f},{s.x_m:.4f},{s.y_m:.4f},{s.heading_deg:.4f},"
                          f"{s.u_mps:.4f},{s.v_mps:.4f},{s.yaw_rate_degps:.4f},{s.rudder_deg:.4f}")
         (out / f"turn_{name}.csv").write_text("\n".join(lines) + "\n")
-        report[name] = {"rudder_deg": rudder, "fitted_radius_m": fitted_turn_radius(states)}
+        report[name] = {"rudder_deg": rudder, "fitted_radius_m": radius}
     (out / "turn_report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0

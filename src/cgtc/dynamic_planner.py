@@ -14,31 +14,28 @@ once it is bypassed the plan drops it and drives to the destination
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
-from .cells import CellSet, cell_library, transform_cell
+from .cells import CellSet, cell_library
 from .errors import (
-    DestinationInsideObstacle,
     LengthMismatch,
     NoFeasibleRadius,
     NoForwardIntersection,
     ParallelCourses,
-    StartInsideObstacle,
     ValidationError,
 )
-from .grid import CompassAngle, GridNode, compass_bearing
+from .grid import GridNode, compass_bearing
 from .ship import ShipState
 from .static_planner import (
-    STEERING_THRESHOLD_DEG,
     Engagement,
     HeadingDecision,
     Obstacle,
     PlanResult,
-    advance_pose,
-    clearance,
+    check_endpoints,
     decide_heading,
+    execute_cells,
     is_bypassed,
     pick_cell_index,
 )
@@ -282,44 +279,19 @@ def plan_dynamic(scenario: "Scenario", cells: Optional[CellSet] = None) -> PlanR
     mover = movers[0]
     statics = [o for o in scenario.obstacles if not o.moving]
 
-    start_xy = (scenario.start_x_m, scenario.start_y_m)
-    dest = (scenario.dest_x_m, scenario.dest_y_m)
-    for o in statics:
-        if math.dist(start_xy, o.center) <= o.radius_m:
-            raise StartInsideObstacle(f"start {start_xy} inside obstacle at {o.center}")
-        if math.dist(dest, o.center) <= o.radius_m:
-            raise DestinationInsideObstacle(f"destination {dest} inside obstacle at {o.center}")
-
+    check_endpoints(scenario, statics)
     if cells is None:
         cells = cell_library(scenario.ship, scenario.radius_m,
                              scenario.cell_resolution_deg, dt=scenario.dt_s)
-    reach_tol = scenario.reach_tolerance_m
-    v_s = scenario.ship.steady_speed_mps
-    r_own = scenario.radius_m
-    r_obs = mover.radius_m
-
-    pose = GridNode(position=start_xy, heading=CompassAngle(scenario.start_heading_deg))
-    nodes = [pose]
-    trajectory: list[ShipState] = []
-    times: list[float] = []
-    commands: list[float] = []
-    changes: list[float] = []
-    separation: list[float] = []
-    t = 0.0
-    reached = False
+    dest = (scenario.dest_x_m, scenario.dest_y_m)
     virtual: Optional[VirtualObstacle] = None
     virtual_done = False
-    force_starboard = False
     engagement = Engagement()
     last_classified_heading: Optional[float] = None
 
-    for _ in range(scenario.max_steps):
-        if math.dist(pose.position, dest) < reach_tol:
-            reached = True
-            break
-
-        obstacle_now = Obstacle(center=mover.position_at(t), radius_m=mover.radius_m,
-                                speed_mps=mover.speed_mps, course_deg=mover.course_deg)
+    def next_cell(pose: GridNode, t: float):
+        nonlocal virtual, virtual_done, last_classified_heading
+        obstacle_now = replace(mover, center=mover.position_at(t))
         force_starboard = False
         if not virtual_done and virtual is None:
             # The maintain-heading bounds are a whole-track guarantee under
@@ -330,7 +302,8 @@ def plan_dynamic(scenario: "Scenario", cells: Optional[CellSet] = None) -> PlanR
             # tangent cone immediately) and is dropped only via bypass.
             if last_classified_heading is None or pose.heading.degrees != last_classified_heading:
                 try:
-                    enc = make_encounter(pose, v_s, obstacle_now, r_own, r_obs)
+                    enc = make_encounter(pose, scenario.ship.steady_speed_mps, obstacle_now,
+                                         scenario.radius_m, mover.radius_m)
                     cls = classify_encounter(enc)
                     if cls.kind is EncounterClass.MUST_STEER:
                         try:
@@ -356,50 +329,10 @@ def plan_dynamic(scenario: "Scenario", cells: Optional[CellSet] = None) -> PlanR
         else:
             decision = decide_heading(pose, dest, tracked, cells, engagement)
         idx = pick_cell_index(decision, cells)
-        cell = cells.cells[idx]
-        commands.append(cells.command_for(decision.heading_change_deg))
-        changes.append(cell.heading_change_deg)
+        return cells.cells[idx], idx, cells.command_for(decision.heading_change_deg)
 
-        world = transform_cell(cell, pose.position[0], pose.position[1],
-                               pose.heading.degrees)
-        offsets = cell.sample_times_s
-        if trajectory:
-            new_samples = world[1:]
-            new_times = [t + dt_off for dt_off in offsets[1:]]
-        else:
-            new_samples = world
-            new_times = list(offsets)
-        trajectory.extend(new_samples)
-        times.extend(new_times)
-        separation.extend(
-            math.dist((s.x_m, s.y_m), mover.position_at(tt))
-            for s, tt in zip(new_samples, new_times)
-        )
-        t += cell.duration_s
-        pose = advance_pose(pose, cell, idx)
-        nodes.append(pose)
-    else:
-        reached = math.dist(pose.position, dest) < reach_tol
-
-    path_length = 0.0
-    for a, b in zip(trajectory, trajectory[1:]):
-        path_length += math.hypot(b.x_m - a.x_m, b.y_m - a.y_m)
-
-    min_clear = None
-    if statics:
-        pts = [(s.x_m, s.y_m) for s in trajectory] or [start_xy]
-        min_clear = min(clearance(pt, statics) for pt in pts)
-
-    return PlanResult(
-        nodes=nodes,
-        trajectory=trajectory,
-        sample_times_s=times,
-        rudder_commands=commands,
-        heading_changes_deg=changes,
-        path_length_m=path_length,
-        steering_count=sum(1 for cmd in commands if abs(cmd) >= STEERING_THRESHOLD_DEG),
-        reached=reached,
-        min_clearance_m=min_clear,
-        separation_m=separation,
-        min_separation_m=min(separation) if separation else None,
-    )
+    result = execute_cells(scenario, next_cell, statics)
+    if result.trajectory:
+        result.separation_m, result.min_separation_m = min_separation(
+            result.trajectory, [mover.position_at(t) for t in result.sample_times_s])
+    return result

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Optional
 from .errors import CoincidentPoints, FactorOutOfRange
 
 if TYPE_CHECKING:
-    from .cells import CellSet
+    from .cells import CellSet, TrajectoryCell
     from .ship import ShipParams
 
 Point = tuple[float, float]
@@ -96,25 +96,25 @@ def rotate_offset(offset: Point, heading_deg: float) -> Point:
     return (ex * ch + ey * sh, -ex * sh + ey * ch)
 
 
-def expand_node(node: GridNode, cells: "CellSet") -> list[GridNode]:
-    """Produce one child per trajectory cell, each on the circle about node.
+def advance_pose(pose: GridNode, cell: "TrajectoryCell", cell_index: int) -> GridNode:
+    """Child node reached by executing a cell from a pose.
 
-    Child position is the cell end offset rotated into the node's frame;
+    Child position is the cell end offset rotated into the pose's frame;
     child heading adds the cell's heading change.
     """
-    children = []
-    for idx, cell in enumerate(cells.cells):
-        off = rotate_offset(cell.end_offset, node.heading.degrees)
-        children.append(
-            GridNode(
-                position=(node.position[0] + off[0], node.position[1] + off[1]),
-                heading=node.heading.plus(cell.heading_change_deg),
-                parent=node,
-                cell_used=idx,
-                depth=node.depth + 1,
-            )
-        )
-    return children
+    off = rotate_offset(cell.end_offset, pose.heading.degrees)
+    return GridNode(
+        position=(pose.position[0] + off[0], pose.position[1] + off[1]),
+        heading=pose.heading.plus(cell.heading_change_deg),
+        parent=pose,
+        cell_used=cell_index,
+        depth=pose.depth + 1,
+    )
+
+
+def expand_node(node: GridNode, cells: "CellSet") -> list[GridNode]:
+    """Produce one child per trajectory cell, each on the circle about node."""
+    return [advance_pose(node, c, i) for i, c in enumerate(cells.cells)]
 
 
 def ship_domain_radius(params: "ShipParams", factor: float) -> float:

@@ -1,4 +1,4 @@
-"""On-line trajectory generation, scenario running, planner comparison.
+"""Scenario running and planner comparison.
 
 run_scenario is the batch entry point: load a scenario file, dispatch on
 its mode, write trajectory/command CSVs and a metrics report. Everything is
@@ -15,31 +15,13 @@ from typing import Optional
 
 from .baseline import grid_baseline_plan
 from .dynamic_planner import plan_dynamic
-from .errors import CGTCError, NonPositiveDt
+from .errors import CGTCError
 from .scenario import Scenario, load_scenario
-from .ship import ShipParams, ShipState, step
 from .static_planner import PlanResult, plan_static
 
 TRAJECTORY_COLUMNS = ("t_s", "x_m", "y_m", "heading_deg", "u_mps", "v_mps",
                       "yaw_rate_degps", "rudder_deg")
 COMMAND_COLUMNS = ("step", "delta0_deg", "heading_change_deg")
-
-
-def online_generate(state: ShipState, params: ShipParams, rudder_command_deg: float,
-                    horizon_s: float, dt: float) -> list[ShipState]:
-    """Forward-simulate a held command; first element is the input state.
-
-    The iterative contract: the last state of one call is a valid first
-    state for the next, so chained calls reproduce a single longer call
-    sample for sample.
-    """
-    if dt <= 0:
-        raise NonPositiveDt(f"dt must be > 0, got {dt}")
-    n = int(round(horizon_s / dt))
-    out = [state]
-    for _ in range(n):
-        out.append(step(out[-1], params, rudder_command_deg, dt))
-    return out
 
 
 @dataclass

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 
-from .cells import check_radius, check_resolution
+from .cells import check_dt, check_radius, check_resolution
 from .errors import ParseError, ValidationError
 from .grid import DOMAIN_FACTOR_MAX, DOMAIN_FACTOR_MIN
 from .ship import ShipParams
@@ -150,7 +150,10 @@ def scenario_from_dict(data: dict, name: str = "") -> Scenario:
     _require(isinstance(sim, dict), "scenario.sim: expected an object")
     _reject_unknown(sim, {"dt_s", "max_steps", "cell_resolution_deg"}, "scenario.sim")
     dt = _take_number(sim, "dt_s", "scenario.sim", required=False, default=_DEFAULT_DT_S)
-    _require(dt > 0, f"scenario.sim.dt_s: must be positive, got {dt}")
+    try:
+        check_dt(ship, dt)
+    except ValueError as exc:
+        raise ValidationError(f"scenario.sim.dt_s: {exc}") from exc
     max_steps = sim.get("max_steps", _DEFAULT_MAX_STEPS)
     _require(isinstance(max_steps, int) and not isinstance(max_steps, bool)
              and max_steps > 0,
@@ -161,11 +164,6 @@ def scenario_from_dict(data: dict, name: str = "") -> Scenario:
         check_resolution(resolution)
     except ValueError as exc:
         raise ValidationError(f"scenario.sim.cell_resolution_deg: {exc}") from exc
-    # explicit Euler on the first-order yaw and speed lags stops being
-    # monotone once a step reaches their time constant
-    lag = min(ship.turn_lag_s, ship.speed_recovery_s)
-    _require(dt < lag, f"scenario.sim.dt_s: must be below the ship's shortest time "
-                       f"constant ({lag} s), got {dt}")
 
     movers = [o for o in obstacles if o.moving]
     if mode == "dynamic":

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NonPositiveDt
-from .grid import wrap_degrees
+from .grid import signed_degrees, wrap_degrees
 
 
 @dataclass(frozen=True)
@@ -156,6 +156,23 @@ def step(state: ShipState, params: ShipParams, rudder_command_deg: float,
                      rudder_deg=rudder_new)
 
 
+def online_generate(state: ShipState, params: ShipParams, rudder_command_deg: float,
+                    horizon_s: float, dt: float) -> list[ShipState]:
+    """Forward-simulate a held command; first element is the input state.
+
+    The iterative contract: the last state of one call is a valid first
+    state for the next, so chained calls reproduce a single longer call
+    sample for sample.
+    """
+    if dt <= 0:
+        raise NonPositiveDt(f"dt must be > 0, got {dt}")
+    n = int(round(horizon_s / dt))
+    out = [state]
+    for _ in range(n):
+        out.append(step(out[-1], params, rudder_command_deg, dt))
+    return out
+
+
 def simulate_turn(params: ShipParams, rudder_deg: float, duration_s: float,
                   dt: float) -> list[ShipState]:
     """Turning-circle run: constant rudder command from the trimmed state.
@@ -164,13 +181,7 @@ def simulate_turn(params: ShipParams, rudder_deg: float, duration_s: float,
     chooses a duration long enough for at least one full circle when a
     steady-radius fit is wanted.
     """
-    if dt <= 0:
-        raise NonPositiveDt(f"dt must be > 0, got {dt}")
-    states = [trimmed_state(params)]
-    n = int(round(duration_s / dt))
-    for _ in range(n):
-        states.append(step(states[-1], params, rudder_deg, dt))
-    return states
+    return online_generate(trimmed_state(params), params, rudder_deg, duration_s, dt)
 
 
 def steady_turn_radius(params: ShipParams, rudder_deg: float) -> float:
@@ -195,8 +206,6 @@ def fitted_turn_radius(states: list[ShipState]) -> float:
     covered, then averages the x and y extents of that loop. The run must
     contain at least one settled full circle.
     """
-    from .grid import signed_degrees
-
     total = 0.0
     start = 0
     for i in range(len(states) - 1, 0, -1):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .cells import CellSet, TrajectoryCell, cell_library, transform_cell
 from .errors import (
@@ -20,7 +20,7 @@ from .errors import (
     InsideObstacle,
     StartInsideObstacle,
 )
-from .grid import CompassAngle, GridNode, compass_bearing, rotate_offset
+from .grid import CompassAngle, GridNode, advance_pose, compass_bearing
 from .ship import ShipState
 
 if TYPE_CHECKING:
@@ -260,33 +260,13 @@ def pick_cell_index(decision: HeadingDecision, cells: CellSet) -> int:
     return k + half
 
 
-def advance_pose(pose: GridNode, cell: TrajectoryCell, cell_index: int) -> GridNode:
-    """Child node reached by executing a cell from a pose."""
-    off = rotate_offset(cell.end_offset, pose.heading.degrees)
-    return GridNode(
-        position=(pose.position[0] + off[0], pose.position[1] + off[1]),
-        heading=pose.heading.plus(cell.heading_change_deg),
-        parent=pose,
-        cell_used=cell_index,
-        depth=pose.depth + 1,
-    )
-
-
 def clearance(point: Point, obstacles: list[Obstacle]) -> float:
     """Distance from a point to the nearest obstacle boundary (signed)."""
     return min(math.dist(point, o.center) - o.radius_m for o in obstacles)
 
 
-def plan_static(scenario: "Scenario", cells: Optional[CellSet] = None) -> PlanResult:
-    """Continuous-tracking planning loop over static obstacles.
-
-    Each iteration decides a heading, converts it to a rudder command via
-    the cell relation, executes the nearest (safely rounded) cell, and
-    re-evaluates from the new node. Terminates when within the reach
-    tolerance of the destination, or with reached=False when the step
-    budget runs out.
-    """
-    obstacles = scenario.obstacles
+def check_endpoints(scenario: "Scenario", obstacles: list[Obstacle]) -> None:
+    """Raise when the start or the destination lies inside an obstacle disc."""
     start_xy = (scenario.start_x_m, scenario.start_y_m)
     dest = (scenario.dest_x_m, scenario.dest_y_m)
     for o in obstacles:
@@ -295,9 +275,25 @@ def plan_static(scenario: "Scenario", cells: Optional[CellSet] = None) -> PlanRe
         if math.dist(dest, o.center) <= o.radius_m:
             raise DestinationInsideObstacle(f"destination {dest} inside obstacle at {o.center}")
 
-    if cells is None:
-        cells = cell_library(scenario.ship, scenario.radius_m,
-                             scenario.cell_resolution_deg, dt=scenario.dt_s)
+
+# next_cell(pose, t) -> (cell, cell index, rudder command) for one step
+NextCell = Callable[[GridNode, float], tuple[TrajectoryCell, int, float]]
+
+
+def execute_cells(scenario: "Scenario", next_cell: NextCell,
+                  obstacles: list[Obstacle]) -> PlanResult:
+    """On-line execution loop shared by every planner.
+
+    From the start pose, asks next_cell for the cell to run at each node
+    (t is the plan time at that node), places the cell at the pose, joins
+    its samples and times onto the trajectory (consecutive cells share
+    their joint sample) and advances to the cell's end node. Stops within
+    the reach tolerance of the destination, or with reached=False when the
+    step budget runs out. Clearance is measured against obstacles (None
+    when there are none), at the start point if no cell ran.
+    """
+    start_xy = (scenario.start_x_m, scenario.start_y_m)
+    dest = (scenario.dest_x_m, scenario.dest_y_m)
     reach_tol = scenario.reach_tolerance_m
 
     pose = GridNode(position=start_xy, heading=CompassAngle(scenario.start_heading_deg))
@@ -307,34 +303,21 @@ def plan_static(scenario: "Scenario", cells: Optional[CellSet] = None) -> PlanRe
     commands: list[float] = []
     changes: list[float] = []
     t = 0.0
-    reached = False
-    engagement = Engagement()
-    tracked = list(enumerate(obstacles))
-
     for _ in range(scenario.max_steps):
         if math.dist(pose.position, dest) < reach_tol:
-            reached = True
             break
-        decision = decide_heading(pose, dest, tracked, cells, engagement)
-        idx = pick_cell_index(decision, cells)
-        cell = cells.cells[idx]
-        commands.append(cells.command_for(decision.heading_change_deg))
+        cell, idx, command = next_cell(pose, t)
+        commands.append(command)
         changes.append(cell.heading_change_deg)
 
         world = transform_cell(cell, pose.position[0], pose.position[1],
                                pose.heading.degrees)
-        offsets = cell.sample_times_s
-        if trajectory:
-            trajectory.extend(world[1:])
-            times.extend(t + dt_off for dt_off in offsets[1:])
-        else:
-            trajectory.extend(world)
-            times.extend(offsets)
+        joint = 1 if trajectory else 0
+        trajectory.extend(world[joint:])
+        times.extend(t + dt_off for dt_off in cell.sample_times_s[joint:])
         t += cell.duration_s
         pose = advance_pose(pose, cell, idx)
         nodes.append(pose)
-    else:
-        reached = math.dist(pose.position, dest) < reach_tol
 
     path_length = 0.0
     for a, b in zip(trajectory, trajectory[1:]):
@@ -353,6 +336,30 @@ def plan_static(scenario: "Scenario", cells: Optional[CellSet] = None) -> PlanRe
         heading_changes_deg=changes,
         path_length_m=path_length,
         steering_count=sum(1 for c in commands if abs(c) >= STEERING_THRESHOLD_DEG),
-        reached=reached,
+        reached=math.dist(pose.position, dest) < reach_tol,
         min_clearance_m=min_clear,
     )
+
+
+def plan_static(scenario: "Scenario", cells: Optional[CellSet] = None) -> PlanResult:
+    """Continuous-tracking planning loop over static obstacles.
+
+    Each iteration decides a heading, converts it to a rudder command via
+    the cell relation, executes the nearest (safely rounded) cell, and
+    re-evaluates from the new node (see execute_cells).
+    """
+    obstacles = scenario.obstacles
+    check_endpoints(scenario, obstacles)
+    if cells is None:
+        cells = cell_library(scenario.ship, scenario.radius_m,
+                             scenario.cell_resolution_deg, dt=scenario.dt_s)
+    dest = (scenario.dest_x_m, scenario.dest_y_m)
+    engagement = Engagement()
+    tracked = list(enumerate(obstacles))
+
+    def next_cell(pose: GridNode, t: float):
+        decision = decide_heading(pose, dest, tracked, cells, engagement)
+        idx = pick_cell_index(decision, cells)
+        return cells.cells[idx], idx, cells.command_for(decision.heading_change_deg)
+
+    return execute_cells(scenario, next_cell, obstacles)

@@ -11,9 +11,9 @@ from cgtc import baseline as baseline_mod
 from cgtc import cells as cells_mod
 from cgtc.cli import main as cli_main
 from cgtc.errors import NonPositiveDt, ParseError, ValidationError
-from cgtc.harness import compare_planners, online_generate, run_batch, run_scenario
+from cgtc.harness import compare_planners, run_batch, run_scenario
 from cgtc.scenario import Scenario, load_scenario, scenario_from_dict
-from cgtc.ship import trimmed_state
+from cgtc.ship import online_generate, trimmed_state
 from cgtc.static_planner import Obstacle, PlanResult
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -306,12 +306,38 @@ class TestCliExitCodes:
         assert len(index) - 1 == 13
 
     @pytest.mark.parametrize("args", [["--resolution", "7"], ["--resolution", "0.5"],
-                                      ["--radius", "100"]])
+                                      ["--radius", "100"], ["--dt", "0"], ["--dt", "50"]])
     def test_gen_cells_bad_arguments_exit_two(self, tmp_path, capsys, args):
         rc = cli_main(["gen-cells", *args, "--out-dir", str(tmp_path / "cells")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("input error:")
         assert not (tmp_path / "cells").exists()
+
+    @pytest.mark.parametrize("args", [["--dt", "0"], ["--dt", "50"], ["--duration", "1"],
+                                      ["--duration", "-5"]])
+    def test_turn_test_bad_arguments_exit_two(self, tmp_path, capsys, args):
+        # a run too short for a full circle has no radius to fit
+        rc = cli_main(["turn-test", *args, "--out-dir", str(tmp_path / "turn")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("input error:")
+        assert not (tmp_path / "turn").exists()
+
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe1,2\n",                                      # not UTF-8
+        b"rudder,heading\n" + b"".join(b"%d,%d\n" % (d, d) for d in range(8)) + b"nan,1\n",
+        b"".join(b"%d,%d\n" % (d, d) for d in range(8)) + b"2,inf\n",
+        b"1,2\n2,4\n3,6\n",                                    # InsufficientSamples
+        b"1,2\n",                                                # LengthMismatch
+        b"".join(b"%d,5\n" % d for d in range(8)),              # ZeroVariance
+        b"".join(b"%d,%d\n" % (d, d - d ** 3) for d in range(-4, 5)),  # MonotonicityViolation
+    ])
+    def test_fit_relation_bad_input_exit_two(self, tmp_path, capsys, content):
+        csv = tmp_path / "rel.csv"
+        csv.write_bytes(content)
+        rc = cli_main(["fit-relation", str(csv), "--out-dir", str(tmp_path / "fit")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("input error:")
+        assert not (tmp_path / "fit").exists()
 
     def test_fit_relation(self, tmp_path):
         csv = tmp_path / "rel.csv"

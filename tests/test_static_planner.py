@@ -2,6 +2,7 @@
 
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,9 +10,10 @@ from cgtc.baseline import grid_baseline_plan
 from cgtc.dynamic_planner import plan_dynamic
 from cgtc.errors import DestinationInsideObstacle, InsideObstacle, StartInsideObstacle
 from cgtc.grid import CompassAngle, GridNode, compass_bearing, signed_degrees
-from cgtc.scenario import Scenario, mirror_scenario
+from cgtc.scenario import Scenario, load_scenario, mirror_scenario
 from cgtc.ship import ShipParams
 from cgtc.static_planner import (
+    STEERING_THRESHOLD_DEG,
     Obstacle,
     is_bypassed,
     plan_static,
@@ -19,6 +21,9 @@ from cgtc.static_planner import (
     select_heading_static,
     tangent_angles,
 )
+
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def brute_force_tangents(point, obstacle, step_deg=0.01):
@@ -290,3 +295,24 @@ def test_start_within_reach_tolerance(planner):
     assert result.path_length_m == 0.0
     assert result.min_clearance_m == pytest.approx(math.dist((0.0, 0.0), static.center)
                                                    - static.radius_m)
+
+
+@pytest.mark.parametrize("planner, name", [
+    (planner, path.stem)
+    for path in sorted(SCENARIO_DIR.glob("*.json"))
+    for planner in ((plan_dynamic,) if path.stem.startswith("dynamic")
+                    else (plan_static, grid_baseline_plan))
+])
+def test_executor_contract(planner, name):
+    """Every planner's result is consistent with its own trajectory and commands."""
+    result = planner(load_scenario(SCENARIO_DIR / f"{name}.json"))
+    times = result.sample_times_s
+    assert result.trajectory and len(times) == len(result.trajectory)
+    assert all(a < b for a, b in zip(times, times[1:]))
+    assert (len(result.nodes) == len(result.rudder_commands) + 1
+            == len(result.heading_changes_deg) + 1)
+    pts = [(s.x_m, s.y_m) for s in result.trajectory]
+    length = sum(math.dist(a, b) for a, b in zip(pts, pts[1:]))
+    assert result.path_length_m == pytest.approx(length, rel=1e-12)
+    assert result.steering_count == sum(
+        1 for c in result.rudder_commands if abs(c) >= STEERING_THRESHOLD_DEG)
