@@ -22,7 +22,9 @@ numpy lanes, with the same arithmetic as the scalar rollout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -30,6 +32,9 @@ from .errors import NonConvergence, NonPositiveDt, Unreachable
 from .grid import compass_bearing, wrap_degrees
 from .relation import CubicRelation, RelationSample, fit_poly, invert_relation
 from .ship import ShipParams, ShipState, step, trimmed_state
+
+# one ShipState's fields in constructor order
+_STATE_FIELDS = attrgetter(*(f.name for f in fields(ShipState)))
 
 MAX_HEADING_CHANGE_DEG = 90.0
 DEFAULT_RESOLUTION_DEG = 5.0
@@ -64,6 +69,18 @@ class TrajectoryCell:
     arc_length_m: float
     duration_s: float
     radius_m: float
+
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, list[list[float]]]:
+        """The samples field by field, for placing the cell.
+
+        x, y and heading form a (3, n) float64 array; the other four fields
+        are lists of the samples' own values, which placement passes through
+        unchanged. Cached on the instance, not a dataclass field, so ==,
+        hash and repr are unchanged.
+        """
+        x, y, heading, *passed = map(list, zip(*map(_STATE_FIELDS, self.samples)))
+        return np.array([x, y, heading], dtype=np.float64), passed
 
 
 @dataclass(frozen=True)
@@ -656,20 +673,17 @@ def _count_steerings(rudder_series: list[float]) -> int:
 
 def transform_cell(cell: TrajectoryCell, origin_x: float, origin_y: float,
                    origin_heading_deg: float) -> list[ShipState]:
-    """Place a ship-frame cell at a world pose (rotate by heading, translate)."""
+    """Place a ship-frame cell at a world pose (rotate by heading, translate).
+
+    The placement runs on the cell's cached columns as whole-array
+    expressions with the per-sample arithmetic in the same order, so every
+    state is bit-equal to placing the samples one at a time.
+    """
     h = math.radians(origin_heading_deg)
     ch, sh = math.cos(h), math.sin(h)
-    out = []
-    for s in cell.samples:
-        wx = s.x_m * ch + s.y_m * sh
-        wy = -s.x_m * sh + s.y_m * ch
-        out.append(ShipState(
-            x_m=origin_x + wx,
-            y_m=origin_y + wy,
-            heading_deg=wrap_degrees(s.heading_deg + origin_heading_deg),
-            u_mps=s.u_mps,
-            v_mps=s.v_mps,
-            yaw_rate_degps=s.yaw_rate_degps,
-            rudder_deg=s.rudder_deg,
-        ))
-    return out
+    (x, y, heading), passed = cell._columns
+    return list(map(ShipState,
+                    (origin_x + (x * ch + y * sh)).tolist(),
+                    (origin_y + (-x * sh + y * ch)).tolist(),
+                    wrap_degrees(heading + origin_heading_deg).tolist(),
+                    *passed))

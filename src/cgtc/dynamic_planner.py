@@ -18,6 +18,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
+import numpy as np
+
 from .cells import CellSet, cell_library
 from .errors import (
     LengthMismatch,
@@ -333,6 +335,7 @@ def plan_dynamic(scenario: "Scenario", cells: Optional[CellSet] = None) -> PlanR
 
     result = execute_cells(scenario, next_cell, statics)
     if result.trajectory:
+        track_x, track_y = mover.position_at(np.array(result.sample_times_s))
         result.separation_m, result.min_separation_m = min_separation(
-            result.trajectory, [mover.position_at(t) for t in result.sample_times_s])
+            result.trajectory, list(zip(track_x.tolist(), track_y.tolist())))
     return result

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
+import numpy as np
+
 from .cells import CellSet, TrajectoryCell, cell_library, transform_cell
 from .errors import (
     DestinationInsideObstacle,
@@ -57,6 +59,7 @@ class Obstacle:
         return self.speed_mps > 0.0
 
     def position_at(self, t_s: float) -> Point:
+        """Center at time t_s; for an array of times, each coordinate is an array."""
         h = math.radians(self.course_deg)
         return (self.center[0] + self.speed_mps * t_s * math.sin(h),
                 self.center[1] + self.speed_mps * t_s * math.cos(h))
@@ -265,6 +268,26 @@ def clearance(point: Point, obstacles: list[Obstacle]) -> float:
     return min(math.dist(point, o.center) - o.radius_m for o in obstacles)
 
 
+def min_clearance(points: np.ndarray, obstacles: list[Obstacle]) -> float:
+    """min(clearance(p, obstacles) for p in points) for an (n, 2) point array.
+
+    Screens every point against each disc with numpy hypot, then
+    re-measures with clearance() only the points whose screened value is
+    within 1e-6 * (1 + |min| + largest radius) of the screened minimum.
+    That margin exceeds the few-ulp difference between np.hypot and
+    math.dist, so the true minimizer is always re-measured and the result
+    equals the point-by-point minimum exactly.
+    """
+    x, y = points.T
+    screened = np.full(len(points), np.inf)
+    for o in obstacles:
+        np.minimum(screened, np.hypot(x - o.center[0], y - o.center[1]) - o.radius_m,
+                   out=screened)
+    lowest = screened.min()
+    near = screened <= lowest + 1e-6 * (1.0 + abs(lowest) + max(o.radius_m for o in obstacles))
+    return min(clearance(p, obstacles) for p in map(tuple, points[near].tolist()))
+
+
 def check_endpoints(scenario: "Scenario", obstacles: list[Obstacle]) -> None:
     """Raise when the start or the destination lies inside an obstacle disc."""
     start_xy = (scenario.start_x_m, scenario.start_y_m)
@@ -289,8 +312,11 @@ def execute_cells(scenario: "Scenario", next_cell: NextCell,
     its samples and times onto the trajectory (consecutive cells share
     their joint sample) and advances to the cell's end node. Stops within
     the reach tolerance of the destination, or with reached=False when the
-    step budget runs out. Clearance is measured against obstacles (None
-    when there are none), at the start point if no cell ran.
+    step budget runs out. The path length sums the sample-to-sample
+    distances in sample order. Clearance is measured against obstacles
+    (None when there are none), at the start point if no cell ran, by
+    min_clearance: one numpy screen of every sample against every disc,
+    then an exact clearance() re-check of the samples near the minimum.
     """
     start_xy = (scenario.start_x_m, scenario.start_y_m)
     dest = (scenario.dest_x_m, scenario.dest_y_m)
@@ -319,14 +345,13 @@ def execute_cells(scenario: "Scenario", next_cell: NextCell,
         pose = advance_pose(pose, cell, idx)
         nodes.append(pose)
 
+    xy = np.array([[s.x_m for s in trajectory] or [start_xy[0]],
+                   [s.y_m for s in trajectory] or [start_xy[1]]], dtype=np.float64)
     path_length = 0.0
-    for a, b in zip(trajectory, trajectory[1:]):
-        path_length += math.hypot(b.x_m - a.x_m, b.y_m - a.y_m)
+    for dx, dy in zip(*np.diff(xy).tolist()):
+        path_length += math.hypot(dx, dy)
 
-    min_clear = None
-    if obstacles:
-        pts = [(s.x_m, s.y_m) for s in trajectory] or [start_xy]
-        min_clear = min(clearance(pt, obstacles) for pt in pts)
+    min_clear = min_clearance(xy.T, obstacles) if obstacles else None
 
     return PlanResult(
         nodes=nodes,

@@ -3,10 +3,13 @@
 import math
 import random
 import weakref
+from array import array
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cgtc import cells as cells_mod
 from cgtc.cells import (
@@ -21,6 +24,7 @@ from cgtc.cells import (
     validate_rules,
 )
 from cgtc.errors import NonConvergence, Unreachable
+from cgtc.grid import wrap_degrees
 from cgtc.relation import RelationSample, fit_poly, pearson
 from cgtc.scenario import load_scenario
 from cgtc.ship import ShipParams, ShipState
@@ -174,6 +178,77 @@ def test_splice_continuity(params, cells_factor6):
     heading_jump = (placed[0].heading_deg - end.heading_deg) % 360.0
     heading_jump = min(heading_jump, 360.0 - heading_jump)
     assert heading_jump <= 0.2
+
+
+def _transform_cell_scalar(cell, origin_x, origin_y, origin_heading_deg):
+    """transform_cell one sample at a time: the reference for the columnar one."""
+    h = math.radians(origin_heading_deg)
+    ch, sh = math.cos(h), math.sin(h)
+    out = []
+    for s in cell.samples:
+        wx = s.x_m * ch + s.y_m * sh
+        wy = -s.x_m * sh + s.y_m * ch
+        out.append(ShipState(
+            x_m=origin_x + wx,
+            y_m=origin_y + wy,
+            heading_deg=wrap_degrees(s.heading_deg + origin_heading_deg),
+            u_mps=s.u_mps,
+            v_mps=s.v_mps,
+            yaw_rate_degps=s.yaw_rate_degps,
+            rudder_deg=s.rudder_deg,
+        ))
+    return out
+
+
+def _state_bytes(states):
+    """Every field of every state as float bytes (tells -0.0 from 0.0)."""
+    return array("d", [getattr(s, f.name) for s in states
+                       for f in fields(ShipState)]).tobytes()
+
+
+ODD_HULL = ShipParams(steady_speed_mps=9.1, turn_gain=0.15, asymmetry_factor=1.2,
+                      rudder_rate_degps=4.0, kick_gain=0.13, speed_loss_gain=0.03,
+                      rudder_limit_port_deg=-33.0)
+
+
+@pytest.fixture(scope="module")
+def odd_hull_cells():
+    return build_cell_set(ODD_HULL, 520.0, 15.0)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+edge_headings = st.sampled_from([0.0, -0.0, -1e-13, 1e-13, 359.99999999999994,
+                                 360.0, 720.0, -720.0, 90.0, -270.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(origin_x=finite | st.floats(-1e4, 1e4), origin_y=finite | st.floats(-1e4, 1e4),
+       heading=finite | edge_headings, pick=st.integers(0, 36),
+       odd_hull=st.booleans())
+@example(origin_x=0.0, origin_y=-0.0, heading=-1e-13, pick=0, odd_hull=False)
+@example(origin_x=-0.0, origin_y=0.0, heading=359.99999999999994, pick=36, odd_hull=False)
+@example(origin_x=1e6, origin_y=-1e6, heading=360.0, pick=18, odd_hull=True)
+@example(origin_x=0.0, origin_y=0.0, heading=-720.0, pick=5, odd_hull=True)
+@example(origin_x=0.0, origin_y=0.0, heading=720.0, pick=30, odd_hull=False)
+def test_transform_cell_matches_scalar_placement(cells600, odd_hull_cells, origin_x,
+                                                 origin_y, heading, pick, odd_hull):
+    cells = (odd_hull_cells if odd_hull else cells600).cells
+    cell = cells[pick % len(cells)]
+    placed = transform_cell(cell, origin_x, origin_y, heading)
+    expected = _transform_cell_scalar(cell, origin_x, origin_y, heading)
+    assert _state_bytes(placed) == _state_bytes(expected)
+
+
+def test_cached_columns_leave_identity_unchanged():
+    fresh = build_cell_set(ODD_HULL, 520.0, 15.0)
+    twin = build_cell_set(ODD_HULL, 520.0, 15.0)
+    before = (hash(fresh), repr(fresh), [(hash(c), repr(c)) for c in fresh.cells])
+    for cell in fresh.cells:
+        transform_cell(cell, 10.0, -20.0, 33.0)
+        assert "_columns" in vars(cell)
+    assert (hash(fresh), repr(fresh), [(hash(c), repr(c)) for c in fresh.cells]) == before
+    assert fresh == twin and twin == fresh
+    assert all(a == b for a, b in zip(fresh.cells, twin.cells))
 
 
 def test_target_tolerance(cells600):

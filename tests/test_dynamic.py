@@ -277,6 +277,18 @@ class TestPlanDynamic:
         assert len(res.separation_m) == len(res.trajectory) == len(res.sample_times_s)
         assert res.min_separation_m == min(res.separation_m)
 
+    @pytest.mark.parametrize("name", ["dynamic_sit1_own_first",
+                                      "dynamic_sit2_obstacle_first",
+                                      "dynamic_sit3_must_steer"])
+    def test_separation_equals_per_sample_distance(self, name):
+        """The mover's track at all sample times equals position_at(t), bit for bit."""
+        sc = load_scenario(SCENARIO_DIR / f"{name}.json")
+        res = plan_dynamic(sc)
+        mover = sc.obstacles[0]
+        expected = [math.dist((s.x_m, s.y_m), mover.position_at(t))
+                    for s, t in zip(res.trajectory, res.sample_times_s)]
+        assert [d.hex() for d in res.separation_m] == [d.hex() for d in expected]
+
     def test_multiple_movers_rejected(self, params):
         sc = Scenario(mode="dynamic", ship=params, start_x_m=0.0, start_y_m=0.0,
                       start_heading_deg=0.0, dest_x_m=0.0, dest_y_m=6000.0,

@@ -4,7 +4,10 @@ import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cgtc.baseline import grid_baseline_plan
 from cgtc.dynamic_planner import plan_dynamic
@@ -15,7 +18,9 @@ from cgtc.ship import ShipParams
 from cgtc.static_planner import (
     STEERING_THRESHOLD_DEG,
     Obstacle,
+    clearance,
     is_bypassed,
+    min_clearance,
     plan_static,
     select_heading_free,
     select_heading_static,
@@ -316,3 +321,55 @@ def test_executor_contract(planner, name):
     assert result.path_length_m == pytest.approx(length, rel=1e-12)
     assert result.steering_count == sum(
         1 for c in result.rudder_commands if abs(c) >= STEERING_THRESHOLD_DEG)
+
+
+@st.composite
+def clouds_and_discs(draw):
+    """Sample points and discs around an origin at 0 or near +-1e6 m.
+
+    Some coordinates are whole metres, so that a disc mirrored about a
+    sample's x coordinate ties with the original exactly.
+    """
+    base = draw(st.sampled_from([0.0, 1e6, -1e6 + 0.25, 987654.321]))
+    coord = st.floats(-3000.0, 3000.0) | st.integers(-3000, 3000).map(float)
+    points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=60))
+    discs = draw(st.lists(st.tuples(coord, coord, st.floats(0.5, 2500.0)),
+                          min_size=1, max_size=8))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(points) - 1))
+        px, py = round(points[i][0]), round(points[i][1])
+        cx, cy, r = round(discs[0][0]), round(discs[0][1]), discs[0][2]
+        points[i] = (float(px), float(py))
+        discs[0] = (float(cx), float(cy), r)
+        discs.append((float(2 * px - cx), float(cy), r))
+    return ([(base + x, base + y) for x, y in points],
+            [Obstacle(center=(base + x, base + y), radius_m=r) for x, y, r in discs])
+
+
+@settings(max_examples=300, deadline=None)
+@given(clouds_and_discs())
+@example(([(1e6, 1e6)], [Obstacle(center=(1e6 + 3.0, 1e6), radius_m=1.0),
+                         Obstacle(center=(1e6 - 3.0, 1e6), radius_m=1.0)]))
+# np.hypot and math.dist differ by one ulp on both samples here: the
+# screened minimum is not the exact one, and it sits at the other sample
+@example(([(1235.0779794678037, 2519.1772667617715), (12820.602570464249, 2934.1077506941883)],
+          [Obstacle(center=(0.0, 0.0), radius_m=1.0),
+           Obstacle(center=(10000.0, 0.0), radius_m=1265.3361734019675)]))
+@example(([(0.0, 0.0), (0.0, 1.0)], [Obstacle(center=(0.0, 5.0), radius_m=2.0),
+                                     Obstacle(center=(0.0, -4.0), radius_m=2.0)]))
+def test_min_clearance_equals_pointwise_minimum(case):
+    points, obstacles = case
+    expected = min(clearance(p, obstacles) for p in points)
+    got = min_clearance(np.array(points, dtype=np.float64), obstacles)
+    assert got.hex() == expected.hex()
+
+
+def test_min_clearance_at_start_when_no_cell_runs():
+    obstacles = [Obstacle(center=(1e6 + 2000.0, 1e6 + 2000.0), radius_m=500.0),
+                 Obstacle(center=(1e6 - 2000.0, 1e6 + 2000.0), radius_m=500.0)]
+    sc = Scenario(mode="static", ship=ShipParams(), start_x_m=1e6, start_y_m=1e6,
+                  start_heading_deg=0.0, dest_x_m=1e6, dest_y_m=1e6 + 100.0,
+                  circle_radius_m=600.0, obstacles=obstacles)
+    result = plan_static(sc)
+    assert result.trajectory == []
+    assert result.min_clearance_m.hex() == clearance((1e6, 1e6), obstacles).hex()
