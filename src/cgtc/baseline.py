@@ -67,7 +67,6 @@ def astar_grid_path(start: Point, goal: Point, pitch_m: float,
     open_heap = [(heur((0, 0)), 0.0, counter, (0, 0), None)]
     g_cost = {(0, 0): 0.0}
     came: dict = {(0, 0): None}
-    came_dir: dict = {(0, 0): None}
 
     while open_heap:
         f, turn, _, ij, prev_dir = heapq.heappop(open_heap)
@@ -91,7 +90,6 @@ def astar_grid_path(start: Point, goal: Point, pitch_m: float,
             if nb not in g_cost or ng < g_cost[nb] - 1e-9:
                 g_cost[nb] = ng
                 came[nb] = ij
-                came_dir[nb] = d
                 if prev_dir is None:
                     turn_cost = 0.0
                 else:

@@ -135,22 +135,15 @@ class CellSet:
         return invert_relation(self.relation, target)
 
 
-@dataclass(frozen=True)
-class _Rollout:
-    samples: list
-    times: list
-    heading_change_deg: float
-    arc_length_m: float
-
-
 def _roll_until_crossing(params: ShipParams, delta0: float, radius_m: float,
-                         dt: float) -> _Rollout:
+                         dt: float) -> TrajectoryCell:
     """Simulate the two-stage maneuver until the path crosses the circle.
 
     Posture Adjustment holds delta0 until the yaw rate settles; the switch
     instant is located inside a step by linear interpolation of the yaw
     rate, keeping the delivered heading change continuous in delta0. The
-    final sample is interpolated onto the circle.
+    final sample is interpolated onto the circle, and the run is returned
+    as the cell of delta0.
     """
     s = 1.0 if delta0 >= 0.0 else -1.0
     if delta0 >= 0.0:
@@ -204,7 +197,18 @@ def _roll_until_crossing(params: ShipParams, delta0: float, radius_m: float,
             arc += math.hypot(end.x_m - st.x_m, end.y_m - st.y_m)
             samples.append(end)
             times.append(t + w * step_dt)
-            return _Rollout(samples, times, hc_end, arc)
+            offset = (end.x_m, end.y_m)
+            return TrajectoryCell(
+                samples=tuple(samples),
+                sample_times_s=tuple(times),
+                delta0_deg=delta0,
+                heading_change_deg=hc_end,
+                end_offset=offset,
+                central_angle_deg=compass_bearing((0.0, 0.0), offset).degrees,
+                arc_length_m=arc,
+                duration_s=times[-1],
+                radius_m=radius_m,
+            )
 
         hc += step_dt * st.yaw_rate_degps
         t += step_dt
@@ -341,28 +345,11 @@ def _heading_changes(params: ShipParams, delta0s, radius_m: float,
     return out
 
 
-def _cell_from_rollout(roll: _Rollout, delta0: float, radius_m: float) -> TrajectoryCell:
-    end = roll.samples[-1]
-    offset = (end.x_m, end.y_m)
-    return TrajectoryCell(
-        samples=tuple(roll.samples),
-        sample_times_s=tuple(roll.times),
-        delta0_deg=delta0,
-        heading_change_deg=roll.heading_change_deg,
-        end_offset=offset,
-        central_angle_deg=compass_bearing((0.0, 0.0), offset).degrees,
-        arc_length_m=roll.arc_length_m,
-        duration_s=roll.times[-1],
-        radius_m=radius_m,
-    )
-
-
 def check_radius(params: ShipParams, radius_m: float) -> None:
-    """Raise ValueError when the circle is too small to hold a cell of this hull."""
-    if radius_m < 2.0 * params.length_m:
-        raise ValueError(
-            f"radius {radius_m} m below twice the hull length ({2 * params.length_m} m)"
-        )
+    """Raise ValueError unless the circle is finite and can hold a cell of this hull."""
+    if not (math.isfinite(radius_m) and radius_m >= 2.0 * params.length_m):
+        raise ValueError(f"radius {radius_m} m must be finite and at least twice "
+                         f"the hull length ({2 * params.length_m} m)")
 
 
 def check_resolution(resolution_deg: float,
@@ -390,13 +377,8 @@ def check_dt(params: ShipParams, dt: float) -> None:
 
 
 def _check_target(target: float) -> None:
-    if abs(target) > MAX_HEADING_CHANGE_DEG + 1e-9:
+    if not abs(target) <= MAX_HEADING_CHANGE_DEG + 1e-9:
         raise ValueError(f"|target| must be <= {MAX_HEADING_CHANGE_DEG}, got {target}")
-
-
-def _full_rudder(params: ShipParams, target: float) -> float:
-    """delta0 of full rudder toward the target's side."""
-    return params.rudder_limit_stbd_deg if target > 0.0 else params.rudder_limit_port_deg
 
 
 class _Bisection:
@@ -406,21 +388,24 @@ class _Bisection:
     the caller rolls full rudder for start(), then each probe, one at a
     time (generate_cell) or for many targets in lockstep (build_cell_set),
     and hands the measured heading change to record(). Once solved,
-    `result` is the chosen (|delta0|, rollout), the rollout being whatever
-    the caller passed with that probe.
+    `result` is the chosen (|delta0|, cell), the cell being whatever the
+    caller passed with that probe.
     """
 
     def __init__(self, params: ShipParams, target: float, radius_m: float):
         self.target = target
         self.radius_m = radius_m
         self.sign = 1.0 if target > 0.0 else -1.0
-        self.full_rudder = _full_rudder(params, target)
+        # delta0 of full rudder toward the target's side
+        self.full_rudder = (params.rudder_limit_stbd_deg if target > 0.0
+                            else params.rudder_limit_port_deg)
         self.lo, self.hi = 0.0, self.sign * self.full_rudder
-        self.best: tuple[float, float, _Rollout | None] | None = None
+        self.best: tuple[float, float, TrajectoryCell | None] | None = None
         self.iterations = 0
-        self.result: tuple[float, _Rollout | None] | None = None
+        self.result: tuple[float, TrajectoryCell | None] | None = None
 
-    def start(self, full_heading_change: float, full_roll: _Rollout | None = None) -> None:
+    def start(self, full_heading_change: float,
+              full_cell: TrajectoryCell | None = None) -> None:
         """Take the full-rudder heading change: the reach check and first best."""
         s = self.sign
         if s * full_heading_change < s * self.target - CELL_TARGET_TOL_DEG:
@@ -428,7 +413,7 @@ class _Bisection:
                 f"target {self.target:+.1f} deg unreachable at radius {self.radius_m} m: "
                 f"full rudder reaches {full_heading_change:+.2f} deg at the crossing"
             )
-        self.best = (abs(full_heading_change - self.target), self.hi, full_roll)
+        self.best = (abs(full_heading_change - self.target), self.hi, full_cell)
 
     def probe(self) -> float:
         """The next |delta0| to roll."""
@@ -440,25 +425,25 @@ class _Bisection:
         return mid, 0.5 * (self.lo + mid), 0.5 * (mid + self.hi)
 
     def record(self, mag: float, heading_change: float,
-               roll: _Rollout | None = None) -> None:
+               cell: TrajectoryCell | None = None) -> None:
         """Take the heading change rolled for the probe `mag`."""
         err = heading_change - self.target
         if abs(err) < self.best[0]:
-            self.best = (abs(err), mag, roll)
+            self.best = (abs(err), mag, cell)
         self.iterations += 1
         if abs(err) <= _SOLVE_TOL_DEG:
-            self.result = (mag, roll)
+            self.result = (mag, cell)
             return
         if self.sign * err < 0.0:
             self.lo = mag
         else:
             self.hi = mag
         if self.iterations == _MAX_BISECTIONS:
-            best_err, best_mag, best_roll = self.best
+            best_err, best_mag, best_cell = self.best
             if best_err > CELL_TARGET_TOL_DEG:
                 raise NonConvergence(f"bisection on delta0 left a {best_err:.3f} deg "
                                      f"error for target {self.target:+.1f}")
-            self.result = (best_mag, best_roll)
+            self.result = (best_mag, best_cell)
 
 
 def generate_cell(params: ShipParams, target_heading_change_deg: float,
@@ -474,18 +459,16 @@ def generate_cell(params: ShipParams, target_heading_change_deg: float,
     check_radius(params, radius_m)
 
     if target == 0.0:
-        roll = _roll_until_crossing(params, 0.0, radius_m, dt)
-        return _cell_from_rollout(roll, 0.0, radius_m)
+        return _roll_until_crossing(params, 0.0, radius_m, dt)
 
     solve = _Bisection(params, target, radius_m)
-    roll_hi = _roll_until_crossing(params, solve.full_rudder, radius_m, dt)
-    solve.start(roll_hi.heading_change_deg, roll_hi)
+    full = _roll_until_crossing(params, solve.full_rudder, radius_m, dt)
+    solve.start(full.heading_change_deg, full)
     while solve.result is None:
         mag = solve.probe()
-        roll = _roll_until_crossing(params, solve.sign * mag, radius_m, dt)
-        solve.record(mag, roll.heading_change_deg, roll)
-    mag, roll = solve.result
-    return _cell_from_rollout(roll, solve.sign * mag, radius_m)
+        cell = _roll_until_crossing(params, solve.sign * mag, radius_m, dt)
+        solve.record(mag, cell.heading_change_deg, cell)
+    return solve.result[1]
 
 
 def _target_error(target: float, exc: Exception) -> Exception:
@@ -562,10 +545,9 @@ def build_cell_set(params: ShipParams, radius_m: float,
     cells = []
     for target, delta0 in zip(targets, _solve_delta0s(params, targets, radius_m, dt)):
         try:
-            roll = _roll_until_crossing(params, delta0, radius_m, dt)
+            cells.append(_roll_until_crossing(params, delta0, radius_m, dt))
         except NonConvergence as exc:
             raise _target_error(target, exc) from exc
-        cells.append(_cell_from_rollout(roll, delta0, radius_m))
 
     pairs = [RelationSample(c.delta0_deg, c.heading_change_deg) for c in cells]
     relation, _ = fit_poly(pairs, 3)

@@ -6,10 +6,10 @@ Subcommands:
   plan          run one scenario file, write artifacts
   compare       circle planner vs grid baseline on one scenario
   batch         run every scenario in a directory
-  turn-test     port/starboard turning circles of the default (or scenario) hull
+  turn-test     port/starboard turning circles of the default hull
 
 Exit codes: 0 success, 1 planning failure (not reached or unsafe),
-2 input error.
+2 input error (including an unusable input or output path).
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .cells import build_cell_set, check_dt, check_radius, check_resolution
+from .cells import (DEFAULT_DT_S, DEFAULT_RESOLUTION_DEG, build_cell_set, check_dt,
+                    check_radius, check_resolution)
 from .errors import CGTCError, ScenarioError
 from .harness import compare_planners, run_batch, run_scenario, scenario_is_safe
 from .relation import RelationSample, fit_poly, pearson
@@ -31,7 +32,7 @@ from .ship import ShipParams, fitted_turn_radius, simulate_turn
 
 def _cmd_gen_cells(args) -> int:
     params = ShipParams()
-    radius = args.radius if args.radius else 6.0 * params.length_m
+    radius = 6.0 * params.length_m if args.radius is None else args.radius
     try:
         check_resolution(args.resolution)
         check_radius(params, radius)
@@ -181,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen-cells", help="generate a trajectory cell set")
     g.add_argument("--radius", type=float, default=None,
                    help="circle radius in meters (default: 6 ship lengths)")
-    g.add_argument("--resolution", type=float, default=5.0)
-    g.add_argument("--dt", type=float, default=0.5)
+    g.add_argument("--resolution", type=float, default=DEFAULT_RESOLUTION_DEG)
+    g.add_argument("--dt", type=float, default=DEFAULT_DT_S)
     g.add_argument("--out-dir", default="out/cells")
     g.set_defaults(func=_cmd_gen_cells)
 
@@ -208,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("turn-test", help="emit port/starboard turning circles")
     t.add_argument("--duration", type=float, default=800.0)
-    t.add_argument("--dt", type=float, default=0.5)
+    t.add_argument("--dt", type=float, default=DEFAULT_DT_S)
     t.add_argument("--out-dir", default="out/turn")
     t.set_defaults(func=_cmd_turn_test)
     return parser
@@ -218,7 +219,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except CGTCError as exc:

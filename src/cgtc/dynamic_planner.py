@@ -48,6 +48,8 @@ if TYPE_CHECKING:
 Point = tuple[float, float]
 
 _PARALLEL_EPS = 1e-12
+# bisection stops once the virtual-radius bracket is this narrow (m)
+_VIRTUAL_RADIUS_TOL_M = 0.1
 
 
 class EncounterClass(Enum):
@@ -66,7 +68,6 @@ class Encounter:
     meeting_point: Point
     l_s_m: float  # own run to the meeting point
     l_o_m: float  # obstacle run to the meeting point
-    t_s: float    # own transit time l_s / V_s
     R_m: float    # own domain (= circle grid) radius
     R_o_m: float  # obstacle domain radius
 
@@ -135,7 +136,6 @@ def make_encounter(own: GridNode, own_speed_mps: float, obstacle: Obstacle,
         meeting_point=m,
         l_s_m=l_s,
         l_o_m=l_o,
-        t_s=l_s / own_speed_mps,
         R_m=own_radius_m,
         R_o_m=obstacle_radius_m,
     )
@@ -200,18 +200,18 @@ def separation_at_critical(enc: Encounter, virtual_radius_m: float) -> float:
     return math.dist(ox, cx) - (enc.R_m + enc.R_o_m)
 
 
-def virtual_obstacle_radius(enc: Encounter, tol_m: float = 0.1) -> VirtualObstacle:
+def virtual_obstacle_radius(enc: Encounter) -> VirtualObstacle:
     """Minimal virtual-disc radius making the critical-instant separation hold.
 
     Brackets the smallest sign change of the separation margin over
-    (0, |CM|) with a coarse scan, then bisects to tol_m. At the returned
-    radius the constraint is active (margin within a meter of zero).
+    (0, |CM|) with a coarse scan, then bisects to _VIRTUAL_RADIUS_TOL_M. The
+    constraint is active at the returned radius (margin within a meter of zero).
     """
     c = enc.own_pose.position
     cm = math.dist(c, enc.meeting_point)
     if separation_at_critical(enc, 0.0) >= 0.0:
         # no disc needed: the tangency construction alone clears the obstacle
-        return _with_avoid_radius(enc, cm, tol_m)
+        return _with_avoid_radius(enc, cm, _VIRTUAL_RADIUS_TOL_M)
 
     n = 512
     lo = 0.0
@@ -226,7 +226,7 @@ def virtual_obstacle_radius(enc: Encounter, tol_m: float = 0.1) -> VirtualObstac
         raise NoFeasibleRadius(
             f"no virtual radius below |CM|={cm:.0f} m resolves the encounter"
         )
-    while hi - lo > tol_m:
+    while hi - lo > _VIRTUAL_RADIUS_TOL_M:
         mid = 0.5 * (lo + hi)
         if separation_at_critical(enc, mid) >= 0.0:
             hi = mid

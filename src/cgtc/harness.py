@@ -15,7 +15,7 @@ from typing import Optional
 
 from .baseline import grid_baseline_plan
 from .dynamic_planner import plan_dynamic
-from .errors import CGTCError
+from .errors import CGTCError, ValidationError
 from .scenario import Scenario, load_scenario
 from .static_planner import PlanResult, plan_static
 
@@ -59,7 +59,7 @@ def compare_planners(scenario: Scenario) -> ComparisonReport:
     filled only when both planners reached the destination.
     """
     if scenario.obstacles and any(o.moving for o in scenario.obstacles):
-        raise CGTCError("compare_planners handles static and free scenarios only")
+        raise ValidationError("compare_planners handles static and free scenarios only")
 
     circle = grid = None
     circle_err = grid_err = None
@@ -151,11 +151,17 @@ def run_scenario(path: str | Path, out_dir: str | Path) -> tuple[Scenario, PlanR
 
 
 def run_batch(scenario_dir: str | Path, out_dir: str | Path) -> dict[str, dict]:
-    """Run every *.json scenario in a directory into per-scenario subfolders."""
+    """Run every *.json scenario in a directory into per-scenario subfolders.
+
+    Raises ValidationError unless scenario_dir is a directory holding some.
+    """
     scenario_dir = Path(scenario_dir)
     out_dir = Path(out_dir)
+    paths = sorted(scenario_dir.glob("*.json")) if scenario_dir.is_dir() else []
+    if not paths:
+        raise ValidationError(f"{scenario_dir}: not a directory of *.json scenario files")
     summary = {}
-    for path in sorted(scenario_dir.glob("*.json")):
+    for path in paths:
         scenario, result = run_scenario(path, out_dir / path.stem)
         summary[path.stem] = {
             "reached": result.reached,

@@ -21,6 +21,10 @@ from .errors import (
     ZeroVariance,
 )
 
+# invert_relation stops within this of the request (deg) or after this many halvings
+_INVERT_TOL_DEG = 1e-6
+_INVERT_MAX_ITER = 200
+
 
 @dataclass(frozen=True)
 class RelationSample:
@@ -136,8 +140,7 @@ def fit_poly(samples: Sequence[RelationSample], degree: int):
     return coefs, residual_stddev
 
 
-def invert_relation(rel: CubicRelation, heading_change_deg: float,
-                    tol_deg: float = 1e-6, max_iter: int = 200) -> float:
+def invert_relation(rel: CubicRelation, heading_change_deg: float) -> float:
     """Unique rudder angle whose relation value equals heading_change_deg.
 
     Bracketed bisection over the relation domain; uniqueness comes from the
@@ -153,10 +156,10 @@ def invert_relation(rel: CubicRelation, heading_change_deg: float,
             f"heading change {heading_change_deg:.3f} outside "
             f"[{rel(lo):.3f}, {rel(hi):.3f}]"
         )
-    for _ in range(max_iter):
+    for _ in range(_INVERT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         f_mid = rel(mid) - heading_change_deg
-        if abs(f_mid) < tol_deg:
+        if abs(f_mid) < _INVERT_TOL_DEG:
             return mid
         if f_mid < 0.0:
             lo = mid

@@ -9,20 +9,19 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
 
-from .cells import check_dt, check_radius, check_resolution
-from .errors import ParseError, ValidationError
-from .grid import DOMAIN_FACTOR_MAX, DOMAIN_FACTOR_MIN
+from .cells import (DEFAULT_DT_S, DEFAULT_RESOLUTION_DEG, check_dt, check_radius,
+                    check_resolution)
+from .errors import FactorOutOfRange, ParseError, ValidationError
+from .grid import ship_domain_radius
 from .ship import ShipParams
 from .static_planner import Obstacle
 
 MODES = ("static", "dynamic", "free")
 
-_DEFAULT_DT_S = 0.5
 _DEFAULT_MAX_STEPS = 64
-_DEFAULT_RESOLUTION_DEG = 5.0
 
 
 @dataclass
@@ -38,9 +37,9 @@ class Scenario:
     circle_radius_m: float | None = None
     domain_factor: float | None = None
     reach_tolerance_override_m: float | None = None
-    dt_s: float = _DEFAULT_DT_S
+    dt_s: float = DEFAULT_DT_S
     max_steps: int = _DEFAULT_MAX_STEPS
-    cell_resolution_deg: float = _DEFAULT_RESOLUTION_DEG
+    cell_resolution_deg: float = DEFAULT_RESOLUTION_DEG
     name: str = ""
 
     @property
@@ -48,7 +47,7 @@ class Scenario:
         """Circle-grid radius: explicit value wins over the domain factor."""
         if self.circle_radius_m is not None:
             return self.circle_radius_m
-        return self.domain_factor * self.ship.length_m
+        return ship_domain_radius(self.ship, self.domain_factor)
 
     @property
     def reach_tolerance_m(self) -> float:
@@ -60,6 +59,14 @@ class Scenario:
 def _require(cond: bool, msg: str):
     if not cond:
         raise ValidationError(msg)
+
+
+def _checked(where: str, rule, *args, **kwargs):
+    """Call a rule's owner (a check or a constructor); its error names where."""
+    try:
+        return rule(*args, **kwargs)
+    except (ValueError, FactorOutOfRange) as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
 
 
 def _take_number(obj: dict, key: str, where: str, *, required: bool = True,
@@ -93,11 +100,8 @@ def scenario_from_dict(data: dict, name: str = "") -> Scenario:
     _require(isinstance(ship_obj, dict), "scenario.ship: expected an object")
     ship_fields = {f.name for f in dc_fields(ShipParams)}
     _reject_unknown(ship_obj, ship_fields, "scenario.ship")
-    try:
-        ship = ShipParams(**{k: _take_number(ship_obj, k, "scenario.ship")
-                             for k in ship_obj})
-    except ValueError as exc:
-        raise ValidationError(f"scenario.ship: {exc}") from exc
+    ship = _checked("scenario.ship", ShipParams,
+                    **{k: _take_number(ship_obj, k, "scenario.ship") for k in ship_obj})
 
     start = data.get("start")
     _require(isinstance(start, dict), "scenario.start: expected an object")
@@ -117,16 +121,9 @@ def scenario_from_dict(data: dict, name: str = "") -> Scenario:
     factor = _take_number(data, "domain_factor", "scenario", required=False)
     _require(radius is not None or factor is not None,
              "scenario: give circle_radius_m or domain_factor")
-    if radius is not None:
-        _require(radius > 0, f"scenario.circle_radius_m: must be positive, got {radius}")
     if factor is not None:
-        _require(DOMAIN_FACTOR_MIN <= factor <= DOMAIN_FACTOR_MAX,
-                 f"scenario.domain_factor: must be in [{DOMAIN_FACTOR_MIN}, "
-                 f"{DOMAIN_FACTOR_MAX}], got {factor}")
-    try:
-        check_radius(ship, radius if radius is not None else factor * ship.length_m)
-    except ValueError as exc:
-        raise ValidationError(f"scenario: circle {exc}") from exc
+        domain_radius = _checked("scenario.domain_factor", ship_domain_radius, ship, factor)
+    _checked("scenario", check_radius, ship, radius if radius is not None else domain_radius)
     reach = _take_number(data, "reach_tolerance_m", "scenario", required=False)
 
     obstacles = []
@@ -139,31 +136,23 @@ def scenario_from_dict(data: dict, name: str = "") -> Scenario:
         ox = _take_number(obs, "x_m", where)
         oy = _take_number(obs, "y_m", where)
         orad = _take_number(obs, "radius_m", where)
-        _require(orad > 0, f"{where}.radius_m: must be positive, got {orad}")
         ospeed = _take_number(obs, "speed_mps", where, required=False, default=0.0)
-        _require(ospeed >= 0, f"{where}.speed_mps: must be non-negative, got {ospeed}")
         ocourse = _take_number(obs, "course_deg", where, required=False, default=0.0)
-        obstacles.append(Obstacle(center=(ox, oy), radius_m=orad,
+        obstacles.append(_checked(where, Obstacle, center=(ox, oy), radius_m=orad,
                                   speed_mps=ospeed, course_deg=ocourse))
 
     sim = data.get("sim", {})
     _require(isinstance(sim, dict), "scenario.sim: expected an object")
     _reject_unknown(sim, {"dt_s", "max_steps", "cell_resolution_deg"}, "scenario.sim")
-    dt = _take_number(sim, "dt_s", "scenario.sim", required=False, default=_DEFAULT_DT_S)
-    try:
-        check_dt(ship, dt)
-    except ValueError as exc:
-        raise ValidationError(f"scenario.sim.dt_s: {exc}") from exc
+    dt = _take_number(sim, "dt_s", "scenario.sim", required=False, default=DEFAULT_DT_S)
+    _checked("scenario.sim.dt_s", check_dt, ship, dt)
     max_steps = sim.get("max_steps", _DEFAULT_MAX_STEPS)
     _require(isinstance(max_steps, int) and not isinstance(max_steps, bool)
              and max_steps > 0,
              f"scenario.sim.max_steps: expected a positive integer, got {max_steps!r}")
     resolution = _take_number(sim, "cell_resolution_deg", "scenario.sim",
-                              required=False, default=_DEFAULT_RESOLUTION_DEG)
-    try:
-        check_resolution(resolution)
-    except ValueError as exc:
-        raise ValidationError(f"scenario.sim.cell_resolution_deg: {exc}") from exc
+                              required=False, default=DEFAULT_RESOLUTION_DEG)
+    _checked("scenario.sim.cell_resolution_deg", check_resolution, resolution)
 
     movers = [o for o in obstacles if o.moving]
     if mode == "dynamic":
@@ -209,23 +198,13 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def mirror_scenario(scenario: Scenario) -> Scenario:
     """Reflect a scenario about the north (y) axis; useful for symmetry checks."""
-    return Scenario(
-        mode=scenario.mode,
-        ship=scenario.ship,
+    return replace(
+        scenario,
         start_x_m=-scenario.start_x_m,
-        start_y_m=scenario.start_y_m,
         start_heading_deg=(-scenario.start_heading_deg) % 360.0,
         dest_x_m=-scenario.dest_x_m,
-        dest_y_m=scenario.dest_y_m,
-        obstacles=[Obstacle(center=(-o.center[0], o.center[1]), radius_m=o.radius_m,
-                            speed_mps=o.speed_mps,
-                            course_deg=(-o.course_deg) % 360.0)
+        obstacles=[replace(o, center=(-o.center[0], o.center[1]),
+                           course_deg=(-o.course_deg) % 360.0)
                    for o in scenario.obstacles],
-        circle_radius_m=scenario.circle_radius_m,
-        domain_factor=scenario.domain_factor,
-        reach_tolerance_override_m=scenario.reach_tolerance_override_m,
-        dt_s=scenario.dt_s,
-        max_steps=scenario.max_steps,
-        cell_resolution_deg=scenario.cell_resolution_deg,
         name=scenario.name + "-mirrored" if scenario.name else "",
     )

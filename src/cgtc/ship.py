@@ -18,7 +18,7 @@ concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import NonPositiveDt
 from .grid import signed_degrees, wrap_degrees
@@ -51,19 +51,22 @@ class ShipParams:
     speed_recovery_s: float = 4.0
 
     def __post_init__(self):
-        if self.length_m <= 0:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        if not self.length_m > 0:
             raise ValueError("length_m must be positive")
         if not (self.rudder_limit_port_deg < 0.0 < self.rudder_limit_stbd_deg):
             raise ValueError("rudder limits must straddle zero (port < 0 < starboard)")
-        if self.steady_speed_mps <= 0:
+        if not self.steady_speed_mps > 0:
             raise ValueError("steady_speed_mps must be positive")
-        if self.turn_gain <= 0:
+        if not self.turn_gain > 0:
             raise ValueError("turn_gain must be positive")
-        if self.turn_lag_s <= 0 or self.speed_recovery_s <= 0:
+        if not (self.turn_lag_s > 0 and self.speed_recovery_s > 0):
             raise ValueError("time constants must be positive")
-        if self.asymmetry_factor < 1.0:
+        if not self.asymmetry_factor >= 1.0:
             raise ValueError("asymmetry_factor must be >= 1")
-        if self.kick_gain < 0.0:
+        if not self.kick_gain >= 0.0:
             raise ValueError("kick_gain must be >= 0")
         if not (0.0 <= self.speed_loss_gain < 1.0):
             raise ValueError("speed_loss_gain must be in [0, 1)")

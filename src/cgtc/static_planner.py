@@ -49,9 +49,12 @@ class Obstacle:
     course_deg: float = 0.0
 
     def __post_init__(self):
-        if self.radius_m <= 0:
+        if not all(map(math.isfinite, (*self.center, self.radius_m, self.speed_mps,
+                                       self.course_deg))):
+            raise ValueError("obstacle center, radius, speed and course must be finite")
+        if not self.radius_m > 0:
             raise ValueError("obstacle radius must be positive")
-        if self.speed_mps < 0:
+        if not self.speed_mps >= 0:
             raise ValueError("obstacle speed must be non-negative")
 
     @property
@@ -128,16 +131,20 @@ def is_bypassed(pose: GridNode, obstacle: Obstacle, destination: Point) -> bool:
     return abs(dest_bearing.diff_from(center_bearing)) >= half_deg
 
 
+def _aim(pose: GridNode, bearing: CompassAngle, cells: CellSet,
+         side: int = 0) -> HeadingDecision:
+    """Pursue a bearing, capping the turn at the cell family's maximum."""
+    diff = bearing.diff_from(pose.heading)
+    theta_m = cells.max_heading_change_deg
+    two_step = abs(diff) > theta_m
+    change = math.copysign(theta_m, diff) if two_step else diff
+    return HeadingDecision(bearing.degrees, change, two_step, avoid_side=side)
+
+
 def select_heading_free(pose: GridNode, destination: Point,
                         cells: CellSet) -> HeadingDecision:
     """Free-water decision: aim at the destination, capped at the max turn."""
-    bearing = compass_bearing(pose.position, destination)
-    diff = bearing.diff_from(pose.heading)
-    theta_m = cells.max_heading_change_deg
-    if abs(diff) <= theta_m:
-        return HeadingDecision(bearing.degrees, diff, two_step=False)
-    capped = math.copysign(theta_m, diff)
-    return HeadingDecision(bearing.degrees, capped, two_step=True)
+    return _aim(pose, compass_bearing(pose.position, destination), cells)
 
 
 def select_heading_static(pose: GridNode, destination: Point,
@@ -181,13 +188,7 @@ def select_heading_static(pose: GridNode, destination: Point,
     else:
         chosen_diff, side = min(left_diffs), -1
 
-    bearing = dest_bearing.plus(chosen_diff)
-    diff = bearing.diff_from(pose.heading)
-    theta_m = cells.max_heading_change_deg
-    if abs(diff) <= theta_m:
-        return HeadingDecision(bearing.degrees, diff, two_step=False, avoid_side=side)
-    capped = math.copysign(theta_m, diff)
-    return HeadingDecision(bearing.degrees, capped, two_step=True, avoid_side=side)
+    return _aim(pose, dest_bearing.plus(chosen_diff), cells, side)
 
 
 @dataclass

@@ -15,9 +15,11 @@ from cgtc import cells as cells_mod
 from cgtc.cells import (
     CellSet,
     TrajectoryCell,
+    _check_target,
     _heading_changes,
     _roll_until_crossing,
     build_cell_set,
+    check_radius,
     cell_library,
     generate_cell,
     transform_cell,
@@ -311,6 +313,22 @@ def test_precondition_validation(params):
         build_cell_set(params, 600.0, 0.5)
     with pytest.raises(ValueError):
         build_cell_set(params, 600.0, 7.0)  # does not divide 180 evenly
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_radius_and_target_rejected(params, value):
+    # a non-finite radius must fail before any rollout: the scalar rollout
+    # would never cross the circle nor reach its time bound
+    with pytest.raises(ValueError):
+        check_radius(params, value)
+    with pytest.raises(ValueError):
+        _check_target(value)
+    with pytest.raises(ValueError):
+        generate_cell(params, value, 600.0)
+    with pytest.raises(ValueError):
+        generate_cell(params, 30.0, value)
+    with pytest.raises(ValueError):
+        build_cell_set(params, value, 5.0)
 
 
 def test_cell_set_lookup(cells_factor6):

@@ -306,7 +306,9 @@ class TestCliExitCodes:
         assert len(index) - 1 == 13
 
     @pytest.mark.parametrize("args", [["--resolution", "7"], ["--resolution", "0.5"],
-                                      ["--radius", "100"], ["--dt", "0"], ["--dt", "50"]])
+                                      ["--radius", "100"], ["--dt", "0"], ["--dt", "50"],
+                                      ["--radius", "nan"], ["--radius", "inf"],
+                                      ["--radius", "0"]])
     def test_gen_cells_bad_arguments_exit_two(self, tmp_path, capsys, args):
         rc = cli_main(["gen-cells", *args, "--out-dir", str(tmp_path / "cells")])
         assert rc == 2
@@ -363,6 +365,41 @@ class TestCliExitCodes:
         assert rc == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["one"]["reached"] is True
+
+
+    @pytest.mark.parametrize("command", ["plan", "compare", "gen-cells", "batch-file-out",
+                                         "batch-missing", "batch-file", "batch-empty"])
+    def test_unusable_paths_exit_two(self, tmp_path, capsys, command):
+        a_file = tmp_path / "a_file"
+        a_file.write_text("not a directory\n")
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        scenario = str(SCENARIO_DIR / "free_bearing37.json")
+        out = ["--out-dir", str(tmp_path / "out")]
+        argv = {
+            "plan": ["plan", scenario, "--out-dir", str(a_file)],
+            "compare": ["compare", scenario, "--out-dir", str(a_file)],
+            "gen-cells": ["gen-cells", "--resolution", "15", "--out-dir", str(a_file)],
+            "batch-file-out": ["batch", str(SCENARIO_DIR), "--out-dir", str(a_file)],
+            "batch-missing": ["batch", str(tmp_path / "missing"), *out],
+            "batch-file": ["batch", str(a_file), *out],
+            "batch-empty": ["batch", str(empty), *out],
+        }[command]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    @pytest.mark.parametrize("name", ["dynamic_sit1_own_first", "dynamic_sit2_obstacle_first",
+                                      "dynamic_sit3_must_steer"])
+    def test_compare_on_dynamic_scenario_exit_two(self, tmp_path, capsys, name):
+        with pytest.raises(ValidationError):
+            compare_planners(load_scenario(SCENARIO_DIR / f"{name}.json"))
+        rc = cli_main(["compare", str(SCENARIO_DIR / f"{name}.json"),
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("input error:")
 
 
 class TestCellLibraryReuse:

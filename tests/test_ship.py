@@ -1,6 +1,7 @@
 """Ship response-model tests: trim, symmetry, convergence, turn geometry."""
 
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -162,3 +163,10 @@ def test_params_validation():
         ShipParams(turn_gain=0.0)
     with pytest.raises(ValueError):
         ShipParams(turn_gain=-0.126)
+
+
+def test_params_reject_non_finite():
+    for f in fields(ShipParams):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f.name):
+                ShipParams(**{f.name: value})

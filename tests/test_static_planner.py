@@ -1,5 +1,6 @@
 """Tangency geometry and the static planning loop."""
 
+import dataclasses
 import math
 import random
 from pathlib import Path
@@ -362,6 +363,60 @@ def test_min_clearance_equals_pointwise_minimum(case):
     expected = min(clearance(p, obstacles) for p in points)
     got = min_clearance(np.array(points, dtype=np.float64), obstacles)
     assert got.hex() == expected.hex()
+
+
+@pytest.mark.parametrize("bad", [{"center": (math.nan, 0.0)}, {"center": (0.0, math.inf)},
+                                 {"radius_m": math.nan}, {"radius_m": math.inf},
+                                 {"speed_mps": math.nan}, {"course_deg": -math.inf}])
+def test_obstacle_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        Obstacle(**{"center": (0.0, 0.0), "radius_m": 100.0, **bad})
+
+
+def scenario_fields(sc):
+    return {f.name: getattr(sc, f.name) for f in dataclasses.fields(Scenario)}
+
+
+@st.composite
+def scenarios(draw):
+    """Scenarios with moving obstacles, a domain factor and a reach override.
+
+    Angles are whole degrees in [0, 360): the mirror maps h to (-h) % 360,
+    which is exact for them, so mirroring twice restores every bit.
+    """
+    coord = st.floats(-1e5, 1e5, allow_nan=False)
+    angle = st.integers(0, 359).map(float)
+    obstacles = draw(st.lists(st.builds(
+        Obstacle, center=st.tuples(coord, coord), radius_m=st.floats(1.0, 5000.0),
+        speed_mps=st.sampled_from([0.0, 3.5]), course_deg=angle), max_size=4))
+    return Scenario(
+        mode=draw(st.sampled_from(["static", "dynamic", "free"])),
+        ship=ShipParams(asymmetry_factor=draw(st.floats(1.0, 1.5))),
+        start_x_m=draw(coord), start_y_m=draw(coord), start_heading_deg=draw(angle),
+        dest_x_m=draw(coord), dest_y_m=draw(coord), obstacles=obstacles,
+        circle_radius_m=draw(st.none() | st.floats(200.0, 900.0)),
+        domain_factor=draw(st.none() | st.floats(4.0, 8.0)),
+        reach_tolerance_override_m=draw(st.none() | st.floats(1.0, 900.0)),
+        dt_s=draw(st.sampled_from([0.25, 0.5, 1.0])),
+        max_steps=draw(st.integers(1, 200)),
+        cell_resolution_deg=draw(st.sampled_from([2.0, 5.0, 15.0])),
+        name=draw(st.sampled_from(["", "scene"])),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenarios())
+def test_mirror_twice_restores_scenario(sc):
+    once = mirror_scenario(sc)
+    twice = mirror_scenario(once)
+    assert once.name == (sc.name + "-mirrored" if sc.name else "")
+    assert {**scenario_fields(twice), "name": sc.name} == scenario_fields(sc)
+    reflected = {"start_x_m", "start_heading_deg", "dest_x_m", "obstacles", "name"}
+    for name, value in scenario_fields(sc).items():
+        if name not in reflected:
+            assert getattr(once, name) is value, name
+    for o, m in zip(sc.obstacles, once.obstacles, strict=True):
+        assert (m.center[1], m.radius_m, m.speed_mps) == (o.center[1], o.radius_m, o.speed_mps)
 
 
 def test_min_clearance_at_start_when_no_cell_runs():
