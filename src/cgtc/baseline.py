@@ -13,10 +13,10 @@ import heapq
 import math
 from typing import TYPE_CHECKING, Optional
 
-from .cells import CellSet, cell_library, generate_cell
+from .cells import CellSet, generate_cell
 from .errors import NoGridPath
 from .grid import GridNode, compass_bearing, signed_degrees
-from .static_planner import Obstacle, PlanResult, execute_cells
+from .static_planner import Obstacle, PlanResult, execute_cells, scenario_cells
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -134,9 +134,7 @@ def grid_baseline_plan(scenario: "Scenario", cells: Optional[CellSet] = None) ->
 
     waypoints = collapse_collinear(astar_grid_path(start_xy, dest, pitch, obstacles))
 
-    if cells is None:
-        cells = cell_library(params, pitch, scenario.cell_resolution_deg,
-                             dt=scenario.dt_s)
+    cells = scenario_cells(scenario, cells)
 
     cell_cache = {}
 

@@ -354,13 +354,13 @@ def check_radius(params: ShipParams, radius_m: float) -> None:
 
 def check_resolution(resolution_deg: float,
                      max_heading_change_deg: float = MAX_HEADING_CHANGE_DEG) -> None:
-    """Raise ValueError unless the resolution tiles [-max, +max] evenly."""
+    """Raise ValueError unless the resolution divides the maximum heading change."""
     if not 1.0 <= resolution_deg <= 15.0:
         raise ValueError(f"resolution must be in [1, 15] deg, got {resolution_deg}")
-    n_steps = 2.0 * max_heading_change_deg / resolution_deg
+    n_steps = max_heading_change_deg / resolution_deg
     if abs(n_steps - round(n_steps)) > 1e-9:
         raise ValueError(
-            f"resolution {resolution_deg} must divide {2 * max_heading_change_deg} evenly"
+            f"resolution {resolution_deg} must divide {max_heading_change_deg} evenly"
         )
 
 

@@ -40,9 +40,9 @@ def _cmd_gen_cells(args) -> int:
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    cells = build_cell_set(params, radius, args.resolution, dt=args.dt)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    cells = build_cell_set(params, radius, args.resolution, dt=args.dt)
     index = ["heading_change_deg,delta0_deg,duration_s,arc_length_m"]
     for cell in cells.cells:
         tag = f"{cell.heading_change_deg:+07.2f}".replace("+", "p").replace("-", "m")
@@ -121,9 +121,9 @@ def _cmd_plan(args) -> int:
 
 def _cmd_compare(args) -> int:
     scenario = load_scenario(args.scenario)
-    report = compare_planners(scenario)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    report = compare_planners(scenario)
     payload = {
         "circle": asdict(report.circle) if report.circle else report.circle_error,
         "grid": asdict(report.grid) if report.grid else report.grid_error,

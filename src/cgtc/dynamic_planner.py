@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .cells import CellSet, cell_library
+from .cells import CellSet
 from .errors import (
     LengthMismatch,
     NoFeasibleRadius,
@@ -39,7 +39,8 @@ from .static_planner import (
     decide_heading,
     execute_cells,
     is_bypassed,
-    pick_cell_index,
+    pick_cell,
+    scenario_cells,
 )
 
 if TYPE_CHECKING:
@@ -282,18 +283,16 @@ def plan_dynamic(scenario: "Scenario", cells: Optional[CellSet] = None) -> PlanR
     statics = [o for o in scenario.obstacles if not o.moving]
 
     check_endpoints(scenario, statics)
-    if cells is None:
-        cells = cell_library(scenario.ship, scenario.radius_m,
-                             scenario.cell_resolution_deg, dt=scenario.dt_s)
+    cells = scenario_cells(scenario, cells)
     dest = (scenario.dest_x_m, scenario.dest_y_m)
-    virtual: Optional[VirtualObstacle] = None
+    virtual: Optional[Obstacle] = None  # the virtual disc as the planner bypasses it
     virtual_done = False
     engagement = Engagement()
+    tracked_statics = list(enumerate(statics))
     last_classified_heading: Optional[float] = None
 
     def next_cell(pose: GridNode, t: float):
         nonlocal virtual, virtual_done, last_classified_heading
-        obstacle_now = replace(mover, center=mover.position_at(t))
         force_starboard = False
         if not virtual_done and virtual is None:
             # The maintain-heading bounds are a whole-track guarantee under
@@ -302,26 +301,24 @@ def plan_dynamic(scenario: "Scenario", cells: Optional[CellSet] = None) -> PlanR
             # the virtual disc stays fixed at that meeting point (a virtual
             # placed on an already-turned heading ray would clear its own
             # tangent cone immediately) and is dropped only via bypass.
-            if last_classified_heading is None or pose.heading.degrees != last_classified_heading:
+            if pose.heading.degrees != last_classified_heading:
                 try:
-                    enc = make_encounter(pose, scenario.ship.steady_speed_mps, obstacle_now,
+                    enc = make_encounter(pose, scenario.ship.steady_speed_mps,
+                                         replace(mover, center=mover.position_at(t)),
                                          scenario.radius_m, mover.radius_m)
                     cls = classify_encounter(enc)
                     if cls.kind is EncounterClass.MUST_STEER:
                         try:
-                            virtual = virtual_obstacle_radius(enc)
+                            virtual = virtual_obstacle_radius(enc).as_obstacle()
                         except NoFeasibleRadius:
                             force_starboard = True
                 except (ParallelCourses, NoForwardIntersection):
                     pass  # diverging tracks: no crossing risk from here
                 last_classified_heading = pose.heading.degrees
-        if virtual is not None and is_bypassed(pose, virtual.as_obstacle(), dest):
+        if virtual is not None and is_bypassed(pose, virtual, dest):
             virtual = None
             virtual_done = True
 
-        tracked = list(enumerate(statics))
-        if virtual is not None:
-            tracked.append(("virtual", virtual.as_obstacle()))
         if force_starboard:
             decision = HeadingDecision(
                 target_bearing_deg=pose.heading.plus(cells.max_heading_change_deg).degrees,
@@ -329,9 +326,10 @@ def plan_dynamic(scenario: "Scenario", cells: Optional[CellSet] = None) -> PlanR
                 two_step=True, avoid_side=+1,
             )
         else:
+            tracked = (tracked_statics if virtual is None
+                       else [*tracked_statics, ("virtual", virtual)])
             decision = decide_heading(pose, dest, tracked, cells, engagement)
-        idx = pick_cell_index(decision, cells)
-        return cells.cells[idx], idx, cells.command_for(decision.heading_change_deg)
+        return pick_cell(decision, cells)
 
     result = execute_cells(scenario, next_cell, statics)
     if result.trajectory:

@@ -21,6 +21,7 @@ from .errors import (
     DestinationInsideObstacle,
     InsideObstacle,
     StartInsideObstacle,
+    ValidationError,
 )
 from .grid import CompassAngle, GridNode, advance_pose, compass_bearing
 from .ship import ShipState
@@ -147,50 +148,6 @@ def select_heading_free(pose: GridNode, destination: Point,
     return _aim(pose, compass_bearing(pose.position, destination), cells)
 
 
-def select_heading_static(pose: GridNode, destination: Point,
-                          obstacles: list[Obstacle],
-                          cells: CellSet,
-                          committed_side: Optional[int] = None) -> HeadingDecision:
-    """Decision among static obstacles via the extreme-tangency comparison.
-
-    Collects the tangent bearings of every obstacle still blocking the
-    destination bearing, takes the port-most and starboard-most of them,
-    and pursues the one deviating less from the destination bearing (ties
-    go starboard). Falls back to the free-water rule when nothing blocks.
-
-    committed_side (+1 starboard / -1 port) skips the side comparison and
-    pursues the blocking set's tangent envelope on that side; the plan loop
-    passes it while an avoidance engagement is in progress so re-evaluation
-    tracks one side instead of flip-flopping across the obstacle.
-    """
-    blocking = [o for o in obstacles if not is_bypassed(pose, o, destination)]
-    if not blocking:
-        return select_heading_free(pose, destination, cells)
-
-    dest_bearing = compass_bearing(pose.position, destination)
-    left_diffs = []
-    right_diffs = []
-    for obs in blocking:
-        left, right = tangent_angles(pose.position, obs)
-        left_diffs.append(left.diff_from(dest_bearing))
-        right_diffs.append(right.diff_from(dest_bearing))
-
-    if committed_side is None:
-        port_most = min(left_diffs + right_diffs)
-        stbd_most = max(left_diffs + right_diffs)
-        # ties (within angle-arithmetic noise) break to starboard
-        if abs(port_most) < abs(stbd_most) - 1e-9:
-            chosen_diff, side = port_most, -1
-        else:
-            chosen_diff, side = stbd_most, +1
-    elif committed_side > 0:
-        chosen_diff, side = max(right_diffs), +1
-    else:
-        chosen_diff, side = min(left_diffs), -1
-
-    return _aim(pose, dest_bearing.plus(chosen_diff), cells, side)
-
-
 @dataclass
 class Engagement:
     """Avoidance-episode state for the continuous-tracking loop.
@@ -207,43 +164,61 @@ class Engagement:
 def decide_heading(pose: GridNode, destination: Point,
                    tracked: list[tuple[object, Obstacle]],
                    cells: CellSet, engagement: Engagement) -> HeadingDecision:
-    """One planning decision with engagement bookkeeping.
+    """One planning decision via the extreme-tangency comparison.
 
-    tracked pairs a stable identifier with each obstacle so an episode
-    survives obstacles dropping out (and, for the dynamic planner, the
-    virtual obstacle being refreshed under the same identifier).
+    Takes the tangent bearings of every tracked obstacle still blocking the
+    destination bearing (the free-water rule when none does). A fresh
+    episode pursues whichever of the port-most and starboard-most deviates
+    less from the destination bearing (ties go starboard); an episode in
+    progress pursues its committed side's tangent envelope, so
+    re-evaluation does not flip-flop across the obstacle. tracked pairs a
+    stable identifier with each obstacle so an episode survives obstacles
+    dropping out (and the dynamic planner's virtual obstacle being
+    refreshed under the same identifier).
     """
-    blocking_ids = frozenset(
-        oid for oid, o in tracked if not is_bypassed(pose, o, destination)
-    )
-    obstacles = [o for _, o in tracked]
-    if not blocking_ids:
+    blocking = [(oid, o) for oid, o in tracked if not is_bypassed(pose, o, destination)]
+    if not blocking:
         engagement.side = None
         engagement.ids = frozenset()
         return select_heading_free(pose, destination, cells)
-    if engagement.side is None or not (blocking_ids & engagement.ids):
-        decision = select_heading_static(pose, destination, obstacles, cells)
-        engagement.side = decision.avoid_side
+
+    dest_bearing = compass_bearing(pose.position, destination)
+    tangents = [tangent_angles(pose.position, o) for _, o in blocking]
+    left_diffs = [left.diff_from(dest_bearing) for left, _ in tangents]
+    right_diffs = [right.diff_from(dest_bearing) for _, right in tangents]
+    ids = frozenset(oid for oid, _ in blocking)
+    fresh = engagement.side is None or not (ids & engagement.ids)
+    engagement.ids = ids
+    if fresh:
+        port_most = min(left_diffs + right_diffs)
+        stbd_most = max(left_diffs + right_diffs)
+        # ties (within angle-arithmetic noise) break to starboard
+        engagement.side = -1 if abs(port_most) < abs(stbd_most) - 1e-9 else +1
+        chosen_diff = port_most if engagement.side < 0 else stbd_most
     else:
-        decision = select_heading_static(pose, destination, obstacles, cells,
-                                         committed_side=engagement.side)
-        # While tracking, only ever turn further away from the obstacle:
-        # hold the heading when it already clears the committed-side tangent
-        # (the re-aim commands decay to nothing as the path converges onto
-        # the tangent line, instead of chasing the tangent back inward).
-        if engagement.side > 0:
-            held = max(0.0, decision.heading_change_deg)
-        else:
-            held = min(0.0, decision.heading_change_deg)
-        if held != decision.heading_change_deg:
-            decision = HeadingDecision(pose.heading.degrees, held,
-                                       two_step=False, avoid_side=engagement.side)
-    engagement.ids = blocking_ids
-    return decision
+        chosen_diff = max(right_diffs) if engagement.side > 0 else min(left_diffs)
+    side = engagement.side
+    decision = _aim(pose, dest_bearing.plus(chosen_diff), cells, side)
+    # While tracking, only ever turn further away from the obstacle: hold
+    # the heading when it already clears the committed-side tangent (the
+    # re-aim commands decay to nothing as the path converges onto the
+    # tangent line, instead of chasing the tangent back inward).
+    change = decision.heading_change_deg
+    held = max(0.0, change) if side > 0 else min(0.0, change)
+    if fresh or held == change:
+        return decision
+    return HeadingDecision(pose.heading.degrees, held, two_step=False, avoid_side=side)
 
 
-def pick_cell_index(decision: HeadingDecision, cells: CellSet) -> int:
-    """Cell to execute for a decision.
+def select_heading_static(pose: GridNode, destination: Point,
+                          obstacles: list[Obstacle], cells: CellSet) -> HeadingDecision:
+    """decide_heading with no avoidance episode in progress."""
+    return decide_heading(pose, destination, list(enumerate(obstacles)), cells, Engagement())
+
+
+def pick_cell(decision: HeadingDecision,
+              cells: CellSet) -> tuple[TrajectoryCell, int, float]:
+    """Cell to execute for a decision, its index and its rudder command.
 
     Plain pursuit rounds to the nearest cell. A tangent-bearing decision
     rounds away from the obstacle instead, so quantization can never cut
@@ -260,8 +235,8 @@ def pick_cell_index(decision: HeadingDecision, cells: CellSet) -> int:
     else:
         k = round(x / res)
     half = int(round(theta_m / res))
-    k = max(-half, min(half, k))
-    return k + half
+    idx = max(-half, min(half, k)) + half
+    return cells.cells[idx], idx, cells.command_for(decision.heading_change_deg)
 
 
 def clearance(point: Point, obstacles: list[Obstacle]) -> float:
@@ -367,6 +342,23 @@ def execute_cells(scenario: "Scenario", next_cell: NextCell,
     )
 
 
+def scenario_cells(scenario: "Scenario", cells: Optional[CellSet] = None) -> CellSet:
+    """The cells to plan on: the set passed, or the library's for the scenario.
+
+    A passed set must have the scenario's radius and resolution
+    (ValidationError otherwise); a CellSet records neither hull nor dt.
+    """
+    if cells is None:
+        return cell_library(scenario.ship, scenario.radius_m,
+                            scenario.cell_resolution_deg, dt=scenario.dt_s)
+    if (cells.radius_m, cells.resolution_deg) != (scenario.radius_m,
+                                                  scenario.cell_resolution_deg):
+        raise ValidationError(f"cell set is for {cells.radius_m} m, {cells.resolution_deg} deg; "
+                              f"scenario has {scenario.radius_m} m, "
+                              f"{scenario.cell_resolution_deg} deg")
+    return cells
+
+
 def plan_static(scenario: "Scenario", cells: Optional[CellSet] = None) -> PlanResult:
     """Continuous-tracking planning loop over static obstacles.
 
@@ -376,16 +368,13 @@ def plan_static(scenario: "Scenario", cells: Optional[CellSet] = None) -> PlanRe
     """
     obstacles = scenario.obstacles
     check_endpoints(scenario, obstacles)
-    if cells is None:
-        cells = cell_library(scenario.ship, scenario.radius_m,
-                             scenario.cell_resolution_deg, dt=scenario.dt_s)
+    cells = scenario_cells(scenario, cells)
     dest = (scenario.dest_x_m, scenario.dest_y_m)
     engagement = Engagement()
     tracked = list(enumerate(obstacles))
 
     def next_cell(pose: GridNode, t: float):
         decision = decide_heading(pose, dest, tracked, cells, engagement)
-        idx = pick_cell_index(decision, cells)
-        return cells.cells[idx], idx, cells.command_for(decision.heading_change_deg)
+        return pick_cell(decision, cells)
 
     return execute_cells(scenario, next_cell, obstacles)

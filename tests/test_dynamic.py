@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from cgtc import dynamic_planner as dynamic_mod
+from cgtc.cells import cell_library
 from cgtc.dynamic_planner import (
     EncounterClass,
     classify_encounter,
@@ -18,6 +20,7 @@ from cgtc.dynamic_planner import (
 )
 from cgtc.errors import (
     LengthMismatch,
+    NoFeasibleRadius,
     NoForwardIntersection,
     ParallelCourses,
     ValidationError,
@@ -270,6 +273,19 @@ class TestPlanDynamic:
         mover = sc.obstacles[0]
         for s, t in zip(res.trajectory, res.sample_times_s):
             assert math.dist((s.x_m, s.y_m), mover.position_at(t)) > mover.radius_m
+
+    def test_no_feasible_radius_turns_full_starboard(self, monkeypatch):
+        def infeasible(enc):
+            raise NoFeasibleRadius("no virtual radius resolves the encounter")
+
+        monkeypatch.setattr(dynamic_mod, "virtual_obstacle_radius", infeasible)
+        sc = load_scenario(SCENARIO_DIR / "dynamic_sit3_must_steer.json")
+        cells = cell_library(sc.ship, sc.radius_m, sc.cell_resolution_deg, dt=sc.dt_s)
+        res = plan_dynamic(sc)
+        assert res.nodes[1].cell_used == len(cells.cells) - 1
+        assert res.heading_changes_deg[0] == cells.cells[-1].heading_change_deg
+        assert cells.cells[-1].heading_change_deg == pytest.approx(90.0, abs=0.1)
+        assert res.rudder_commands[0] == cells.command_for(90.0)
 
     def test_separation_series_shape(self):
         sc = load_scenario(SCENARIO_DIR / "dynamic_sit1_own_first.json")

@@ -9,12 +9,14 @@ import pytest
 
 from cgtc import baseline as baseline_mod
 from cgtc import cells as cells_mod
+from cgtc import cli as cli_mod
+from cgtc import harness as harness_mod
 from cgtc.cli import main as cli_main
-from cgtc.errors import NonPositiveDt, ParseError, ValidationError
-from cgtc.harness import compare_planners, run_batch, run_scenario
+from cgtc.errors import InsideObstacle, NonPositiveDt, ParseError, ValidationError
+from cgtc.harness import compare_planners, run_batch, run_scenario, scenario_is_safe
 from cgtc.scenario import Scenario, load_scenario, scenario_from_dict
 from cgtc.ship import online_generate, trimmed_state
-from cgtc.static_planner import Obstacle, PlanResult
+from cgtc.static_planner import Obstacle, PlanResult, plan_static
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -158,6 +160,8 @@ class TestScenarioFiles:
         ({"sim": {"dt_s": 12.0}}, "dt_s"),
         ({"sim": {"dt_s": 4.0}}, "dt_s"),  # equal to the 4 s lags
         ({"ship": {"speed_recovery_s": 0.4}}, "dt_s"),  # 0.5 s default step
+        ({"sim": {"cell_resolution_deg": 4.0}}, "cell_resolution_deg"),
+        ({"sim": {"cell_resolution_deg": 12.0}}, "cell_resolution_deg"),
     ])
     def test_cell_arguments_rejected(self, tmp_path, change, field):
         data = {**GOOD_SCENARIO, **change}
@@ -308,7 +312,8 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("args", [["--resolution", "7"], ["--resolution", "0.5"],
                                       ["--radius", "100"], ["--dt", "0"], ["--dt", "50"],
                                       ["--radius", "nan"], ["--radius", "inf"],
-                                      ["--radius", "0"]])
+                                      ["--radius", "0"], ["--resolution", "4"],
+                                      ["--resolution", "12"]])
     def test_gen_cells_bad_arguments_exit_two(self, tmp_path, capsys, args):
         rc = cli_main(["gen-cells", *args, "--out-dir", str(tmp_path / "cells")])
         assert rc == 2
@@ -400,6 +405,101 @@ class TestCliExitCodes:
                        "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("input error:")
+
+
+    @pytest.mark.parametrize("command", ["compare", "gen-cells"])
+    def test_out_dir_checked_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the out dir was made")
+
+        monkeypatch.setattr(cli_mod, "compare_planners", no_work)
+        monkeypatch.setattr(cli_mod, "build_cell_set", no_work)
+        a_file = tmp_path / "a_file"
+        a_file.write_text("not a directory\n")
+        argv = {
+            "compare": ["compare", str(SCENARIO_DIR / "fig25_analog.json")],
+            "gen-cells": ["gen-cells", "--resolution", "15"],
+        }[command]
+        assert cli_main([*argv, "--out-dir", str(a_file)]) == 2
+        assert capsys.readouterr().err.startswith("input error:")
+
+    def test_compare_success_writes_report(self, tmp_path, capsys):
+        rc = cli_main(["compare", str(SCENARIO_DIR / "fig25_analog.json"),
+                       "--out-dir", str(tmp_path)])
+        assert rc == 0
+        written = json.loads((tmp_path / "comparison.json").read_text())
+        report = compare_planners(load_scenario(SCENARIO_DIR / "fig25_analog.json"))
+        assert written == {
+            "circle": dataclasses.asdict(report.circle),
+            "grid": dataclasses.asdict(report.grid),
+            "length_ratio": report.length_ratio,
+            "steering_ratio": report.steering_ratio,
+        }
+        assert written["length_ratio"] is not None and written["steering_ratio"] is not None
+
+    def test_planning_error_exit_one(self, tmp_path, capsys, monkeypatch):
+        def raising(scenario, cells=None):
+            raise InsideObstacle("point (1.0, 2.0) is inside obstacle")
+
+        monkeypatch.setattr(harness_mod, "plan_static", raising)
+        rc = cli_main(["plan", str(SCENARIO_DIR / "fig25_analog.json"),
+                       "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("planning error: InsideObstacle:")
+
+    def test_plan_entering_a_disc_is_unsafe(self, tmp_path, capsys, monkeypatch):
+        real_plan = harness_mod.plan_static
+
+        def entering(scenario, cells=None):
+            return dataclasses.replace(real_plan(scenario), min_clearance_m=-1.0)
+
+        monkeypatch.setattr(harness_mod, "plan_static", entering)
+        rc = cli_main(["plan", str(SCENARIO_DIR / "fig25_analog.json"),
+                       "--out-dir", str(tmp_path)])
+        assert rc == 1
+        metrics = json.loads((tmp_path / "metrics.json").read_text())
+        assert metrics["reached"] is True
+        assert metrics["safe"] is False
+
+
+def _verdict_result(min_clearance_m=None, min_separation_m=None):
+    return PlanResult(nodes=[], trajectory=[], sample_times_s=[], rudder_commands=[],
+                      heading_changes_deg=[], path_length_m=0.0, steering_count=0,
+                      reached=True, min_clearance_m=min_clearance_m,
+                      min_separation_m=min_separation_m)
+
+
+class TestSafetyVerdict:
+    @pytest.mark.parametrize("clearance, safe", [(-5.0, False), (-0.0, False), (0.0, False),
+                                                 (1e-9, True), (0.5, True)])
+    def test_clearance(self, clearance, safe):
+        sc = load_scenario(SCENARIO_DIR / "fig25_analog.json")
+        assert scenario_is_safe(sc, _verdict_result(min_clearance_m=clearance)) is safe
+
+    def test_separation_at_the_domain_sum_is_unsafe(self):
+        sc = load_scenario(SCENARIO_DIR / "dynamic_sit3_must_steer.json")
+        required = sc.radius_m + sc.obstacles[0].radius_m
+        assert not scenario_is_safe(sc, _verdict_result(min_separation_m=required))
+        assert not scenario_is_safe(sc, _verdict_result(min_separation_m=required - 1.0))
+        above = math.nextafter(required, math.inf)
+        assert scenario_is_safe(sc, _verdict_result(min_separation_m=above))
+
+
+class TestReachTolerance:
+    FREE = {"mode": "free", "start": {"x_m": 0.0, "y_m": 0.0, "heading_deg": 0.0},
+            "destination": {"x_m": 0.0, "y_m": 6300.0}, "circle_radius_m": 600.0}
+
+    @pytest.mark.parametrize("extra, cells_run, short_m", [
+        ({}, 10, 300.0),                             # default: the circle radius
+        ({"reach_tolerance_m": 1500.0}, 9, 900.0),
+    ])
+    def test_run_stops_within_tolerance(self, extra, cells_run, short_m):
+        sc = scenario_from_dict({**self.FREE, **extra})
+        result = plan_static(sc)
+        assert result.reached
+        assert len(result.rudder_commands) == cells_run
+        assert math.dist(result.nodes[-1].position, (0.0, 6300.0)) == pytest.approx(short_m,
+                                                                                   abs=1e-6)
 
 
 class TestCellLibraryReuse:

@@ -10,16 +10,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cgtc import static_planner as static_mod
 from cgtc.baseline import grid_baseline_plan
 from cgtc.dynamic_planner import plan_dynamic
-from cgtc.errors import DestinationInsideObstacle, InsideObstacle, StartInsideObstacle
+from cgtc.errors import (
+    DestinationInsideObstacle,
+    InsideObstacle,
+    StartInsideObstacle,
+    ValidationError,
+)
 from cgtc.grid import CompassAngle, GridNode, compass_bearing, signed_degrees
 from cgtc.scenario import Scenario, load_scenario, mirror_scenario
 from cgtc.ship import ShipParams
 from cgtc.static_planner import (
     STEERING_THRESHOLD_DEG,
+    Engagement,
     Obstacle,
     clearance,
+    decide_heading,
     is_bypassed,
     min_clearance,
     plan_static,
@@ -127,6 +135,27 @@ class TestSelectHeadingStatic:
         d = select_heading_static(pose, dest, obstacles, cells600)
         chosen_diff = signed_degrees(d.target_bearing_deg - dest_bearing.degrees)
         assert chosen_diff == pytest.approx(expected, abs=0.1)
+
+    def test_each_obstacle_screened_once_per_decision(self, monkeypatch, cells600):
+        screened = []
+        real_bypassed = static_mod.is_bypassed
+
+        def counting(pose, obstacle, destination):
+            screened.append(obstacle)
+            return real_bypassed(pose, obstacle, destination)
+
+        monkeypatch.setattr(static_mod, "is_bypassed", counting)
+        obstacles = [Obstacle(center=(-500.0, 1700.0), radius_m=650.0),
+                     Obstacle(center=(450.0, 2300.0), radius_m=700.0),
+                     Obstacle(center=(3000.0, -2000.0), radius_m=300.0)]  # astern
+        tracked = list(enumerate(obstacles))
+        engagement = Engagement()
+        pose = GridNode(position=(0.0, 0.0), heading=CompassAngle(0.0))
+        for _ in range(2):  # a fresh episode, then the committed side
+            decide_heading(pose, (400.0, 6400.0), tracked, cells600, engagement)
+            assert screened == obstacles
+            screened.clear()
+        assert engagement.ids == frozenset({0, 1})
 
 
 class TestIsBypassed:
@@ -322,6 +351,25 @@ def test_executor_contract(planner, name):
     assert result.path_length_m == pytest.approx(length, rel=1e-12)
     assert result.steering_count == sum(
         1 for c in result.rudder_commands if abs(c) >= STEERING_THRESHOLD_DEG)
+
+
+@pytest.mark.parametrize("planner", [plan_static, plan_dynamic, grid_baseline_plan])
+@pytest.mark.parametrize("radius_m, resolution_deg", [(650.0, 5.0), (600.0, 2.0)])
+def test_cell_set_of_another_grid_rejected(planner, radius_m, resolution_deg, cells600):
+    mover = Obstacle(center=(-3000.0, 3000.0), radius_m=600.0,
+                     speed_mps=5.0, course_deg=90.0)
+    dynamic = planner is plan_dynamic
+    sc = Scenario(mode="dynamic" if dynamic else "free", ship=ShipParams(),
+                  start_x_m=0.0, start_y_m=0.0, start_heading_deg=0.0,
+                  dest_x_m=0.0, dest_y_m=3000.0, circle_radius_m=radius_m,
+                  cell_resolution_deg=resolution_deg,
+                  obstacles=[mover] if dynamic else [])
+    with pytest.raises(ValidationError) as err:
+        planner(sc, cells600)
+    assert "cell set" in str(err.value)
+    # the scenario's own grid plans
+    planner(dataclasses.replace(sc, circle_radius_m=600.0, cell_resolution_deg=5.0),
+            cells600)
 
 
 @st.composite
