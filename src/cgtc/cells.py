@@ -31,7 +31,7 @@ import numpy as np
 from .errors import NonConvergence, NonPositiveDt, Unreachable
 from .grid import compass_bearing, wrap_degrees
 from .relation import CubicRelation, RelationSample, fit_poly, invert_relation
-from .ship import ShipParams, ShipState, step, trimmed_state
+from .ship import ShipParams, ShipState, Trajectory, step, trimmed_state
 
 # one ShipState's fields in constructor order
 _STATE_FIELDS = attrgetter(*(f.name for f in fields(ShipState)))
@@ -71,16 +71,18 @@ class TrajectoryCell:
     radius_m: float
 
     @cached_property
-    def _columns(self) -> tuple[np.ndarray, list[list[float]]]:
-        """The samples field by field, for placing the cell.
+    def _columns(self) -> np.ndarray:
+        """The samples as a (7, n) float64 array, one row per ShipState field.
 
-        x, y and heading form a (3, n) float64 array; the other four fields
-        are lists of the samples' own values, which placement passes through
-        unchanged. Cached on the instance, not a dataclass field, so ==,
-        hash and repr are unchanged.
+        Cached on the instance, not a dataclass field, so ==, hash and repr
+        are unchanged.
         """
-        x, y, heading, *passed = map(list, zip(*map(_STATE_FIELDS, self.samples)))
-        return np.array([x, y, heading], dtype=np.float64), passed
+        return np.array(list(zip(*map(_STATE_FIELDS, self.samples))), dtype=np.float64)
+
+    @cached_property
+    def _times(self) -> np.ndarray:
+        """sample_times_s as a float64 array, cached like _columns."""
+        return np.array(self.sample_times_s, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -654,18 +656,22 @@ def _count_steerings(rudder_series: list[float]) -> int:
 
 
 def transform_cell(cell: TrajectoryCell, origin_x: float, origin_y: float,
-                   origin_heading_deg: float) -> list[ShipState]:
+                   origin_heading_deg: float) -> Trajectory:
     """Place a ship-frame cell at a world pose (rotate by heading, translate).
 
     The placement runs on the cell's cached columns as whole-array
     expressions with the per-sample arithmetic in the same order, so every
-    state is bit-equal to placing the samples one at a time.
+    sample is bit-equal to placing the samples one at a time. The heading
+    is wrapped twice, as ShipState wraps a wrapped sum once more: a sum just
+    below zero wraps to 360.0, and only then to 0.0.
     """
     h = math.radians(origin_heading_deg)
     ch, sh = math.cos(h), math.sin(h)
-    (x, y, heading), passed = cell._columns
-    return list(map(ShipState,
-                    (origin_x + (x * ch + y * sh)).tolist(),
-                    (origin_y + (-x * sh + y * ch)).tolist(),
-                    wrap_degrees(heading + origin_heading_deg).tolist(),
-                    *passed))
+    local = cell._columns
+    x, y, heading = local[_X], local[_Y], local[_HDG]
+    world = np.empty_like(local)
+    world[_X] = origin_x + (x * ch + y * sh)
+    world[_Y] = origin_y + (-x * sh + y * ch)
+    world[_HDG] = wrap_degrees(wrap_degrees(heading + origin_heading_deg))
+    world[_U:] = local[_U:]
+    return Trajectory(world)

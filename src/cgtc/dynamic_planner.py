@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .grid import GridNode, compass_bearing
-from .ship import ShipState
+from .ship import ShipState, Trajectory
 from .static_planner import (
     Engagement,
     HeadingDecision,
@@ -38,7 +38,6 @@ from .static_planner import (
     check_endpoints,
     decide_heading,
     execute_cells,
-    is_bypassed,
     pick_cell,
     scenario_cells,
 )
@@ -253,12 +252,24 @@ def _with_avoid_radius(enc: Encounter, cm: float, r_x: float) -> VirtualObstacle
 
 def min_separation(own_traj: list[ShipState],
                    obstacle_track: list[Point]) -> tuple[list[float], float]:
-    """Pointwise own/obstacle distances over a common time base."""
+    """Pointwise own/obstacle distances over a common time base.
+
+    own_traj is a Trajectory (read through its columns) or any sequence of
+    ShipState; obstacle_track is a sequence of (x, y) points or an (n, 2)
+    array. Each distance is math.hypot of the coordinate differences, the
+    same value math.dist gives.
+    """
     if len(own_traj) != len(obstacle_track):
         raise LengthMismatch(
             f"{len(own_traj)} own samples vs {len(obstacle_track)} obstacle samples"
         )
-    series = [math.dist((s.x_m, s.y_m), p) for s, p in zip(own_traj, obstacle_track)]
+    if isinstance(own_traj, Trajectory):
+        own_xy = own_traj.columns[:2]
+    else:
+        own_xy = np.array([[s.x_m for s in own_traj], [s.y_m for s in own_traj]],
+                          dtype=np.float64)
+    track_xy = np.asarray(obstacle_track, dtype=np.float64).T
+    series = list(map(math.hypot, *(own_xy - track_xy).tolist()))
     return series, min(series)
 
 
@@ -315,10 +326,6 @@ def plan_dynamic(scenario: "Scenario", cells: Optional[CellSet] = None) -> PlanR
                 except (ParallelCourses, NoForwardIntersection):
                     pass  # diverging tracks: no crossing risk from here
                 last_classified_heading = pose.heading.degrees
-        if virtual is not None and is_bypassed(pose, virtual, dest):
-            virtual = None
-            virtual_done = True
-
         if force_starboard:
             decision = HeadingDecision(
                 target_bearing_deg=pose.heading.plus(cells.max_heading_change_deg).degrees,
@@ -329,11 +336,14 @@ def plan_dynamic(scenario: "Scenario", cells: Optional[CellSet] = None) -> PlanR
             tracked = (tracked_statics if virtual is None
                        else [*tracked_statics, ("virtual", virtual)])
             decision = decide_heading(pose, dest, tracked, cells, engagement)
+            if virtual is not None and "virtual" not in engagement.ids:
+                # bypassed: stage 2 drives home without it
+                virtual = None
+                virtual_done = True
         return pick_cell(decision, cells)
 
     result = execute_cells(scenario, next_cell, statics)
     if result.trajectory:
-        track_x, track_y = mover.position_at(np.array(result.sample_times_s))
-        result.separation_m, result.min_separation_m = min_separation(
-            result.trajectory, list(zip(track_x.tolist(), track_y.tolist())))
+        track = np.column_stack(mover.position_at(np.array(result.sample_times_s)))
+        result.separation_m, result.min_separation_m = min_separation(result.trajectory, track)
     return result

@@ -82,12 +82,10 @@ def compare_planners(scenario: Scenario) -> ComparisonReport:
 
 
 def _write_trajectory_csv(path: Path, result: PlanResult):
+    row = ",".join(["{:.6f}"] * len(TRAJECTORY_COLUMNS))
     lines = [",".join(TRAJECTORY_COLUMNS)]
-    for t, s in zip(result.sample_times_s, result.trajectory):
-        lines.append(
-            f"{t:.6f},{s.x_m:.6f},{s.y_m:.6f},{s.heading_deg:.6f},"
-            f"{s.u_mps:.6f},{s.v_mps:.6f},{s.yaw_rate_degps:.6f},{s.rudder_deg:.6f}"
-        )
+    for values in zip(result.sample_times_s, *result.trajectory.columns.tolist()):
+        lines.append(row.format(*values))
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -18,7 +18,11 @@ concurrently.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from functools import cached_property
+
+import numpy as np
 
 from .errors import NonPositiveDt
 from .grid import signed_degrees, wrap_degrees
@@ -86,6 +90,46 @@ class ShipState:
 
     def __post_init__(self):
         object.__setattr__(self, "heading_deg", wrap_degrees(self.heading_deg))
+
+
+class Trajectory(Sequence):
+    """A read-only sequence of ShipState over one (7, n) float64 array.
+
+    `columns` holds the samples field by field, one row per ShipState field
+    in field order (x, y, heading, u, v, yaw rate, rudder); each heading
+    must already be wrapped as ShipState stores it. The array is made
+    read-only, so it always agrees with the states, which are built once,
+    on first index or iteration; callers that need only numbers should read
+    `columns`. A Trajectory equals another with equal column values, and
+    equals a list as its list of states would.
+    """
+
+    def __init__(self, columns: np.ndarray):
+        columns.flags.writeable = False
+        self.columns = columns
+
+    @cached_property
+    def _states(self) -> list[ShipState]:
+        return list(map(ShipState, *self.columns.tolist()))
+
+    def __len__(self) -> int:
+        return self.columns.shape[1]
+
+    def __getitem__(self, index):
+        return self._states[index]
+
+    def __iter__(self):
+        return iter(self._states)
+
+    def __eq__(self, other):
+        if isinstance(other, Trajectory):
+            return np.array_equal(self.columns, other.columns)
+        if isinstance(other, list):
+            return self._states == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Trajectory(columns={self.columns!r})"
 
 
 def trimmed_state(params: ShipParams, x_m: float = 0.0, y_m: float = 0.0,

@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .grid import CompassAngle, GridNode, advance_pose, compass_bearing
-from .ship import ShipState
+from .ship import Trajectory
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -89,7 +89,7 @@ class HeadingDecision:
 @dataclass
 class PlanResult:
     nodes: list[GridNode]
-    trajectory: list[ShipState]
+    trajectory: Trajectory
     sample_times_s: list[float]
     rudder_commands: list[float]
     heading_changes_deg: list[float]
@@ -284,9 +284,10 @@ def execute_cells(scenario: "Scenario", next_cell: NextCell,
     """On-line execution loop shared by every planner.
 
     From the start pose, asks next_cell for the cell to run at each node
-    (t is the plan time at that node), places the cell at the pose, joins
-    its samples and times onto the trajectory (consecutive cells share
-    their joint sample) and advances to the cell's end node. Stops within
+    (t is the plan time at that node), places the cell at the pose, keeps
+    its sample columns and times (consecutive cells share their joint
+    sample; the arrays are joined once, after the last cell) and advances
+    to the cell's end node. Stops within
     the reach tolerance of the destination, or with reached=False when the
     step budget runs out. The path length sums the sample-to-sample
     distances in sample order. Clearance is measured against obstacles
@@ -300,8 +301,8 @@ def execute_cells(scenario: "Scenario", next_cell: NextCell,
 
     pose = GridNode(position=start_xy, heading=CompassAngle(scenario.start_heading_deg))
     nodes = [pose]
-    trajectory: list[ShipState] = []
-    times: list[float] = []
+    blocks: list[np.ndarray] = []      # each cell's (7, k) sample columns
+    time_blocks: list[np.ndarray] = []
     commands: list[float] = []
     changes: list[float] = []
     t = 0.0
@@ -314,18 +315,24 @@ def execute_cells(scenario: "Scenario", next_cell: NextCell,
 
         world = transform_cell(cell, pose.position[0], pose.position[1],
                                pose.heading.degrees)
-        joint = 1 if trajectory else 0
-        trajectory.extend(world[joint:])
-        times.extend(t + dt_off for dt_off in cell.sample_times_s[joint:])
+        joint = 1 if blocks else 0
+        blocks.append(world.columns[:, joint:])
+        time_blocks.append(t + cell._times[joint:])
         t += cell.duration_s
         pose = advance_pose(pose, cell, idx)
         nodes.append(pose)
 
-    xy = np.array([[s.x_m for s in trajectory] or [start_xy[0]],
-                   [s.y_m for s in trajectory] or [start_xy[1]]], dtype=np.float64)
+    if blocks:
+        trajectory = Trajectory(np.concatenate(blocks, axis=1))
+        times = np.concatenate(time_blocks).tolist()
+        xy = trajectory.columns[:2]
+    else:
+        trajectory = Trajectory(np.empty((7, 0)))
+        times = []
+        xy = np.array([[start_xy[0]], [start_xy[1]]], dtype=np.float64)
     path_length = 0.0
-    for dx, dy in zip(*np.diff(xy).tolist()):
-        path_length += math.hypot(dx, dy)
+    for d in map(math.hypot, *np.diff(xy).tolist()):
+        path_length += d
 
     min_clear = min_clearance(xy.T, obstacles) if obstacles else None
 

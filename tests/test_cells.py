@@ -29,7 +29,7 @@ from cgtc.errors import NonConvergence, Unreachable
 from cgtc.grid import wrap_degrees
 from cgtc.relation import RelationSample, fit_poly, pearson
 from cgtc.scenario import load_scenario
-from cgtc.ship import ShipParams, ShipState
+from cgtc.ship import ShipParams, ShipState, Trajectory
 from cgtc.static_planner import PlanResult, plan_static
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -239,6 +239,36 @@ def test_transform_cell_matches_scalar_placement(cells600, odd_hull_cells, origi
     placed = transform_cell(cell, origin_x, origin_y, heading)
     expected = _transform_cell_scalar(cell, origin_x, origin_y, heading)
     assert _state_bytes(placed) == _state_bytes(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(origin_x=finite | st.floats(-1e4, 1e4), origin_y=finite | st.floats(-1e4, 1e4),
+       heading=finite | edge_headings, pick=st.integers(0, 36),
+       odd_hull=st.booleans())
+@example(origin_x=0.0, origin_y=-0.0, heading=-1e-13, pick=0, odd_hull=False)
+@example(origin_x=-0.0, origin_y=0.0, heading=359.99999999999994, pick=36, odd_hull=False)
+@example(origin_x=0.0, origin_y=0.0, heading=-720.0, pick=5, odd_hull=True)
+@example(origin_x=0.0, origin_y=0.0, heading=-1e-20, pick=18, odd_hull=False)
+def test_placed_columns_are_the_states(cells600, odd_hull_cells, origin_x, origin_y,
+                                       heading, pick, odd_hull):
+    cells = (odd_hull_cells if odd_hull else cells600).cells
+    cell = cells[pick % len(cells)]
+    placed = transform_cell(cell, origin_x, origin_y, heading)
+    assert "_states" not in vars(placed) and not placed.columns.flags.writeable
+    assert len(placed) == placed.columns.shape[1] == len(cell.samples)
+
+    states = list(placed)
+    for row, f in zip(placed.columns.tolist(), fields(ShipState), strict=True):
+        assert array("d", row).tobytes() == array("d", [getattr(s, f.name)
+                                                       for s in states]).tobytes(), f.name
+    assert [placed[i] for i in range(len(placed))] == states
+    assert placed[-1] is states[-1] and placed[1:3] == states[1:3]
+
+    assert placed == transform_cell(cell, origin_x, origin_y, heading)
+    assert placed == states and placed != states[:-1] and placed != tuple(states)
+    other = placed.columns.copy()
+    other[3, -1] += 1.0  # u of the last sample
+    assert placed != Trajectory(other) and placed != Trajectory(placed.columns[:, :-1])
 
 
 def test_cached_columns_leave_identity_unchanged():

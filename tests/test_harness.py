@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from array import array
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from cgtc import cells as cells_mod
 from cgtc import cli as cli_mod
 from cgtc import harness as harness_mod
 from cgtc.cli import main as cli_main
+from cgtc.dynamic_planner import plan_dynamic
 from cgtc.errors import InsideObstacle, NonPositiveDt, ParseError, ValidationError
 from cgtc.harness import compare_planners, run_batch, run_scenario, scenario_is_safe
 from cgtc.scenario import Scenario, load_scenario, scenario_from_dict
@@ -232,6 +234,37 @@ class TestRunScenario:
         commands = (tmp_path / "commands.csv").read_text().splitlines()[1:]
         steer = sum(1 for r in commands if abs(float(r.split(",")[1])) >= 1.0)
         assert metrics["steering_count"] == steer
+
+
+class TestLazyTrajectory:
+    """Planning and writing artifacts read the trajectory's columns only."""
+
+    @pytest.mark.parametrize("name, run", [
+        ("fig25_analog", "plan_static"),
+        ("dynamic_sit3_must_steer", "plan_static"),
+        ("dynamic_sit3_must_steer", "plan_dynamic"),
+        ("fig25_analog", "run_scenario"),
+        ("dynamic_sit3_must_steer", "run_scenario"),
+    ])
+    def test_no_state_is_built(self, tmp_path, name, run):
+        path = SCENARIO_DIR / f"{name}.json"
+        planners = {"plan_static": plan_static, "plan_dynamic": plan_dynamic}
+        if run == "run_scenario":
+            scenario, result = run_scenario(path, tmp_path)
+        else:
+            scenario = load_scenario(path)
+            result = planners[run](scenario)
+        assert len(result.trajectory) > 0
+        assert "_states" not in vars(result.trajectory)
+
+        mover = next((o for o in scenario.obstacles if o.moving), None)
+        if run == "plan_static" or mover is None:
+            assert result.separation_m == [] and result.min_separation_m is None
+            return
+        expected = [math.dist((s.x_m, s.y_m), mover.position_at(t))
+                    for s, t in zip(result.trajectory, result.sample_times_s, strict=True)]
+        assert array("d", result.separation_m).tobytes() == array("d", expected).tobytes()
+        assert result.min_separation_m == min(expected)
 
 
 class TestComparePlanners:

@@ -1,11 +1,14 @@
 """The benchmark's span recorder still finds every function it traces."""
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import cgtc
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
+SCENARIOS = ROOT / "scenarios"
 
 
 def test_every_trace_target_exists():
@@ -20,3 +23,19 @@ def test_every_trace_target_exists():
         recorder.uninstall()
     assert cgtc.static_planner.decide_heading.__module__ == "cgtc.static_planner"
     assert not hasattr(cgtc.static_planner.decide_heading, "__wrapped__")
+
+
+def test_planning_goes_through_the_traced_functions():
+    """A plan records calls to the placement and decision the benchmark times."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    recorder = spans.Recorder()
+    recorder.install(cgtc)
+    try:
+        cgtc.static_planner.plan_static(cgtc.load_scenario(SCENARIOS / "fig25_analog.json"))
+    finally:
+        recorder.uninstall()
+    called = Counter(recorder.name_id)
+    for name in ("cells.transform_cell", "static_planner.decide_heading"):
+        assert called[recorder._name_ids[name]] >= 1, name
