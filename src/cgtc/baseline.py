@@ -122,19 +122,16 @@ def grid_baseline_plan(scenario: "Scenario", cells: Optional[CellSet] = None) ->
     the bearing to the current corner rounded to the nearest multiple of 45
     degrees, executed as a generated maneuver of the same cell structure
     (one steering per heading change). A corner is considered passed once
-    the vehicle is within one pitch of it. cells, when given, must be the
-    scenario's set (its hull, radius and dt): a change that is a multiple of
-    its resolution takes that cell instead of generating it again.
+    the vehicle is within one pitch of it. A change that is a multiple of the
+    set's resolution takes the set's cell instead of generating it again.
     """
     obstacles = scenario.obstacles
     start_xy = (scenario.start_x_m, scenario.start_y_m)
     dest = (scenario.dest_x_m, scenario.dest_y_m)
     pitch = scenario.radius_m
-    params = scenario.ship
+    cells = scenario_cells(scenario, cells)
 
     waypoints = collapse_collinear(astar_grid_path(start_xy, dest, pitch, obstacles))
-
-    cells = scenario_cells(scenario, cells)
 
     cell_cache = {}
 
@@ -145,7 +142,7 @@ def grid_baseline_plan(scenario: "Scenario", cells: Optional[CellSet] = None) ->
         if round(key / cells.resolution_deg) * cells.resolution_deg == key:
             return cells.nearest_cell(key)
         if key not in cell_cache:
-            cell_cache[key] = generate_cell(params, key, pitch, dt=scenario.dt_s)
+            cell_cache[key] = generate_cell(cells.params, key, pitch, dt=cells.dt_s)
         return cell_cache[key]
 
     wp_i = 1 if len(waypoints) > 1 else 0

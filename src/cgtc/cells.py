@@ -113,12 +113,27 @@ class CellSet:
     max_heading_change_deg: float
     resolution_deg: float
     relation: CubicRelation
+    params: ShipParams
+    dt_s: float
 
-    def nearest_index(self, heading_change_deg: float) -> int:
-        """Index of the cell whose heading change is nearest the request."""
-        theta = max(-self.max_heading_change_deg,
-                    min(self.max_heading_change_deg, heading_change_deg))
-        return int(round((theta + self.max_heading_change_deg) / self.resolution_deg))
+    @property
+    def key(self) -> tuple:
+        """What the set was built for: (params, radius_m, resolution_deg, dt_s)."""
+        return (self.params, self.radius_m, self.resolution_deg, self.dt_s)
+
+    def nearest_index(self, heading_change_deg: float, side: int = 0) -> int:
+        """Index of the cell for a heading change clamped to the family: side 0
+        rounds to the nearest cell, side > 0 rounds up and side < 0 down."""
+        theta_m = self.max_heading_change_deg
+        x = max(-theta_m, min(theta_m, heading_change_deg)) / self.resolution_deg
+        if side > 0:
+            k = math.ceil(x - 1e-9)
+        elif side < 0:
+            k = math.floor(x + 1e-9)
+        else:
+            k = round(x)
+        half = len(self.cells) // 2
+        return max(-half, min(half, k)) + half
 
     def nearest_cell(self, heading_change_deg: float) -> TrajectoryCell:
         return self.cells[self.nearest_index(heading_change_deg)]
@@ -564,13 +579,13 @@ def build_cell_set(params: ShipParams, radius_m: float,
         max_heading_change_deg=max_heading_change_deg,
         resolution_deg=resolution_deg,
         relation=relation,
+        params=params,
+        dt_s=dt,
     )
 
 
-# The one library set kept for reuse, as (key, CellSet), or None. It is read
-# and replaced as one tuple, so a concurrent caller never pairs a key with a
-# set built for another key.
-_library_slot: tuple[tuple, CellSet] | None = None
+# The one library set kept for reuse, or None; the set carries its own key.
+_library_slot: CellSet | None = None
 
 
 def cell_library(params: ShipParams, radius_m: float,
@@ -585,15 +600,13 @@ def cell_library(params: ShipParams, radius_m: float,
     build_cell_set stays the uncached way to generate a set.
     """
     global _library_slot
-    key = (params, radius_m, resolution_deg, dt)
     slot = _library_slot
-    if slot is not None and slot[0] == key:
-        return slot[1]
+    if slot is not None and slot.key == (params, radius_m, resolution_deg, dt):
+        return slot
     # drop both references to the kept set before building the next one
     slot = _library_slot = None
-    cells = build_cell_set(params, radius_m, resolution_deg, dt=dt)
-    _library_slot = (key, cells)
-    return cells
+    slot = _library_slot = build_cell_set(params, radius_m, resolution_deg, dt=dt)
+    return slot
 
 
 def validate_rules(cell: TrajectoryCell, params: ShipParams) -> RuleReport:

@@ -145,8 +145,8 @@ def invert_relation(rel: CubicRelation, heading_change_deg: float) -> float:
 
     Bracketed bisection over the relation domain; uniqueness comes from the
     monotonicity invariant. Raises OutOfRange when the requested heading
-    change is not reachable inside the domain (the caller then falls back
-    to the two-step maximum-heading strategy).
+    change is not reachable inside the domain; CellSet.command_for clamps
+    its request into the fitted range first, so the planners never see it.
     """
     lo, hi = rel.domain_lo_deg, rel.domain_hi_deg
     f_lo = rel(lo) - heading_change_deg

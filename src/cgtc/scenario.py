@@ -125,6 +125,8 @@ def scenario_from_dict(data: dict, name: str = "") -> Scenario:
         domain_radius = _checked("scenario.domain_factor", ship_domain_radius, ship, factor)
     _checked("scenario", check_radius, ship, radius if radius is not None else domain_radius)
     reach = _take_number(data, "reach_tolerance_m", "scenario", required=False)
+    _require(reach is None or reach > 0,
+             f"scenario.reach_tolerance_m: expected a positive number, got {reach!r}")
 
     obstacles = []
     obs_list = data.get("obstacles", [])
@@ -201,10 +203,10 @@ def mirror_scenario(scenario: Scenario) -> Scenario:
     return replace(
         scenario,
         start_x_m=-scenario.start_x_m,
-        start_heading_deg=(-scenario.start_heading_deg) % 360.0,
+        start_heading_deg=-scenario.start_heading_deg,
         dest_x_m=-scenario.dest_x_m,
         obstacles=[replace(o, center=(-o.center[0], o.center[1]),
-                           course_deg=(-o.course_deg) % 360.0)
+                           course_deg=-o.course_deg)
                    for o in scenario.obstacles],
         name=scenario.name + "-mirrored" if scenario.name else "",
     )

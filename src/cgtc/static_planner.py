@@ -220,22 +220,12 @@ def pick_cell(decision: HeadingDecision,
               cells: CellSet) -> tuple[TrajectoryCell, int, float]:
     """Cell to execute for a decision, its index and its rudder command.
 
-    Plain pursuit rounds to the nearest cell. A tangent-bearing decision
-    rounds away from the obstacle instead, so quantization can never cut
-    inside the tangent line (the no-entry guarantee survives the cell
-    granularity).
+    Plain pursuit rounds to the nearest cell; a tangent-bearing decision
+    rounds away from the obstacle (CellSet.nearest_index), never toward it.
+    That does not keep the swept cell clear: its kick, sway and arc can
+    still cut inside the tangent line.
     """
-    res = cells.resolution_deg
-    theta_m = cells.max_heading_change_deg
-    x = max(-theta_m, min(theta_m, decision.heading_change_deg))
-    if decision.avoid_side > 0:
-        k = math.ceil(x / res - 1e-9)
-    elif decision.avoid_side < 0:
-        k = math.floor(x / res + 1e-9)
-    else:
-        k = round(x / res)
-    half = int(round(theta_m / res))
-    idx = max(-half, min(half, k)) + half
+    idx = cells.nearest_index(decision.heading_change_deg, decision.avoid_side)
     return cells.cells[idx], idx, cells.command_for(decision.heading_change_deg)
 
 
@@ -352,17 +342,14 @@ def execute_cells(scenario: "Scenario", next_cell: NextCell,
 def scenario_cells(scenario: "Scenario", cells: Optional[CellSet] = None) -> CellSet:
     """The cells to plan on: the set passed, or the library's for the scenario.
 
-    A passed set must have the scenario's radius and resolution
-    (ValidationError otherwise); a CellSet records neither hull nor dt.
+    A passed set must have been built for the scenario's hull, radius,
+    resolution and dt (its key); ValidationError otherwise.
     """
+    key = (scenario.ship, scenario.radius_m, scenario.cell_resolution_deg, scenario.dt_s)
     if cells is None:
-        return cell_library(scenario.ship, scenario.radius_m,
-                            scenario.cell_resolution_deg, dt=scenario.dt_s)
-    if (cells.radius_m, cells.resolution_deg) != (scenario.radius_m,
-                                                  scenario.cell_resolution_deg):
-        raise ValidationError(f"cell set is for {cells.radius_m} m, {cells.resolution_deg} deg; "
-                              f"scenario has {scenario.radius_m} m, "
-                              f"{scenario.cell_resolution_deg} deg")
+        return cell_library(*key)
+    if cells.key != key:
+        raise ValidationError(f"cell set is for {cells.key}; scenario needs {key}")
     return cells
 
 

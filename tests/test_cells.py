@@ -91,7 +91,7 @@ def _cell_set_from_generate_cell(params, radius, resolution):
     relation, _ = fit_poly([RelationSample(c.delta0_deg, c.heading_change_deg)
                             for c in cells], 3)
     return CellSet(radius_m=radius, cells=cells, max_heading_change_deg=90.0,
-                   resolution_deg=resolution, relation=relation)
+                   resolution_deg=resolution, relation=relation, params=params, dt_s=0.5)
 
 
 @pytest.mark.parametrize("resolution", [5.0, 2.0])
@@ -367,6 +367,39 @@ def test_cell_set_lookup(cells_factor6):
     assert cells_factor6.nearest_index(2.6) == 19
     assert cells_factor6.nearest_index(500.0) == 36
     assert cells_factor6.nearest_index(-500.0) == 0
+
+
+@pytest.fixture(scope="module")
+def cells_2_and_5(params):
+    """The 600 m sets at 2 deg (odd half-count, 45) and 5 deg (even, 18)."""
+    return [build_cell_set(params, 600.0, res) for res in (2.0, 5.0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(change=st.floats(allow_nan=False, allow_infinity=False),
+       side=st.sampled_from([-1, 0, 1]))
+def test_nearest_index_rounds_by_side(cells_2_and_5, change, side):
+    for cells in cells_2_and_5:
+        res = cells.resolution_deg
+        wanted = max(-90.0, min(90.0, change))
+        idx = cells.nearest_index(change, side)
+        assert 0 <= idx <= len(cells.cells) - 1
+        target = (idx - len(cells.cells) // 2) * res
+        tol = 1e-9 * res + 1e-12
+        if side > 0:
+            assert target >= wanted - tol
+        elif side < 0:
+            assert target <= wanted + tol
+        else:
+            assert abs(target - wanted) <= res / 2 + tol
+
+
+def test_nearest_index_rounds_a_tie_to_the_even_step(cells_2_and_5):
+    two_deg = cells_2_and_5[0]
+    assert two_deg.cells[two_deg.nearest_index(1.0)].delta0_deg == 0.0
+    assert two_deg.nearest_index(1.0) == 45
+    assert two_deg.nearest_index(45.0) == 45 + 22  # the 44-deg cell
+    assert two_deg.nearest_index(-91.0, side=1) == 0
 
 
 def test_command_for_monotone(cells_factor6):

@@ -164,6 +164,8 @@ class TestScenarioFiles:
         ({"ship": {"speed_recovery_s": 0.4}}, "dt_s"),  # 0.5 s default step
         ({"sim": {"cell_resolution_deg": 4.0}}, "cell_resolution_deg"),
         ({"sim": {"cell_resolution_deg": 12.0}}, "cell_resolution_deg"),
+        ({"reach_tolerance_m": 0.0}, "reach_tolerance_m"),
+        ({"reach_tolerance_m": -5.0}, "reach_tolerance_m"),
     ])
     def test_cell_arguments_rejected(self, tmp_path, change, field):
         data = {**GOOD_SCENARIO, **change}

@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 from cgtc import static_planner as static_mod
 from cgtc.baseline import grid_baseline_plan
+from cgtc.cells import build_cell_set
 from cgtc.dynamic_planner import plan_dynamic
 from cgtc.errors import (
     DestinationInsideObstacle,
     InsideObstacle,
+    NoGridPath,
     StartInsideObstacle,
     ValidationError,
 )
@@ -425,12 +427,58 @@ def scenario_fields(sc):
     return {f.name: getattr(sc, f.name) for f in dataclasses.fields(Scenario)}
 
 
+@pytest.fixture(scope="module")
+def sets_of_other_builds():
+    """15-deg, 600 m sets: the default build, another hull, another dt."""
+    return {"own": build_cell_set(ShipParams(), 600.0, 15.0),
+            "hull": build_cell_set(ShipParams(steady_speed_mps=10.0), 600.0, 15.0),
+            "dt": build_cell_set(ShipParams(), 600.0, 15.0, dt=0.25)}
+
+
+@pytest.mark.parametrize("planner", [plan_static, plan_dynamic, grid_baseline_plan])
+@pytest.mark.parametrize("other", ["hull", "dt"])
+def test_cell_set_of_another_hull_or_dt_rejected(planner, other, sets_of_other_builds):
+    mover = Obstacle(center=(-3000.0, 3000.0), radius_m=600.0,
+                     speed_mps=5.0, course_deg=90.0)
+    dynamic = planner is plan_dynamic
+    sc = Scenario(mode="dynamic" if dynamic else "free", ship=ShipParams(),
+                  start_x_m=0.0, start_y_m=0.0, start_heading_deg=0.0,
+                  dest_x_m=0.0, dest_y_m=3000.0, circle_radius_m=600.0,
+                  cell_resolution_deg=15.0, obstacles=[mover] if dynamic else [])
+    with pytest.raises(ValidationError) as err:
+        planner(sc, sets_of_other_builds[other])
+    assert "cell set" in str(err.value)
+    planner(sc, sets_of_other_builds["own"])
+
+
+def test_baseline_checks_its_cell_set_before_searching(sets_of_other_builds):
+    walled_in = Obstacle(center=(0.0, 3000.0), radius_m=900.0)  # covers the goal node
+    sc = Scenario(mode="static", ship=ShipParams(), start_x_m=0.0, start_y_m=0.0,
+                  start_heading_deg=0.0, dest_x_m=0.0, dest_y_m=3000.0,
+                  circle_radius_m=600.0, cell_resolution_deg=15.0, obstacles=[walled_in])
+    with pytest.raises(ValidationError):
+        grid_baseline_plan(sc, sets_of_other_builds["hull"])
+    with pytest.raises(NoGridPath):
+        grid_baseline_plan(sc, sets_of_other_builds["own"])
+
+
+def test_mirror_twice_restores_fractional_angles():
+    mover = Obstacle(center=(-3000.0, 3000.0), radius_m=600.0,
+                     speed_mps=5.0, course_deg=0.1)
+    sc = Scenario(mode="dynamic", ship=ShipParams(), start_x_m=10.0, start_y_m=0.0,
+                  start_heading_deg=0.1, dest_x_m=0.0, dest_y_m=3000.0,
+                  circle_radius_m=600.0, obstacles=[mover])
+    twice = mirror_scenario(mirror_scenario(sc))
+    assert twice.start_heading_deg == 0.1
+    assert twice.obstacles[0].course_deg == 0.1
+
+
 @st.composite
 def scenarios(draw):
     """Scenarios with moving obstacles, a domain factor and a reach override.
 
-    Angles are whole degrees in [0, 360): the mirror maps h to (-h) % 360,
-    which is exact for them, so mirroring twice restores every bit.
+    Angles are whole degrees in [0, 360); the mirror negates them, so
+    mirroring twice restores every bit.
     """
     coord = st.floats(-1e5, 1e5, allow_nan=False)
     angle = st.integers(0, 359).map(float)
