@@ -13,7 +13,7 @@ import heapq
 import math
 from typing import TYPE_CHECKING, Optional
 
-from .cells import CellSet, generate_cell
+from .cells import MAX_HEADING_CHANGE_DEG, CellSet, generate_cell
 from .errors import NoGridPath
 from .grid import GridNode, compass_bearing, signed_degrees
 from .static_planner import Obstacle, PlanResult, execute_cells, scenario_cells
@@ -157,8 +157,7 @@ def grid_baseline_plan(scenario: "Scenario", cells: Optional[CellSet] = None) ->
         bearing = compass_bearing(pose.position, target)
         desired = round(bearing.degrees / 45.0) * 45.0
         change = signed_degrees(desired - pose.heading.degrees)
-        change = max(-cells.max_heading_change_deg,
-                     min(cells.max_heading_change_deg, change))
+        change = max(-MAX_HEADING_CHANGE_DEG, min(MAX_HEADING_CHANGE_DEG, change))
         cell = cell_for_change(change)
         return cell, cells.nearest_index(cell.heading_change_deg), cell.delta0_deg
 

@@ -28,7 +28,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import NonConvergence, NonPositiveDt, Unreachable
+from .errors import NonConvergence, Unreachable
 from .grid import compass_bearing, wrap_degrees
 from .relation import CubicRelation, RelationSample, fit_poly, invert_relation
 from .ship import ShipParams, ShipState, Trajectory, step, trimmed_state
@@ -102,15 +102,16 @@ class RuleReport:
 
 @dataclass(frozen=True)
 class CellSet:
-    """Cells covering heading changes [-theta_m, +theta_m] at one resolution.
+    """Cells covering heading changes of +-MAX_HEADING_CHANGE_DEG at one resolution.
 
-    The cubic relation is fit on the generated (delta0, heading change)
-    pairs and provides continuous rudder commands between cells.
+    The family is fixed, so the key (hull, radius, resolution, dt) describes
+    the whole set. The cubic relation is fit on the generated (delta0,
+    heading change) pairs and provides continuous rudder commands between
+    cells.
     """
 
     radius_m: float
     cells: tuple[TrajectoryCell, ...]  # ascending heading change
-    max_heading_change_deg: float
     resolution_deg: float
     relation: CubicRelation
     params: ShipParams
@@ -124,7 +125,7 @@ class CellSet:
     def nearest_index(self, heading_change_deg: float, side: int = 0) -> int:
         """Index of the cell for a heading change clamped to the family: side 0
         rounds to the nearest cell, side > 0 rounds up and side < 0 down."""
-        theta_m = self.max_heading_change_deg
+        theta_m = MAX_HEADING_CHANGE_DEG
         x = max(-theta_m, min(theta_m, heading_change_deg)) / self.resolution_deg
         if side > 0:
             k = math.ceil(x - 1e-9)
@@ -291,8 +292,6 @@ def _heading_changes(params: ShipParams, delta0s, radius_m: float,
     max_t gives NaN, where the scalar rollout raises NonConvergence. Each
     delta0 must lie within the rudder limits.
     """
-    if dt <= 0:
-        raise NonPositiveDt(f"dt must be > 0, got {dt}")
     d0 = np.asarray(delta0s, dtype=float)
     out = np.full(d0.size, np.nan)
     st = np.zeros((_RUD + 1, d0.size))
@@ -369,15 +368,14 @@ def check_radius(params: ShipParams, radius_m: float) -> None:
                          f"the hull length ({2 * params.length_m} m)")
 
 
-def check_resolution(resolution_deg: float,
-                     max_heading_change_deg: float = MAX_HEADING_CHANGE_DEG) -> None:
+def check_resolution(resolution_deg: float) -> None:
     """Raise ValueError unless the resolution divides the maximum heading change."""
     if not 1.0 <= resolution_deg <= 15.0:
         raise ValueError(f"resolution must be in [1, 15] deg, got {resolution_deg}")
-    n_steps = max_heading_change_deg / resolution_deg
+    n_steps = MAX_HEADING_CHANGE_DEG / resolution_deg
     if abs(n_steps - round(n_steps)) > 1e-9:
         raise ValueError(
-            f"resolution {resolution_deg} must divide {max_heading_change_deg} evenly"
+            f"resolution {resolution_deg} must divide {MAX_HEADING_CHANGE_DEG} evenly"
         )
 
 
@@ -474,6 +472,7 @@ def generate_cell(params: ShipParams, target_heading_change_deg: float,
     target = target_heading_change_deg
     _check_target(target)
     check_radius(params, radius_m)
+    check_dt(params, dt)
 
     if target == 0.0:
         return _roll_until_crossing(params, 0.0, radius_m, dt)
@@ -552,12 +551,21 @@ def build_cell_set(params: ShipParams, radius_m: float,
     delta0 is solved for all targets together (_solve_delta0s); each cell
     is then rolled once by _roll_until_crossing, so the set equals one built
     target by target with generate_cell.
+
+    The family always spans +-MAX_HEADING_CHANGE_DEG, so the set is fixed
+    by its key (params, radius_m, resolution_deg, dt). max_heading_change_deg
+    is not a setting: any other value raises ValueError. It keeps its place
+    in the signature because perfbench's span recorder keys each build by
+    these bound arguments and drops the fourth by position.
     """
-    check_resolution(resolution_deg, max_heading_change_deg)
-    half = int(round(max_heading_change_deg / resolution_deg))
-    targets = [k * resolution_deg for k in range(-half, half + 1)]
-    _check_target(targets[0])
+    if max_heading_change_deg != MAX_HEADING_CHANGE_DEG:
+        raise ValueError(f"the cell family spans +-{MAX_HEADING_CHANGE_DEG} deg, "
+                         f"got {max_heading_change_deg}")
+    check_resolution(resolution_deg)
     check_radius(params, radius_m)
+    check_dt(params, dt)
+    half = int(round(MAX_HEADING_CHANGE_DEG / resolution_deg))
+    targets = [k * resolution_deg for k in range(-half, half + 1)]
 
     cells = []
     for target, delta0 in zip(targets, _solve_delta0s(params, targets, radius_m, dt)):
@@ -576,7 +584,6 @@ def build_cell_set(params: ShipParams, radius_m: float,
     return CellSet(
         radius_m=radius_m,
         cells=tuple(cells),
-        max_heading_change_deg=max_heading_change_deg,
         resolution_deg=resolution_deg,
         relation=relation,
         params=params,

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .cells import CellSet
+from .cells import MAX_HEADING_CHANGE_DEG, CellSet
 from .errors import (
     LengthMismatch,
     NoFeasibleRadius,
@@ -94,11 +94,10 @@ class VirtualObstacle:
 
     center: Point
     radius_m: float
-    avoid_radius_m: float = 0.0
+    avoid_radius_m: float
 
     def as_obstacle(self) -> Obstacle:
-        return Obstacle(center=self.center,
-                        radius_m=self.avoid_radius_m or self.radius_m)
+        return Obstacle(center=self.center, radius_m=self.avoid_radius_m)
 
 
 def heading_intersection(own: GridNode, obstacle: Obstacle) -> Point:
@@ -328,14 +327,14 @@ def plan_dynamic(scenario: "Scenario", cells: Optional[CellSet] = None) -> PlanR
                 last_classified_heading = pose.heading.degrees
         if force_starboard:
             decision = HeadingDecision(
-                target_bearing_deg=pose.heading.plus(cells.max_heading_change_deg).degrees,
-                heading_change_deg=cells.max_heading_change_deg,
+                target_bearing_deg=pose.heading.plus(MAX_HEADING_CHANGE_DEG).degrees,
+                heading_change_deg=MAX_HEADING_CHANGE_DEG,
                 two_step=True, avoid_side=+1,
             )
         else:
             tracked = (tracked_statics if virtual is None
                        else [*tracked_statics, ("virtual", virtual)])
-            decision = decide_heading(pose, dest, tracked, cells, engagement)
+            decision = decide_heading(pose, dest, tracked, engagement)
             if virtual is not None and "virtual" not in engagement.ids:
                 # bypassed: stage 2 drives home without it
                 virtual = None

@@ -32,21 +32,21 @@ from .grid import signed_degrees, wrap_degrees
 class ShipParams:
     """Hull, rudder, and response-model parameters of the vehicle.
 
-    turn_gain is the steady yaw rate per degree of starboard rudder (1/s);
-    port turns divide it by asymmetry_factor, so the port turning radius is
-    never smaller than starboard. kick_gain scales the adverse sway
-    transient driven by the rudder's rate of change. speed_loss_gain is the
-    fraction of steady speed lost at full starboard rudder.
+    Every field enters the response model or the grid; the defaults describe
+    the paper's 63.6 m vessel, whose 16.4 m beam, 6.22 m draft and 180 rpm
+    propeller the model does not use. turn_gain is the steady yaw rate per
+    degree of starboard rudder (1/s); port turns divide it by
+    asymmetry_factor, so the port turning radius is never smaller than
+    starboard. kick_gain scales the adverse sway transient driven by the
+    rudder's rate of change. speed_loss_gain is the fraction of steady speed
+    lost at full starboard rudder.
     """
 
     length_m: float = 63.6
-    beam_m: float = 16.4
-    draft_m: float = 6.22
     steady_speed_mps: float = 7.7
     rudder_limit_port_deg: float = -35.0
     rudder_limit_stbd_deg: float = 35.0
     rudder_rate_degps: float = 3.0
-    propeller_rpm: float = 180.0  # recorded, inert: speed is held by the governor
     turn_gain: float = 0.126
     turn_lag_s: float = 4.0
     asymmetry_factor: float = 1.13
@@ -139,19 +139,14 @@ def trimmed_state(params: ShipParams, x_m: float = 0.0, y_m: float = 0.0,
                      u_mps=params.steady_speed_mps)
 
 
-def clamp_rudder(params: ShipParams, rudder_command_deg: float) -> tuple[float, bool]:
-    """Clamp a rudder command to the actuator limits.
-
-    Returns (clamped_command, was_clamped). Planners must never exceed the
-    limits by contract, so a True flag indicates a caller bug upstream; the
-    dynamics still accept it gracefully.
-    """
+def clamp_rudder(params: ShipParams, rudder_command_deg: float) -> float:
+    """Clamp a rudder command to the actuator limits."""
     lo, hi = params.rudder_limit_port_deg, params.rudder_limit_stbd_deg
     if rudder_command_deg < lo:
-        return lo, True
+        return lo
     if rudder_command_deg > hi:
-        return hi, True
-    return rudder_command_deg, False
+        return hi
+    return rudder_command_deg
 
 
 def step(state: ShipState, params: ShipParams, rudder_command_deg: float,
@@ -168,7 +163,7 @@ def step(state: ShipState, params: ShipParams, rudder_command_deg: float,
     """
     if dt <= 0:
         raise NonPositiveDt(f"dt must be > 0, got {dt}")
-    cmd, _ = clamp_rudder(params, rudder_command_deg)
+    cmd = clamp_rudder(params, rudder_command_deg)
 
     # rate-limited rudder tracking; delta_move is the exact travel this step
     max_travel = params.rudder_rate_degps * dt
@@ -233,7 +228,7 @@ def simulate_turn(params: ShipParams, rudder_deg: float, duration_s: float,
 
 def steady_turn_radius(params: ShipParams, rudder_deg: float) -> float:
     """Analytic steady turning radius u_ss / omega_ss for a held rudder."""
-    cmd, _ = clamp_rudder(params, rudder_deg)
+    cmd = clamp_rudder(params, rudder_deg)
     if cmd == 0.0:
         return math.inf
     if cmd >= 0.0:

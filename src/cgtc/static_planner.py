@@ -16,7 +16,8 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from .cells import CellSet, TrajectoryCell, cell_library, transform_cell
+from .cells import (MAX_HEADING_CHANGE_DEG, CellSet, TrajectoryCell, cell_library,
+                    transform_cell)
 from .errors import (
     DestinationInsideObstacle,
     InsideObstacle,
@@ -132,20 +133,17 @@ def is_bypassed(pose: GridNode, obstacle: Obstacle, destination: Point) -> bool:
     return abs(dest_bearing.diff_from(center_bearing)) >= half_deg
 
 
-def _aim(pose: GridNode, bearing: CompassAngle, cells: CellSet,
-         side: int = 0) -> HeadingDecision:
+def _aim(pose: GridNode, bearing: CompassAngle, side: int = 0) -> HeadingDecision:
     """Pursue a bearing, capping the turn at the cell family's maximum."""
     diff = bearing.diff_from(pose.heading)
-    theta_m = cells.max_heading_change_deg
-    two_step = abs(diff) > theta_m
-    change = math.copysign(theta_m, diff) if two_step else diff
+    two_step = abs(diff) > MAX_HEADING_CHANGE_DEG
+    change = math.copysign(MAX_HEADING_CHANGE_DEG, diff) if two_step else diff
     return HeadingDecision(bearing.degrees, change, two_step, avoid_side=side)
 
 
-def select_heading_free(pose: GridNode, destination: Point,
-                        cells: CellSet) -> HeadingDecision:
+def select_heading_free(pose: GridNode, destination: Point) -> HeadingDecision:
     """Free-water decision: aim at the destination, capped at the max turn."""
-    return _aim(pose, compass_bearing(pose.position, destination), cells)
+    return _aim(pose, compass_bearing(pose.position, destination))
 
 
 @dataclass
@@ -163,7 +161,7 @@ class Engagement:
 
 def decide_heading(pose: GridNode, destination: Point,
                    tracked: list[tuple[object, Obstacle]],
-                   cells: CellSet, engagement: Engagement) -> HeadingDecision:
+                   engagement: Engagement) -> HeadingDecision:
     """One planning decision via the extreme-tangency comparison.
 
     Takes the tangent bearings of every tracked obstacle still blocking the
@@ -180,7 +178,7 @@ def decide_heading(pose: GridNode, destination: Point,
     if not blocking:
         engagement.side = None
         engagement.ids = frozenset()
-        return select_heading_free(pose, destination, cells)
+        return select_heading_free(pose, destination)
 
     dest_bearing = compass_bearing(pose.position, destination)
     tangents = [tangent_angles(pose.position, o) for _, o in blocking]
@@ -198,7 +196,7 @@ def decide_heading(pose: GridNode, destination: Point,
     else:
         chosen_diff = max(right_diffs) if engagement.side > 0 else min(left_diffs)
     side = engagement.side
-    decision = _aim(pose, dest_bearing.plus(chosen_diff), cells, side)
+    decision = _aim(pose, dest_bearing.plus(chosen_diff), side)
     # While tracking, only ever turn further away from the obstacle: hold
     # the heading when it already clears the committed-side tangent (the
     # re-aim commands decay to nothing as the path converges onto the
@@ -211,9 +209,9 @@ def decide_heading(pose: GridNode, destination: Point,
 
 
 def select_heading_static(pose: GridNode, destination: Point,
-                          obstacles: list[Obstacle], cells: CellSet) -> HeadingDecision:
+                          obstacles: list[Obstacle]) -> HeadingDecision:
     """decide_heading with no avoidance episode in progress."""
-    return decide_heading(pose, destination, list(enumerate(obstacles)), cells, Engagement())
+    return decide_heading(pose, destination, list(enumerate(obstacles)), Engagement())
 
 
 def pick_cell(decision: HeadingDecision,
@@ -368,7 +366,7 @@ def plan_static(scenario: "Scenario", cells: Optional[CellSet] = None) -> PlanRe
     tracked = list(enumerate(obstacles))
 
     def next_cell(pose: GridNode, t: float):
-        decision = decide_heading(pose, dest, tracked, cells, engagement)
+        decision = decide_heading(pose, dest, tracked, engagement)
         return pick_cell(decision, cells)
 
     return execute_cells(scenario, next_cell, obstacles)

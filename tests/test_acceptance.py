@@ -9,6 +9,7 @@ import random
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cgtc.cells import build_cell_set, transform_cell, validate_rules
@@ -241,15 +242,14 @@ def test_c10_geometry_oracles():
         left, right = tangent_angles((px, py), obstacle)
 
         center_bearing = compass_bearing((px, py), (cx, cy))
-        lo = hi = 0.0
-        a = -180.0
-        while a <= 180.0:
-            bx = cx + r * math.sin(math.radians(a))
-            by = cy + r * math.cos(math.radians(a))
-            diff = compass_bearing((px, py), (bx, by)).diff_from(center_bearing)
-            lo = min(lo, diff)
-            hi = max(hi, diff)
-            a += 0.01
+        # the boundary at 0.01 deg steps, seen from the point: each bearing
+        # wrapped to [0, 360), then signed from the centre bearing
+        a = np.radians(-180.0 + 0.01 * np.arange(36001))
+        bearing = np.degrees(np.arctan2(cx + r * np.sin(a) - px,
+                                        cy + r * np.cos(a) - py)) % 360.0
+        diff = (bearing - center_bearing.degrees) % 360.0
+        diff = np.where(diff > 180.0, diff - 360.0, diff)
+        lo, hi = min(0.0, float(diff.min())), max(0.0, float(diff.max()))
         assert abs(left.diff_from(center_bearing.plus(lo))) < 0.02
         assert abs(right.diff_from(center_bearing.plus(hi))) < 0.02
 

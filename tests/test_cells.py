@@ -1,5 +1,6 @@
 """Trajectory cell generation: rules, solving, splicing, relation fit."""
 
+import functools
 import math
 import random
 import weakref
@@ -90,8 +91,8 @@ def _cell_set_from_generate_cell(params, radius, resolution):
                   for k in range(-half, half + 1))
     relation, _ = fit_poly([RelationSample(c.delta0_deg, c.heading_change_deg)
                             for c in cells], 3)
-    return CellSet(radius_m=radius, cells=cells, max_heading_change_deg=90.0,
-                   resolution_deg=resolution, relation=relation, params=params, dt_s=0.5)
+    return CellSet(radius_m=radius, cells=cells, resolution_deg=resolution,
+                   relation=relation, params=params, dt_s=0.5)
 
 
 @pytest.mark.parametrize("resolution", [5.0, 2.0])
@@ -213,9 +214,15 @@ ODD_HULL = ShipParams(steady_speed_mps=9.1, turn_gain=0.15, asymmetry_factor=1.2
                       rudder_limit_port_deg=-33.0)
 
 
-@pytest.fixture(scope="module")
-def odd_hull_cells():
-    return build_cell_set(ODD_HULL, 520.0, 15.0)
+@functools.cache
+def _placement_sets():
+    """The default hull's 600 m, 5 deg set and the odd hull's 520 m, 15 deg set.
+
+    Built once per session here rather than taken as fixtures: Hypothesis
+    pretty-prints a test's fixture arguments, every sample of every cell,
+    once per explicit example.
+    """
+    return build_cell_set(ShipParams(), 600.0, 5.0), build_cell_set(ODD_HULL, 520.0, 15.0)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -232,9 +239,9 @@ edge_headings = st.sampled_from([0.0, -0.0, -1e-13, 1e-13, 359.99999999999994,
 @example(origin_x=1e6, origin_y=-1e6, heading=360.0, pick=18, odd_hull=True)
 @example(origin_x=0.0, origin_y=0.0, heading=-720.0, pick=5, odd_hull=True)
 @example(origin_x=0.0, origin_y=0.0, heading=720.0, pick=30, odd_hull=False)
-def test_transform_cell_matches_scalar_placement(cells600, odd_hull_cells, origin_x,
-                                                 origin_y, heading, pick, odd_hull):
-    cells = (odd_hull_cells if odd_hull else cells600).cells
+def test_transform_cell_matches_scalar_placement(origin_x, origin_y, heading, pick,
+                                                 odd_hull):
+    cells = _placement_sets()[odd_hull].cells
     cell = cells[pick % len(cells)]
     placed = transform_cell(cell, origin_x, origin_y, heading)
     expected = _transform_cell_scalar(cell, origin_x, origin_y, heading)
@@ -249,9 +256,8 @@ def test_transform_cell_matches_scalar_placement(cells600, odd_hull_cells, origi
 @example(origin_x=-0.0, origin_y=0.0, heading=359.99999999999994, pick=36, odd_hull=False)
 @example(origin_x=0.0, origin_y=0.0, heading=-720.0, pick=5, odd_hull=True)
 @example(origin_x=0.0, origin_y=0.0, heading=-1e-20, pick=18, odd_hull=False)
-def test_placed_columns_are_the_states(cells600, odd_hull_cells, origin_x, origin_y,
-                                       heading, pick, odd_hull):
-    cells = (odd_hull_cells if odd_hull else cells600).cells
+def test_placed_columns_are_the_states(origin_x, origin_y, heading, pick, odd_hull):
+    cells = _placement_sets()[odd_hull].cells
     cell = cells[pick % len(cells)]
     placed = transform_cell(cell, origin_x, origin_y, heading)
     assert "_states" not in vars(placed) and not placed.columns.flags.writeable
@@ -343,6 +349,24 @@ def test_precondition_validation(params):
         build_cell_set(params, 600.0, 0.5)
     with pytest.raises(ValueError):
         build_cell_set(params, 600.0, 7.0)  # does not divide 180 evenly
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.5, 4.0, 5.0, math.nan])
+def test_unusable_dt_rejected_before_any_rollout(params, dt):
+    # 4 s is the default hull's shortest lag; a NaN step would never cross
+    # the circle nor reach the rollout's time bound
+    with pytest.raises(ValueError, match="dt must be positive and below"):
+        generate_cell(params, 30.0, 600.0, dt=dt)
+    with pytest.raises(ValueError, match="dt must be positive and below"):
+        build_cell_set(params, 600.0, 15.0, dt=dt)
+
+
+@pytest.mark.parametrize("theta_m", [45.0, 60.0, 180.0])
+def test_cell_family_width_is_fixed(params, theta_m):
+    with pytest.raises(ValueError, match="spans"):
+        build_cell_set(params, 600.0, 15.0, max_heading_change_deg=theta_m)
+    with pytest.raises(ValueError, match="spans"):
+        build_cell_set(params, 600.0, 15.0, theta_m)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

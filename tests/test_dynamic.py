@@ -10,6 +10,7 @@ from cgtc import dynamic_planner as dynamic_mod
 from cgtc.cells import cell_library
 from cgtc.dynamic_planner import (
     EncounterClass,
+    VirtualObstacle,
     classify_encounter,
     heading_intersection,
     make_encounter,
@@ -153,6 +154,13 @@ class TestVirtualObstacleRadius:
             v = virtual_obstacle_radius(self.must_steer_encounter(vo))
             assert v.radius_m >= prev - 1e-9
             prev = v.radius_m
+
+    def test_planner_disc_is_the_avoid_radius(self):
+        v = virtual_obstacle_radius(self.must_steer_encounter())
+        assert v.radius_m < v.avoid_radius_m
+        assert v.as_obstacle() == Obstacle(center=v.center, radius_m=v.avoid_radius_m)
+        with pytest.raises(TypeError):
+            VirtualObstacle(center=v.center, radius_m=v.radius_m)
 
     def test_transit_length_identity(self):
         """The angle and length constructions must agree: the critical own

@@ -166,6 +166,10 @@ class TestScenarioFiles:
         ({"sim": {"cell_resolution_deg": 12.0}}, "cell_resolution_deg"),
         ({"reach_tolerance_m": 0.0}, "reach_tolerance_m"),
         ({"reach_tolerance_m": -5.0}, "reach_tolerance_m"),
+        # hull particulars the model does not read are unknown fields
+        ({"ship": {"draft_m": 6.0}}, "unknown field(s) ['draft_m']"),
+        ({"ship": {"beam_m": 16.4}}, "unknown field(s) ['beam_m']"),
+        ({"ship": {"propeller_rpm": 180.0}}, "unknown field(s) ['propeller_rpm']"),
     ])
     def test_cell_arguments_rejected(self, tmp_path, change, field):
         data = {**GOOD_SCENARIO, **change}

@@ -51,12 +51,11 @@ def test_non_positive_dt_rejected(params):
 
 
 def test_command_clamping_reported(params):
-    cmd, clamped = clamp_rudder(params, 50.0)
-    assert cmd == params.rudder_limit_stbd_deg and clamped
-    cmd, clamped = clamp_rudder(params, -50.0)
-    assert cmd == params.rudder_limit_port_deg and clamped
-    cmd, clamped = clamp_rudder(params, 10.0)
-    assert cmd == 10.0 and not clamped
+    assert clamp_rudder(params, 50.0) == params.rudder_limit_stbd_deg
+    assert clamp_rudder(params, -50.0) == params.rudder_limit_port_deg
+    assert clamp_rudder(params, 10.0) == 10.0
+    assert math.copysign(1.0, clamp_rudder(params, -0.0)) == -1.0
+    assert math.isnan(clamp_rudder(params, math.nan))
     # step accepts an out-of-range command without raising
     st = step(trimmed_state(params), params, 90.0, 1.0)
     assert st.rudder_deg <= params.rudder_limit_stbd_deg

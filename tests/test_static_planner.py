@@ -82,44 +82,44 @@ class TestTangentAngles:
 
 
 class TestSelectHeadingFree:
-    def test_straight_ahead(self, cells600):
+    def test_straight_ahead(self):
         pose = GridNode(position=(0.0, 0.0), heading=CompassAngle(0.0))
-        d = select_heading_free(pose, (0.0, 5000.0), cells600)
+        d = select_heading_free(pose, (0.0, 5000.0))
         assert d.heading_change_deg == pytest.approx(0.0, abs=1e-12)
         assert not d.two_step
 
-    def test_one_step_at_37(self, cells600):
+    def test_one_step_at_37(self):
         pose = GridNode(position=(0.0, 0.0), heading=CompassAngle(0.0))
         target = (5000.0 * math.sin(math.radians(37)), 5000.0 * math.cos(math.radians(37)))
-        d = select_heading_free(pose, target, cells600)
+        d = select_heading_free(pose, target)
         assert d.heading_change_deg == pytest.approx(37.0, abs=1e-9)
         assert not d.two_step
 
-    def test_two_step_beyond_max(self, cells600):
+    def test_two_step_beyond_max(self):
         pose = GridNode(position=(0.0, 0.0), heading=CompassAngle(0.0))
         target = (5000.0 * math.sin(math.radians(135)), 5000.0 * math.cos(math.radians(135)))
-        d = select_heading_free(pose, target, cells600)
+        d = select_heading_free(pose, target)
         assert d.heading_change_deg == pytest.approx(90.0)
         assert d.two_step
 
 
 class TestSelectHeadingStatic:
-    def test_reduces_to_free_without_obstacles(self, cells600):
+    def test_reduces_to_free_without_obstacles(self):
         pose = GridNode(position=(0.0, 0.0), heading=CompassAngle(10.0))
         dest = (3000.0, 4000.0)
-        a = select_heading_static(pose, dest, [], cells600)
-        b = select_heading_free(pose, dest, cells600)
+        a = select_heading_static(pose, dest, [])
+        b = select_heading_free(pose, dest)
         assert a == b
 
-    def test_symmetric_obstacle_tie_breaks_starboard(self, cells600):
+    def test_symmetric_obstacle_tie_breaks_starboard(self):
         pose = GridNode(position=(0.0, 0.0), heading=CompassAngle(0.0))
         obstacle = Obstacle(center=(0.0, 2000.0), radius_m=500.0)
-        d = select_heading_static(pose, (0.0, 4000.0), [obstacle], cells600)
+        d = select_heading_static(pose, (0.0, 4000.0), [obstacle])
         expect = math.degrees(math.asin(500.0 / 2000.0))
         assert d.heading_change_deg == pytest.approx(expect, abs=1e-6)
         assert d.avoid_side == +1
 
-    def test_multi_obstacle_start_matches_brute_force(self, cells600):
+    def test_multi_obstacle_start_matches_brute_force(self):
         """Every tangent bearing of every blocking obstacle is a candidate;
         the planner must pick the extreme one nearest the destination bearing."""
         pose = GridNode(position=(0.0, 0.0), heading=CompassAngle(0.0))
@@ -134,11 +134,11 @@ class TestSelectHeadingStatic:
                 diffs.append(tangent.diff_from(dest_bearing))
         port_most, stbd_most = min(diffs), max(diffs)
         expected = port_most if abs(port_most) < abs(stbd_most) else stbd_most
-        d = select_heading_static(pose, dest, obstacles, cells600)
+        d = select_heading_static(pose, dest, obstacles)
         chosen_diff = signed_degrees(d.target_bearing_deg - dest_bearing.degrees)
         assert chosen_diff == pytest.approx(expected, abs=0.1)
 
-    def test_each_obstacle_screened_once_per_decision(self, monkeypatch, cells600):
+    def test_each_obstacle_screened_once_per_decision(self, monkeypatch):
         screened = []
         real_bypassed = static_mod.is_bypassed
 
@@ -154,7 +154,7 @@ class TestSelectHeadingStatic:
         engagement = Engagement()
         pose = GridNode(position=(0.0, 0.0), heading=CompassAngle(0.0))
         for _ in range(2):  # a fresh episode, then the committed side
-            decide_heading(pose, (400.0, 6400.0), tracked, cells600, engagement)
+            decide_heading(pose, (400.0, 6400.0), tracked, engagement)
             assert screened == obstacles
             screened.clear()
         assert engagement.ids == frozenset({0, 1})
@@ -257,7 +257,7 @@ class TestPlanStatic:
         dest = (sc.dest_x_m, sc.dest_y_m)
         dists = []
         for node, nxt in zip(res.nodes, res.nodes[1:]):
-            decision = decide_heading(node, dest, tracked, cells600, engagement)
+            decision = decide_heading(node, dest, tracked, engagement)
             if engagement.side is None:
                 break  # obstacle bypassed: tracking episode over
             ray = math.radians(decision.target_bearing_deg)
