@@ -16,25 +16,24 @@ bisection against the heading change measured at the circle crossing. The
 switch instant is located inside an integration step (split step) to keep
 that function continuous in delta0. A cell set solves all of its targets
 together: the bisection probes of every target are rolled in lockstep as
-numpy lanes, with the same arithmetic as the scalar rollout.
+numpy lanes, with the same arithmetic as the scalar rollout, several
+bisection levels per pass. The solved delta0s are then rolled once more in
+one recorded lockstep pass, which gives each cell its samples: a cell keeps
+them as a ship.Trajectory over its own (7, n) array, never as ShipStates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 
 import numpy as np
 
 from .errors import NonConvergence, Unreachable
 from .grid import compass_bearing, wrap_degrees
 from .relation import CubicRelation, RelationSample, fit_poly, invert_relation
-from .ship import ShipParams, ShipState, Trajectory, step, trimmed_state
-
-# one ShipState's fields in constructor order
-_STATE_FIELDS = attrgetter(*(f.name for f in fields(ShipState)))
+from .ship import ShipParams, Trajectory, step, trimmed_state
 
 MAX_HEADING_CHANGE_DEG = 90.0
 DEFAULT_RESOLUTION_DEG = 5.0
@@ -50,17 +49,32 @@ YAW_SETTLE_FRAC = 0.01
 CELL_TARGET_TOL_DEG = 0.2
 _SOLVE_TOL_DEG = 0.02
 _MAX_BISECTIONS = 80
+# Bisection levels that one _solve_delta0s pass rolls ahead for each target.
+# A pass costs mostly numpy call overhead, not lanes: 4 levels (15 probes
+# per target) solve a set in 3 passes where 2 levels took 6. Measured over
+# the benchmark's cold-scene sets, 3 levels were about as fast and 5 or 6
+# slower.
+_LEVELS_PER_PASS = 4
 
 _RULE1_SPEED_FRAC = 0.001
 _RULE3_RADIUS_FRAC = 0.005
 _RUDDER_EPS_DEG = 1e-9
 
+# Rows of a (7, n) state array (ship.Trajectory.columns and the lanes rolled
+# by _heading_changes), in ShipState field order.
+_X, _Y, _HDG, _U, _V, _R, _RUD = range(7)
+
 
 @dataclass(frozen=True)
 class TrajectoryCell:
-    """One standardized maneuver in the ship frame (start at origin, heading 0)."""
+    """One standardized maneuver in the ship frame (start at origin, heading 0).
 
-    samples: tuple[ShipState, ...]
+    samples is a Trajectory over the cell's own read-only (7, n) array, so
+    a cell holds no ShipState; one is built only when a caller indexes or
+    iterates the samples.
+    """
+
+    samples: Trajectory
     sample_times_s: tuple[float, ...]
     delta0_deg: float
     heading_change_deg: float
@@ -71,18 +85,30 @@ class TrajectoryCell:
     radius_m: float
 
     @cached_property
-    def _columns(self) -> np.ndarray:
-        """The samples as a (7, n) float64 array, one row per ShipState field.
+    def _times(self) -> np.ndarray:
+        """sample_times_s as a float64 array.
 
         Cached on the instance, not a dataclass field, so ==, hash and repr
         are unchanged.
         """
-        return np.array(list(zip(*map(_STATE_FIELDS, self.samples))), dtype=np.float64)
-
-    @cached_property
-    def _times(self) -> np.ndarray:
-        """sample_times_s as a float64 array, cached like _columns."""
         return np.array(self.sample_times_s, dtype=np.float64)
+
+
+def _cell(columns: np.ndarray, times: list[float], delta0: float,
+          heading_change: float, arc: float, radius_m: float) -> TrajectoryCell:
+    """The cell of one rollout: its sample columns and times, ending on the circle."""
+    offset = (float(columns[_X, -1]), float(columns[_Y, -1]))
+    return TrajectoryCell(
+        samples=Trajectory(columns),
+        sample_times_s=tuple(times),
+        delta0_deg=delta0,
+        heading_change_deg=heading_change,
+        end_offset=offset,
+        central_angle_deg=compass_bearing((0.0, 0.0), offset).degrees,
+        arc_length_m=arc,
+        duration_s=times[-1],
+        radius_m=radius_m,
+    )
 
 
 @dataclass(frozen=True)
@@ -203,30 +229,20 @@ def _roll_until_crossing(params: ShipParams, delta0: float, radius_m: float,
         if d >= radius_m:
             w = 1.0 if d == d_prev else (radius_m - d_prev) / (d - d_prev)
             hc_end = hc + w * step_dt * st.yaw_rate_degps
-            end = ShipState(
-                x_m=st.x_m + w * (new.x_m - st.x_m),
-                y_m=st.y_m + w * (new.y_m - st.y_m),
-                heading_deg=wrap_degrees(hc_end),
-                u_mps=st.u_mps + w * (new.u_mps - st.u_mps),
-                v_mps=st.v_mps + w * (new.v_mps - st.v_mps),
-                yaw_rate_degps=st.yaw_rate_degps + w * (new.yaw_rate_degps - st.yaw_rate_degps),
-                rudder_deg=st.rudder_deg + w * (new.rudder_deg - st.rudder_deg),
-            )
-            arc += math.hypot(end.x_m - st.x_m, end.y_m - st.y_m)
-            samples.append(end)
+            rows = [(s.x_m, s.y_m, s.heading_deg, s.u_mps, s.v_mps, s.yaw_rate_degps,
+                     s.rudder_deg) for s in samples]
+            # the end sample, its heading wrapped twice as a ShipState of it would be
+            rows.append((st.x_m + w * (new.x_m - st.x_m),
+                         st.y_m + w * (new.y_m - st.y_m),
+                         wrap_degrees(wrap_degrees(hc_end)),
+                         st.u_mps + w * (new.u_mps - st.u_mps),
+                         st.v_mps + w * (new.v_mps - st.v_mps),
+                         st.yaw_rate_degps + w * (new.yaw_rate_degps - st.yaw_rate_degps),
+                         st.rudder_deg + w * (new.rudder_deg - st.rudder_deg)))
+            arc += math.hypot(rows[-1][_X] - st.x_m, rows[-1][_Y] - st.y_m)
             times.append(t + w * step_dt)
-            offset = (end.x_m, end.y_m)
-            return TrajectoryCell(
-                samples=tuple(samples),
-                sample_times_s=tuple(times),
-                delta0_deg=delta0,
-                heading_change_deg=hc_end,
-                end_offset=offset,
-                central_angle_deg=compass_bearing((0.0, 0.0), offset).degrees,
-                arc_length_m=arc,
-                duration_s=times[-1],
-                radius_m=radius_m,
-            )
+            return _cell(np.array(rows, dtype=np.float64).T.copy(), times, delta0,
+                         hc_end, arc, radius_m)
 
         hc += step_dt * st.yaw_rate_degps
         t += step_dt
@@ -241,11 +257,9 @@ def _roll_until_crossing(params: ShipParams, delta0: float, radius_m: float,
             )
 
 
-# Row layouts of the lane arrays rolled by _heading_changes: the ship state
-# in ShipState field order, and each lane's bookkeeping (heading change and
+# Rows of each lane's bookkeeping in _heading_changes: heading change and
 # time so far, delta0, turn sign, settle threshold, Posture Adjustment flag,
-# index in the caller's delta0 list).
-_X, _Y, _HDG, _U, _V, _R, _RUD = range(7)
+# index in the caller's delta0 list.
 _HC, _T, _D0, _SIGN, _THRESH, _ADJ, _LANE = range(7)
 
 
@@ -281,14 +295,29 @@ def _step_lanes(params: ShipParams, st: np.ndarray, cmd, dt) -> np.ndarray:
     return new
 
 
-def _heading_changes(params: ShipParams, delta0s, radius_m: float,
-                     dt: float) -> np.ndarray:
+class _Recording:
+    """The samples a recorded _heading_changes pass keeps.
+
+    After each step, the states of the lanes still inside the circle with
+    their times and lane indices; at each lane's crossing, its end sample
+    interpolated onto the circle and the time of that sample.
+    """
+
+    def __init__(self, n_lanes: int):
+        self.steps: list[tuple[np.ndarray, np.ndarray]] = []  # (states, [times; lanes])
+        self.end = np.empty((_RUD + 1, n_lanes))
+        self.end_t = np.empty(n_lanes)
+
+
+def _heading_changes(params: ShipParams, delta0s, radius_m: float, dt: float,
+                     record: _Recording | None = None) -> np.ndarray:
     """Heading change at the circle crossing for each delta0, rolled in lockstep.
 
     Lane i repeats _roll_until_crossing(params, delta0s[i], radius_m, dt)
     in the same order of operations (rate-limited rudder, split step at the
     settle instant, interpolation onto the circle) and returns its
-    heading_change_deg bit for bit. A lane still inside the circle after
+    heading_change_deg bit for bit; with a record, it also keeps every
+    sample of that rollout there. A lane still inside the circle after
     max_t gives NaN, where the scalar rollout raises NonConvergence. Each
     delta0 must lie within the rudder limits.
     """
@@ -347,7 +376,12 @@ def _heading_changes(params: ShipParams, delta0s, radius_m: float,
                 d_prev = math.hypot(st[_X, i], st[_Y, i])
                 w = 1.0 if d == d_prev else (radius_m - d_prev) / (d - d_prev)
                 lane_dt = step_dt if np.isscalar(step_dt) else float(step_dt[i])
-                out[int(aux[_LANE, i])] = float(aux[_HC, i]) + w * lane_dt * float(st[_R, i])
+                lane = int(aux[_LANE, i])
+                out[lane] = hc_end = float(aux[_HC, i]) + w * lane_dt * float(st[_R, i])
+                if record is not None:
+                    record.end[:, lane] = st[:, i] + w * (new[:, i] - st[:, i])
+                    record.end[_HDG, lane] = wrap_degrees(wrap_degrees(hc_end))
+                    record.end_t[lane] = aux[_T, i] + w * lane_dt
 
         aux[_HC] += step_dt * st[_R]
         aux[_T] += step_dt
@@ -358,7 +392,48 @@ def _heading_changes(params: ShipParams, delta0s, radius_m: float,
         if done.any():
             st, aux = st[:, ~done], aux[:, ~done]
             n_adjusting = int(np.count_nonzero(aux[_ADJ]))
+        if record is not None:
+            record.steps.append((st, aux[[_T, _LANE]]))
     return out
+
+
+def _lane_cells(params: ShipParams, delta0s: list[float], radius_m: float,
+                dt: float) -> list[TrajectoryCell | None]:
+    """The cell of each delta0, from one recorded lockstep pass.
+
+    Each cell equals _roll_until_crossing's bit for bit: the lanes give its
+    states, times, end sample and heading change, and its arc length sums
+    math.hypot of the sample-to-sample steps left to right, as the scalar
+    loop does. Every cell owns a compact array; the recording is dropped on
+    return. A lane that did not cross in time gives None.
+    """
+    record = _Recording(len(delta0s))
+    heading_changes = _heading_changes(params, delta0s, radius_m, dt, record).tolist()
+    states = np.concatenate([s for s, _ in record.steps], axis=1)
+    times, lanes = np.concatenate([tl for _, tl in record.steps], axis=1)
+    by_lane = np.argsort(lanes, kind="stable")  # each lane's samples in step order
+    states, times = states[:, by_lane], times[by_lane]
+    counts = np.bincount(lanes.astype(np.intp), minlength=len(delta0s)).tolist()
+    start = np.zeros(_RUD + 1)  # the trimmed state
+    start[_U] = params.steady_speed_mps
+
+    cells: list[TrajectoryCell | None] = []
+    k1 = 0
+    for lane, (delta0, hc, n) in enumerate(zip(delta0s, heading_changes, counts)):
+        k0, k1 = k1, k1 + n
+        if math.isnan(hc):
+            cells.append(None)
+            continue
+        columns = np.empty((_RUD + 1, n + 2))
+        columns[:, 0] = start
+        columns[:, 1:-1] = states[:, k0:k1]
+        columns[:, -1] = record.end[:, lane]
+        arc = 0.0
+        for d in map(math.hypot, *np.diff(columns[:2]).tolist()):
+            arc += d
+        cells.append(_cell(columns, [0.0, *times[k0:k1].tolist(), float(record.end_t[lane])],
+                           delta0, hc, arc, radius_m))
+    return cells
 
 
 def check_radius(params: ShipParams, radius_m: float) -> None:
@@ -434,10 +509,19 @@ class _Bisection:
         """The next |delta0| to roll."""
         return 0.5 * (self.lo + self.hi)
 
-    def next_two_levels(self) -> tuple[float, float, float]:
-        """This level's probe and both candidates for the level after it."""
-        mid = self.probe()
-        return mid, 0.5 * (self.lo + mid), 0.5 * (mid + self.hi)
+    def next_levels(self, levels: int) -> list[float]:
+        """Every |delta0| the next `levels` probes can be: this level's probe
+        and the subtree of candidates below it, 2**levels - 1 in all."""
+        probes = []
+        brackets = [(self.lo, self.hi)]
+        for _ in range(levels):
+            below = []
+            for lo, hi in brackets:
+                mid = 0.5 * (lo + hi)
+                probes.append(mid)
+                below += [(lo, mid), (mid, hi)]
+            brackets = below
+        return probes
 
     def record(self, mag: float, heading_change: float,
                cell: TrajectoryCell | None = None) -> None:
@@ -495,10 +579,10 @@ def _solve_delta0s(params: ShipParams, targets: list[float], radius_m: float,
                    dt: float) -> list[float]:
     """delta0 of every target, all bisections advancing together.
 
-    Each pass rolls, for every unsolved target, this level's probe and both
-    candidates for the next one, and advances each bisection by two levels;
-    equal probes of different targets share a lane, and the full-rudder
-    rollout of each side rides along the first pass. The probe sequence of
+    Each pass rolls, for every unsolved target, the subtree of its next
+    _LEVELS_PER_PASS probes, and advances each bisection by that many
+    levels; equal probes of different targets share a lane, and the
+    full-rudder rollout of each side rides along the first pass. The probe sequence of
     each target is therefore exactly generate_cell's. Raises the error of
     the lowest failing target, as a target-by-target loop would.
     """
@@ -512,8 +596,8 @@ def _solve_delta0s(params: ShipParams, targets: list[float], radius_m: float,
     errors: dict[float, Exception] = {}
     active = solves
     while active:
-        lanes = list(dict.fromkeys([*full_rudder, *(b.sign * mag for b in active
-                                                   for mag in b.next_two_levels())]))
+        probes = (b.sign * mag for b in active for mag in b.next_levels(_LEVELS_PER_PASS))
+        lanes = list(dict.fromkeys([*full_rudder, *probes]))
         hc = dict(zip(lanes, _heading_changes(params, lanes, radius_m, dt).tolist()))
         if full_rudder:
             for n, solve in enumerate(active):
@@ -526,7 +610,7 @@ def _solve_delta0s(params: ShipParams, targets: list[float], radius_m: float,
             full_rudder = []
         for solve in active:
             try:
-                for _ in range(2):
+                for _ in range(_LEVELS_PER_PASS):
                     mag = solve.probe()
                     solve.record(mag, measured(solve.sign * mag, hc[solve.sign * mag]))
                     if solve.result is not None:
@@ -548,9 +632,11 @@ def build_cell_set(params: ShipParams, radius_m: float,
                    dt: float = DEFAULT_DT_S) -> CellSet:
     """Generate the full cell family and fit its rudder/heading relation.
 
-    delta0 is solved for all targets together (_solve_delta0s); each cell
-    is then rolled once by _roll_until_crossing, so the set equals one built
-    target by target with generate_cell.
+    delta0 is solved for all targets together (_solve_delta0s), and the
+    solved delta0s are rolled once more in one recorded lockstep pass that
+    gives every cell (_lane_cells), so the set equals one built target by
+    target with generate_cell. Only a lane that did not cross in time is
+    rolled again by _roll_until_crossing, which raises NonConvergence.
 
     The family always spans +-MAX_HEADING_CHANGE_DEG, so the set is fixed
     by its key (params, radius_m, resolution_deg, dt). max_heading_change_deg
@@ -567,12 +653,16 @@ def build_cell_set(params: ShipParams, radius_m: float,
     half = int(round(MAX_HEADING_CHANGE_DEG / resolution_deg))
     targets = [k * resolution_deg for k in range(-half, half + 1)]
 
+    delta0s = _solve_delta0s(params, targets, radius_m, dt)
     cells = []
-    for target, delta0 in zip(targets, _solve_delta0s(params, targets, radius_m, dt)):
-        try:
-            cells.append(_roll_until_crossing(params, delta0, radius_m, dt))
-        except NonConvergence as exc:
-            raise _target_error(target, exc) from exc
+    for target, delta0, cell in zip(targets, delta0s,
+                                    _lane_cells(params, delta0s, radius_m, dt)):
+        if cell is None:  # the lane did not cross in time: the scalar rollout raises
+            try:
+                cell = _roll_until_crossing(params, delta0, radius_m, dt)
+            except NonConvergence as exc:
+                raise _target_error(target, exc) from exc
+        cells.append(cell)
 
     pairs = [RelationSample(c.delta0_deg, c.heading_change_deg) for c in cells]
     relation, _ = fit_poly(pairs, 3)
@@ -618,17 +708,18 @@ def cell_library(params: ShipParams, radius_m: float,
 
 def validate_rules(cell: TrajectoryCell, params: ShipParams) -> RuleReport:
     """Measure a cell against the three standardization rules."""
-    first, last = cell.samples[0], cell.samples[-1]
+    columns = cell.samples.columns
+    first, last = columns[:, 0].tolist(), columns[:, -1].tolist()
     u0 = params.steady_speed_mps
-    speed_err = abs(last.u_mps - u0) / u0
+    speed_err = abs(last[_U] - u0) / u0
     rule1 = (
-        abs(first.rudder_deg) <= _RUDDER_EPS_DEG
-        and abs(last.rudder_deg) <= _RUDDER_EPS_DEG
-        and abs(first.u_mps - u0) / u0 <= _RULE1_SPEED_FRAC
+        abs(first[_RUD]) <= _RUDDER_EPS_DEG
+        and abs(last[_RUD]) <= _RUDDER_EPS_DEG
+        and abs(first[_U] - u0) / u0 <= _RULE1_SPEED_FRAC
         and speed_err <= _RULE1_SPEED_FRAC
     )
 
-    steering = _count_steerings([s.rudder_deg for s in cell.samples])
+    steering = _count_steerings(columns[_RUD].tolist())
     rule2 = steering <= 1
 
     dist = math.hypot(*cell.end_offset)
@@ -637,7 +728,7 @@ def validate_rules(cell: TrajectoryCell, params: ShipParams) -> RuleReport:
 
     return RuleReport(
         rule1_ok=rule1, rule2_ok=rule2, rule3_ok=rule3,
-        end_rudder_deg=last.rudder_deg,
+        end_rudder_deg=last[_RUD],
         speed_error_frac=speed_err,
         steering_count=steering,
         radius_error_frac=radius_err,
@@ -679,7 +770,7 @@ def transform_cell(cell: TrajectoryCell, origin_x: float, origin_y: float,
                    origin_heading_deg: float) -> Trajectory:
     """Place a ship-frame cell at a world pose (rotate by heading, translate).
 
-    The placement runs on the cell's cached columns as whole-array
+    The placement runs on the cell's sample columns as whole-array
     expressions with the per-sample arithmetic in the same order, so every
     sample is bit-equal to placing the samples one at a time. The heading
     is wrapped twice, as ShipState wraps a wrapped sum once more: a sum just
@@ -687,7 +778,7 @@ def transform_cell(cell: TrajectoryCell, origin_x: float, origin_y: float,
     """
     h = math.radians(origin_heading_deg)
     ch, sh = math.cos(h), math.sin(h)
-    local = cell._columns
+    local = cell.samples.columns
     x, y, heading = local[_X], local[_Y], local[_HDG]
     world = np.empty_like(local)
     world[_X] = origin_x + (x * ch + y * sh)

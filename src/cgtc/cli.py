@@ -47,9 +47,9 @@ def _cmd_gen_cells(args) -> int:
     for cell in cells.cells:
         tag = f"{cell.heading_change_deg:+07.2f}".replace("+", "p").replace("-", "m")
         lines = ["t_s,x_m,y_m,heading_deg,u_mps,v_mps,rudder_deg"]
-        for t, s in zip(cell.sample_times_s, cell.samples):
-            lines.append(f"{t:.4f},{s.x_m:.4f},{s.y_m:.4f},{s.heading_deg:.4f},"
-                         f"{s.u_mps:.4f},{s.v_mps:.4f},{s.rudder_deg:.4f}")
+        x, y, heading, u, v, _, rudder = cell.samples.columns.tolist()
+        for row in zip(cell.sample_times_s, x, y, heading, u, v, rudder):
+            lines.append(",".join(f"{value:.4f}" for value in row))
         (out / f"cell_{tag}.csv").write_text("\n".join(lines) + "\n")
         index.append(f"{cell.heading_change_deg:.4f},{cell.delta0_deg:.4f},"
                      f"{cell.duration_s:.4f},{cell.arc_length_m:.4f}")

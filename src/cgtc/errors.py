@@ -11,7 +11,7 @@ class CGTCError(Exception):
 
 
 class NonPositiveDt(CGTCError):
-    """Integration step must be strictly positive."""
+    """Integration step must be strictly positive and finite."""
 
 
 class LengthMismatch(CGTCError):

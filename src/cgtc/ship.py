@@ -101,7 +101,8 @@ class Trajectory(Sequence):
     read-only, so it always agrees with the states, which are built once,
     on first index or iteration; callers that need only numbers should read
     `columns`. A Trajectory equals another with equal column values, and
-    equals a list as its list of states would.
+    equals a list as its list of states would. Its hash is taken from the
+    values too, so -0.0 and 0.0 hash alike, as they compare.
     """
 
     def __init__(self, columns: np.ndarray):
@@ -127,6 +128,9 @@ class Trajectory(Sequence):
         if isinstance(other, list):
             return self._states == other
         return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.columns.shape, *self.columns.ravel().tolist()))
 
     def __repr__(self) -> str:
         return f"Trajectory(columns={self.columns!r})"
@@ -161,8 +165,8 @@ def step(state: ShipState, params: ShipParams, rudder_command_deg: float,
     kick forcing; position integrates the world-frame velocity of the old
     state.
     """
-    if dt <= 0:
-        raise NonPositiveDt(f"dt must be > 0, got {dt}")
+    if not 0.0 < dt < math.inf:
+        raise NonPositiveDt(f"dt must be positive and finite, got {dt}")
     cmd = clamp_rudder(params, rudder_command_deg)
 
     # rate-limited rudder tracking; delta_move is the exact travel this step
@@ -193,9 +197,8 @@ def step(state: ShipState, params: ShipParams, rudder_command_deg: float,
     v_new = state.v_mps - dt * state.v_mps / params.turn_lag_s - kick_coeff * delta_move
     yaw_new = state.yaw_rate_degps + dt * (yaw_rate_target - state.yaw_rate_degps) / params.turn_lag_s
 
-    return ShipState(x_m=x_new, y_m=y_new, heading_deg=heading_new,
-                     u_mps=u_new, v_mps=v_new, yaw_rate_degps=yaw_new,
-                     rudder_deg=rudder_new)
+    # positional: keywords cost a sixth of the step
+    return ShipState(x_new, y_new, heading_new, u_new, v_new, yaw_new, rudder_new)
 
 
 def online_generate(state: ShipState, params: ShipParams, rudder_command_deg: float,
@@ -206,8 +209,8 @@ def online_generate(state: ShipState, params: ShipParams, rudder_command_deg: fl
     state for the next, so chained calls reproduce a single longer call
     sample for sample.
     """
-    if dt <= 0:
-        raise NonPositiveDt(f"dt must be > 0, got {dt}")
+    if not 0.0 < dt < math.inf:
+        raise NonPositiveDt(f"dt must be positive and finite, got {dt}")
     n = int(round(horizon_s / dt))
     out = [state]
     for _ in range(n):

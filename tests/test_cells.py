@@ -18,6 +18,7 @@ from cgtc.cells import (
     TrajectoryCell,
     _check_target,
     _heading_changes,
+    _lane_cells,
     _roll_until_crossing,
     build_cell_set,
     check_radius,
@@ -70,6 +71,14 @@ def test_delta0_matches_dense_scan_oracle(params):
     assert abs(cell.delta0_deg - found) < 0.05
 
 
+def _cell_bytes(cell):
+    """A cell's samples (all seven rows) and times as float bytes, with its
+    other fields: tells -0.0 from 0.0, which == does not."""
+    return (cell.samples.columns.tobytes(), array("d", cell.sample_times_s).tobytes(),
+            repr([getattr(cell, f.name) for f in fields(TrajectoryCell)
+                  if f.name not in ("samples", "sample_times_s")]))
+
+
 def test_lane_kernel_matches_scalar_rollout():
     hull = ShipParams(steady_speed_mps=9.1, turn_gain=0.15, asymmetry_factor=1.2,
                       rudder_rate_degps=4.0, kick_gain=0.13, speed_loss_gain=0.03,
@@ -79,9 +88,14 @@ def test_lane_kernel_matches_scalar_rollout():
     lanes = [0.0, 1e-6, -1e-6, port, stbd, 0.01, -0.01]
     lanes += [rng.uniform(port, stbd) for _ in range(40)]
     for radius, dt in ((520.0, 0.5), (2.5 * hull.length_m, 0.7)):
-        scalar = [_roll_until_crossing(hull, d, radius, dt).heading_change_deg
-                  for d in lanes]
-        assert _heading_changes(hull, lanes, radius, dt).tolist() == scalar
+        scalar = [_roll_until_crossing(hull, d, radius, dt) for d in lanes]
+        assert (_heading_changes(hull, lanes, radius, dt).tolist()
+                == [c.heading_change_deg for c in scalar])
+        from_lanes = _lane_cells(hull, lanes, radius, dt)
+        assert [_cell_bytes(c) for c in from_lanes] == [_cell_bytes(c) for c in scalar]
+        for cell in from_lanes:
+            assert cell.samples.columns.base is None  # owns its array
+            assert not cell.samples.columns.flags.writeable
 
 
 def _cell_set_from_generate_cell(params, radius, resolution):
@@ -101,6 +115,32 @@ def test_cell_set_equals_per_target_generate_cell(params, resolution):
     assert build_cell_set(params, 600.0, resolution) == expected
 
 
+@settings(max_examples=15, deadline=None)
+@given(a=st.floats(0.0, 1.0), kick=st.floats(0.05, 0.15), loss=st.floats(0.02, 0.08),
+       jitter=st.floats(-0.1, 0.1))
+def test_cold_hull_set_equals_per_target_generate_cell(a, kick, loss, jitter):
+    # the hull and circle space of the benchmark's cold scenes
+    hull = ShipParams(steady_speed_mps=6.0 + 4.0 * a, kick_gain=kick, speed_loss_gain=loss)
+    radius = 500.0 + 250.0 * min(1.0, max(0.0, a + jitter))
+    built = build_cell_set(hull, radius, 15.0)
+    expected = _cell_set_from_generate_cell(hull, radius, 15.0)
+    assert built == expected and hash(built) == hash(expected)
+    assert [_cell_bytes(c) for c in built.cells] == [_cell_bytes(c) for c in expected.cells]
+
+
+def test_cold_build_rolls_no_scalar_states(params, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a cold build took the scalar path")
+
+    expected = _cell_set_from_generate_cell(params, 600.0, 15.0)
+    monkeypatch.setattr(ShipState, "__post_init__", forbidden)
+    monkeypatch.setattr(cells_mod, "step", forbidden)
+    monkeypatch.setattr(cells_mod, "_roll_until_crossing", forbidden)
+    built = build_cell_set(params, 600.0, 15.0)
+    monkeypatch.undo()
+    assert built == expected
+
+
 def test_timed_out_lanes_fall_back_to_scalar_rollouts(params, cells_factor6,
                                                      monkeypatch):
     real = cells_mod._heading_changes
@@ -112,6 +152,24 @@ def test_timed_out_lanes_fall_back_to_scalar_rollouts(params, cells_factor6,
 
     monkeypatch.setattr(cells_mod, "_heading_changes", nan_lanes)
     assert build_cell_set(params, 6.0 * params.length_m, 5.0) == cells_factor6
+
+
+def test_timed_out_sample_lane_names_its_target(params, monkeypatch):
+    real = cells_mod._heading_changes
+
+    def recorded_lanes_time_out(*args):
+        hc = real(*args)
+        if len(args) == 5:  # the recorded pass
+            hc[:] = math.nan
+        return hc
+
+    def no_crossing(*args):
+        raise NonConvergence("maneuver did not cross radius 600.0 within 15584 s")
+
+    monkeypatch.setattr(cells_mod, "_heading_changes", recorded_lanes_time_out)
+    monkeypatch.setattr(cells_mod, "_roll_until_crossing", no_crossing)
+    with pytest.raises(NonConvergence, match=r"^target -90\.0 deg: maneuver did not cross"):
+        build_cell_set(params, 600.0, 15.0)
 
 
 def test_set_errors_name_their_target(params, monkeypatch):
@@ -283,10 +341,12 @@ def test_cached_columns_leave_identity_unchanged():
     before = (hash(fresh), repr(fresh), [(hash(c), repr(c)) for c in fresh.cells])
     for cell in fresh.cells:
         transform_cell(cell, 10.0, -20.0, 33.0)
-        assert "_columns" in vars(cell)
+        cell._times, cell.samples[0]  # fill the times and states caches
+        assert "_times" in vars(cell) and "_states" in vars(cell.samples)
     assert (hash(fresh), repr(fresh), [(hash(c), repr(c)) for c in fresh.cells]) == before
-    assert fresh == twin and twin == fresh
-    assert all(a == b for a, b in zip(fresh.cells, twin.cells))
+    assert fresh == twin and twin == fresh and hash(fresh) == hash(twin)
+    assert all(a == b and hash(a) == hash(b) for a, b in zip(fresh.cells, twin.cells))
+    assert len({fresh, twin}) == 1
 
 
 def test_target_tolerance(cells600):
@@ -297,18 +357,11 @@ def test_target_tolerance(cells600):
 
 def test_hand_built_double_steering_fails_rule2(params, cells_factor6):
     base = cells_factor6.nearest_cell(30.0)
-    rud = [s.rudder_deg for s in base.samples]
-    # splice a second plateau into the tail
-    doctored = []
-    n = len(base.samples)
-    for i, s in enumerate(base.samples):
-        r = rud[i] if i < n - 20 else 10.0
-        doctored.append(ShipState(s.x_m, s.y_m, s.heading_deg, s.u_mps,
-                                  s.v_mps, s.yaw_rate_degps, r))
-    doctored[-1] = ShipState(*[getattr(doctored[-1], f) for f in
-                               ("x_m", "y_m", "heading_deg", "u_mps", "v_mps",
-                                "yaw_rate_degps")], 0.0)
-    cell = TrajectoryCell(samples=tuple(doctored), sample_times_s=base.sample_times_s,
+    # splice a second plateau into the tail; the last sample keeps zero rudder
+    doctored = base.samples.columns.copy()
+    doctored[6, -20:] = 10.0
+    doctored[6, -1] = 0.0
+    cell = TrajectoryCell(samples=Trajectory(doctored), sample_times_s=base.sample_times_s,
                           delta0_deg=base.delta0_deg,
                           heading_change_deg=base.heading_change_deg,
                           end_offset=base.end_offset,
@@ -322,7 +375,8 @@ def test_hand_built_double_steering_fails_rule2(params, cells_factor6):
 
 def test_hand_built_short_cell_fails_rule3(params, cells_factor6):
     base = cells_factor6.nearest_cell(0.0)
-    cell = TrajectoryCell(samples=base.samples, sample_times_s=base.sample_times_s,
+    cell = TrajectoryCell(samples=Trajectory(base.samples.columns.copy()),
+                          sample_times_s=base.sample_times_s,
                           delta0_deg=base.delta0_deg,
                           heading_change_deg=base.heading_change_deg,
                           end_offset=(0.0, 0.9 * base.radius_m),

@@ -3,14 +3,17 @@
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
-from cgtc.errors import NonPositiveDt
+from cgtc.errors import CGTCError, NonPositiveDt
 from cgtc.ship import (
     ShipParams,
     ShipState,
+    Trajectory,
     clamp_rudder,
     fitted_turn_radius,
+    online_generate,
     simulate_turn,
     steady_turn_radius,
     step,
@@ -48,6 +51,30 @@ def test_non_positive_dt_rejected(params):
         step(trimmed_state(params), params, 0.0, 0.0)
     with pytest.raises(NonPositiveDt):
         simulate_turn(params, 10.0, 100.0, -0.5)
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+def test_non_finite_dt_rejected(params, dt):
+    assert issubclass(NonPositiveDt, CGTCError)
+    with pytest.raises(NonPositiveDt):
+        step(trimmed_state(params), params, 10.0, dt)
+    with pytest.raises(NonPositiveDt):
+        online_generate(trimmed_state(params), params, 10.0, 100.0, dt)
+    with pytest.raises(NonPositiveDt):
+        simulate_turn(params, 10.0, 100.0, dt)
+
+
+def test_trajectory_hash_follows_equality():
+    columns = np.arange(14.0).reshape(7, 2)
+    signed = columns.copy()
+    signed[0, 0] = -0.0  # compares equal to the 0.0 it replaces
+    a, b = Trajectory(columns), Trajectory(signed)
+    assert a == b and hash(a) == hash(b)
+    assert hash(a) == hash(Trajectory(columns.copy()))
+    other = columns.copy()
+    other[3, 1] += 1.0
+    assert a != Trajectory(other)
+    assert len({a, b, Trajectory(other)}) == 2
 
 
 def test_command_clamping_reported(params):
