@@ -20,6 +20,8 @@ numpy lanes, with the same arithmetic as the scalar rollout, several
 bisection levels per pass. The solved delta0s are then rolled once more in
 one recorded lockstep pass, which gives each cell its samples: a cell keeps
 them as a ship.Trajectory over its own (7, n) array, never as ShipStates.
+A lane that never crosses raises, where the build reads it, the scalar
+rollout's own NonConvergence; that rollout serves generate_cell alone.
 """
 
 from __future__ import annotations
@@ -109,6 +111,17 @@ def _cell(columns: np.ndarray, times: list[float], delta0: float,
         duration_s=times[-1],
         radius_m=radius_m,
     )
+
+
+def _time_limit(params: ShipParams, radius_m: float) -> float:
+    """Seconds a rollout may run before it counts as not crossing the circle."""
+    return 200.0 * radius_m / params.steady_speed_mps
+
+
+def _no_crossing(params: ShipParams, radius_m: float) -> NonConvergence:
+    """The error of a rollout still inside the circle after the time limit."""
+    return NonConvergence(f"maneuver did not cross radius {radius_m} within "
+                          f"{_time_limit(params, radius_m):.0f} s")
 
 
 @dataclass(frozen=True)
@@ -204,7 +217,7 @@ def _roll_until_crossing(params: ShipParams, delta0: float, radius_m: float,
     t = 0.0
     arc = 0.0
     d_prev = 0.0
-    max_t = 200.0 * radius_m / params.steady_speed_mps
+    max_t = _time_limit(params, radius_m)
 
     while True:
         if adjusting:
@@ -252,9 +265,7 @@ def _roll_until_crossing(params: ShipParams, delta0: float, radius_m: float,
         times.append(t)
         d_prev = d
         if t > max_t:
-            raise NonConvergence(
-                f"maneuver did not cross radius {radius_m} within {max_t:.0f} s"
-            )
+            raise _no_crossing(params, radius_m)
 
 
 # Rows of each lane's bookkeeping in _heading_changes: heading change and
@@ -317,8 +328,8 @@ def _heading_changes(params: ShipParams, delta0s, radius_m: float, dt: float,
     in the same order of operations (rate-limited rudder, split step at the
     settle instant, interpolation onto the circle) and returns its
     heading_change_deg bit for bit; with a record, it also keeps every
-    sample of that rollout there. A lane still inside the circle after
-    max_t gives NaN, where the scalar rollout raises NonConvergence. Each
+    sample of that rollout there. A lane gives NaN exactly where the scalar
+    rollout raises _no_crossing: both test t > max_t on the same sums. Each
     delta0 must lie within the rudder limits.
     """
     d0 = np.asarray(delta0s, dtype=float)
@@ -334,7 +345,7 @@ def _heading_changes(params: ShipParams, delta0s, radius_m: float, dt: float,
     aux[_ADJ] = d0 != 0.0
     aux[_LANE] = np.arange(d0.size)
     n_adjusting = int(np.count_nonzero(aux[_ADJ]))
-    max_t = 200.0 * radius_m / params.steady_speed_mps
+    max_t = _time_limit(params, radius_m)
     t_bound = 0.0  # no lane's elapsed time exceeds this
     # np.hypot may differ from math.hypot in the last bit, so it only
     # preselects the lanes whose crossing math.hypot then decides
@@ -474,12 +485,11 @@ def _check_target(target: float) -> None:
 class _Bisection:
     """Bracketed bisection on |delta0| for one nonzero target heading change.
 
-    It holds the bracket, the best probe so far and the iteration budget;
-    the caller rolls full rudder for start(), then each probe, one at a
-    time (generate_cell) or for many targets in lockstep (build_cell_set),
-    and hands the measured heading change to record(). Once solved,
-    `result` is the chosen (|delta0|, cell), the cell being whatever the
-    caller passed with that probe.
+    It holds the bracket, the best probe so far as (|error|, |delta0|) and
+    the iteration budget; the caller rolls full rudder for start(), then
+    each probe, one at a time (generate_cell) or for many targets in
+    lockstep (build_cell_set), and hands the measured heading change to
+    record(). Once solved, `result` is the chosen |delta0|.
     """
 
     def __init__(self, params: ShipParams, target: float, radius_m: float):
@@ -490,12 +500,11 @@ class _Bisection:
         self.full_rudder = (params.rudder_limit_stbd_deg if target > 0.0
                             else params.rudder_limit_port_deg)
         self.lo, self.hi = 0.0, self.sign * self.full_rudder
-        self.best: tuple[float, float, TrajectoryCell | None] | None = None
+        self.best: tuple[float, float] | None = None
         self.iterations = 0
-        self.result: tuple[float, TrajectoryCell | None] | None = None
+        self.result: float | None = None
 
-    def start(self, full_heading_change: float,
-              full_cell: TrajectoryCell | None = None) -> None:
+    def start(self, full_heading_change: float) -> None:
         """Take the full-rudder heading change: the reach check and first best."""
         s = self.sign
         if s * full_heading_change < s * self.target - CELL_TARGET_TOL_DEG:
@@ -503,7 +512,7 @@ class _Bisection:
                 f"target {self.target:+.1f} deg unreachable at radius {self.radius_m} m: "
                 f"full rudder reaches {full_heading_change:+.2f} deg at the crossing"
             )
-        self.best = (abs(full_heading_change - self.target), self.hi, full_cell)
+        self.best = (abs(full_heading_change - self.target), self.hi)
 
     def probe(self) -> float:
         """The next |delta0| to roll."""
@@ -523,26 +532,25 @@ class _Bisection:
             brackets = below
         return probes
 
-    def record(self, mag: float, heading_change: float,
-               cell: TrajectoryCell | None = None) -> None:
+    def record(self, mag: float, heading_change: float) -> None:
         """Take the heading change rolled for the probe `mag`."""
         err = heading_change - self.target
         if abs(err) < self.best[0]:
-            self.best = (abs(err), mag, cell)
+            self.best = (abs(err), mag)
         self.iterations += 1
         if abs(err) <= _SOLVE_TOL_DEG:
-            self.result = (mag, cell)
+            self.result = mag
             return
         if self.sign * err < 0.0:
             self.lo = mag
         else:
             self.hi = mag
         if self.iterations == _MAX_BISECTIONS:
-            best_err, best_mag, best_cell = self.best
+            best_err, best_mag = self.best
             if best_err > CELL_TARGET_TOL_DEG:
                 raise NonConvergence(f"bisection on delta0 left a {best_err:.3f} deg "
                                      f"error for target {self.target:+.1f}")
-            self.result = (best_mag, best_cell)
+            self.result = best_mag
 
 
 def generate_cell(params: ShipParams, target_heading_change_deg: float,
@@ -562,13 +570,13 @@ def generate_cell(params: ShipParams, target_heading_change_deg: float,
         return _roll_until_crossing(params, 0.0, radius_m, dt)
 
     solve = _Bisection(params, target, radius_m)
-    full = _roll_until_crossing(params, solve.full_rudder, radius_m, dt)
-    solve.start(full.heading_change_deg, full)
+    rolled = {solve.hi: _roll_until_crossing(params, solve.full_rudder, radius_m, dt)}
+    solve.start(rolled[solve.hi].heading_change_deg)
     while solve.result is None:
         mag = solve.probe()
-        cell = _roll_until_crossing(params, solve.sign * mag, radius_m, dt)
-        solve.record(mag, cell.heading_change_deg, cell)
-    return solve.result[1]
+        rolled[mag] = _roll_until_crossing(params, solve.sign * mag, radius_m, dt)
+        solve.record(mag, rolled[mag].heading_change_deg)
+    return rolled[solve.result]
 
 
 def _target_error(target: float, exc: Exception) -> Exception:
@@ -583,12 +591,12 @@ def _solve_delta0s(params: ShipParams, targets: list[float], radius_m: float,
     _LEVELS_PER_PASS probes, and advances each bisection by that many
     levels; equal probes of different targets share a lane, and the
     full-rudder rollout of each side rides along the first pass. The probe sequence of
-    each target is therefore exactly generate_cell's. Raises the error of
-    the lowest failing target, as a target-by-target loop would.
+    each target is therefore exactly generate_cell's. A NaN lane fails its
+    target with _no_crossing; the lowest failing target's error is raised.
     """
-    def measured(delta0: float, hc: float) -> float:
-        if math.isnan(hc):  # lane did not cross in time: the scalar rollout raises
-            hc = _roll_until_crossing(params, delta0, radius_m, dt).heading_change_deg
+    def measured(hc: float) -> float:
+        if math.isnan(hc):  # the lane did not cross in time
+            raise _no_crossing(params, radius_m)
         return hc
 
     solves = [_Bisection(params, t, radius_m) for t in targets if t != 0.0]
@@ -602,7 +610,7 @@ def _solve_delta0s(params: ShipParams, targets: list[float], radius_m: float,
         if full_rudder:
             for n, solve in enumerate(active):
                 try:
-                    solve.start(measured(solve.full_rudder, hc[solve.full_rudder]))
+                    solve.start(measured(hc[solve.full_rudder]))
                 except (Unreachable, NonConvergence) as exc:
                     errors[solve.target] = exc
                     active = active[:n]  # targets above this one cannot fail first
@@ -612,7 +620,7 @@ def _solve_delta0s(params: ShipParams, targets: list[float], radius_m: float,
             try:
                 for _ in range(_LEVELS_PER_PASS):
                     mag = solve.probe()
-                    solve.record(mag, measured(solve.sign * mag, hc[solve.sign * mag]))
+                    solve.record(mag, measured(hc[solve.sign * mag]))
                     if solve.result is not None:
                         break
             except NonConvergence as exc:
@@ -622,7 +630,7 @@ def _solve_delta0s(params: ShipParams, targets: list[float], radius_m: float,
     if errors:
         target = min(errors)
         raise _target_error(target, errors[target]) from errors[target]
-    delta0 = {b.target: b.sign * b.result[0] for b in solves}
+    delta0 = {b.target: b.sign * b.result for b in solves}
     return [delta0.get(t, 0.0) for t in targets]
 
 
@@ -635,8 +643,8 @@ def build_cell_set(params: ShipParams, radius_m: float,
     delta0 is solved for all targets together (_solve_delta0s), and the
     solved delta0s are rolled once more in one recorded lockstep pass that
     gives every cell (_lane_cells), so the set equals one built target by
-    target with generate_cell. Only a lane that did not cross in time is
-    rolled again by _roll_until_crossing, which raises NonConvergence.
+    target with generate_cell. A lane that does not cross in time is not
+    rolled again: the build raises _no_crossing for its lowest target.
 
     The family always spans +-MAX_HEADING_CHANGE_DEG, so the set is fixed
     by its key (params, radius_m, resolution_deg, dt). max_heading_change_deg
@@ -653,16 +661,10 @@ def build_cell_set(params: ShipParams, radius_m: float,
     half = int(round(MAX_HEADING_CHANGE_DEG / resolution_deg))
     targets = [k * resolution_deg for k in range(-half, half + 1)]
 
-    delta0s = _solve_delta0s(params, targets, radius_m, dt)
-    cells = []
-    for target, delta0, cell in zip(targets, delta0s,
-                                    _lane_cells(params, delta0s, radius_m, dt)):
-        if cell is None:  # the lane did not cross in time: the scalar rollout raises
-            try:
-                cell = _roll_until_crossing(params, delta0, radius_m, dt)
-            except NonConvergence as exc:
-                raise _target_error(target, exc) from exc
-        cells.append(cell)
+    cells = _lane_cells(params, _solve_delta0s(params, targets, radius_m, dt), radius_m, dt)
+    for target, cell in zip(targets, cells):
+        if cell is None:  # the lane did not cross in time
+            raise _target_error(target, _no_crossing(params, radius_m))
 
     pairs = [RelationSample(c.delta0_deg, c.heading_change_deg) for c in cells]
     relation, _ = fit_poly(pairs, 3)

@@ -156,7 +156,7 @@ def _cmd_turn_test(args) -> int:
                              ("port", params.rudder_limit_port_deg)):
             states = simulate_turn(params, rudder, args.duration, args.dt)
             runs[name] = (rudder, states, fitted_turn_radius(states))
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out_dir)

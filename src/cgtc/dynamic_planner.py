@@ -28,7 +28,7 @@ from .errors import (
     ParallelCourses,
     ValidationError,
 )
-from .grid import GridNode, compass_bearing
+from .grid import GridNode, compass_bearing, polar_to_world
 from .ship import ShipState, Trajectory
 from .static_planner import (
     Engagement,
@@ -177,25 +177,18 @@ def separation_at_critical(enc: Encounter, virtual_radius_m: float) -> float:
     holds with that margin.
     """
     c = enc.own_pose.position
-    m = enc.meeting_point
-    cm = math.dist(c, m)
+    cm = enc.l_s_m
     l_s_sq = cm * cm - virtual_radius_m * virtual_radius_m + enc.R_m * enc.R_m
     if l_s_sq <= 0.0 or virtual_radius_m > cm:
         return -math.inf
     l_s = math.sqrt(l_s_sq)
     if enc.R_m > l_s:
         return -math.inf
-    ang = (compass_bearing(c, m).degrees
+    ang = (compass_bearing(c, enc.meeting_point).degrees
            + math.degrees(math.asin(virtual_radius_m / cm))
            + math.degrees(math.asin(enc.R_m / l_s)))
-    a = math.radians(ang)
-    cx = (c[0] + l_s * math.sin(a), c[1] + l_s * math.cos(a))
-
-    t = l_s / enc.own_speed_mps
-    l_o = enc.obstacle.speed_mps * t
-    ho = math.radians(enc.obstacle.course_deg)
-    ox = (enc.obstacle.center[0] + l_o * math.sin(ho),
-          enc.obstacle.center[1] + l_o * math.cos(ho))
+    cx = polar_to_world(c, l_s, ang)
+    ox = enc.obstacle.position_at(l_s / enc.own_speed_mps)
     return math.dist(ox, cx) - (enc.R_m + enc.R_o_m)
 
 
@@ -206,11 +199,10 @@ def virtual_obstacle_radius(enc: Encounter) -> VirtualObstacle:
     (0, |CM|) with a coarse scan, then bisects to _VIRTUAL_RADIUS_TOL_M. The
     constraint is active at the returned radius (margin within a meter of zero).
     """
-    c = enc.own_pose.position
-    cm = math.dist(c, enc.meeting_point)
+    cm = enc.l_s_m
     if separation_at_critical(enc, 0.0) >= 0.0:
         # no disc needed: the tangency construction alone clears the obstacle
-        return _with_avoid_radius(enc, cm, _VIRTUAL_RADIUS_TOL_M)
+        return _with_avoid_radius(enc, _VIRTUAL_RADIUS_TOL_M)
 
     n = 512
     lo = 0.0
@@ -231,17 +223,18 @@ def virtual_obstacle_radius(enc: Encounter) -> VirtualObstacle:
             hi = mid
         else:
             lo = mid
-    return _with_avoid_radius(enc, cm, hi)
+    return _with_avoid_radius(enc, hi)
 
 
-def _with_avoid_radius(enc: Encounter, cm: float, r_x: float) -> VirtualObstacle:
+def _with_avoid_radius(enc: Encounter, r_x: float) -> VirtualObstacle:
     """Attach the planner-facing disc radius to a solved virtual obstacle.
 
     The modeled bypass run is tangent to nothing of radius r_x: it passes
     the tangent point a domain radius wide. The disc whose tangent line
     from the current position equals that run has radius
-    cm * sin(asin(r_x/cm) + asin(R/l_s)).
+    cm * sin(asin(r_x/cm) + asin(R/l_s)), cm being enc.l_s_m.
     """
+    cm = enc.l_s_m
     l_s = math.sqrt(max(cm * cm - r_x * r_x + enc.R_m * enc.R_m, enc.R_m * enc.R_m))
     ang = math.asin(min(1.0, r_x / cm)) + math.asin(min(1.0, enc.R_m / l_s))
     avoid = min(cm * math.sin(min(ang, 0.5 * math.pi)), 0.99 * cm)

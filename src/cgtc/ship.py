@@ -207,13 +207,17 @@ def online_generate(state: ShipState, params: ShipParams, rudder_command_deg: fl
 
     The iterative contract: the last state of one call is a valid first
     state for the next, so chained calls reproduce a single longer call
-    sample for sample.
+    sample for sample. It takes round(horizon_s / dt) steps, which must be
+    a finite, non-negative count (zero returns the input state alone).
     """
     if not 0.0 < dt < math.inf:
         raise NonPositiveDt(f"dt must be positive and finite, got {dt}")
-    n = int(round(horizon_s / dt))
+    steps = horizon_s / dt
+    if not 0.0 <= steps < math.inf:
+        raise ValueError(f"horizon_s must be non-negative with a finite step count "
+                         f"at dt {dt}, got {horizon_s}")
     out = [state]
-    for _ in range(n):
+    for _ in range(round(steps)):
         out.append(step(out[-1], params, rudder_command_deg, dt))
     return out
 
@@ -224,7 +228,7 @@ def simulate_turn(params: ShipParams, rudder_deg: float, duration_s: float,
 
     Returns the sampled trajectory including the initial state. The caller
     chooses a duration long enough for at least one full circle when a
-    steady-radius fit is wanted.
+    steady-radius fit is wanted; duration_s is online_generate's horizon_s.
     """
     return online_generate(trimmed_state(params), params, rudder_deg, duration_s, dt)
 

@@ -141,35 +141,77 @@ def test_cold_build_rolls_no_scalar_states(params, monkeypatch):
     assert built == expected
 
 
-def test_timed_out_lanes_fall_back_to_scalar_rollouts(params, cells_factor6,
-                                                     monkeypatch):
-    real = cells_mod._heading_changes
+def _scalar_no_crossing(params, radius, monkeypatch):
+    """The scalar rollout's error, from a run whose steps never leave the origin."""
+    with monkeypatch.context() as m:
+        m.setattr(cells_mod, "step", lambda state, *args: state)
+        with pytest.raises(NonConvergence) as err:
+            _roll_until_crossing(params, 10.0, radius, 0.5)
+    return str(err.value)
 
-    def nan_lanes(*args):
-        hc = real(*args)
-        hc[::2] = math.nan  # as if these lanes had not crossed by max_t
+
+def _forbid_scalar_rollouts(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a set build took the scalar path")
+
+    monkeypatch.setattr(cells_mod, "step", forbidden)
+    monkeypatch.setattr(cells_mod, "_roll_until_crossing", forbidden)
+
+
+@pytest.mark.parametrize("timed_out", [lambda d: d == 35.0, lambda d: 0.0 < d < 35.0],
+                         ids=["full_rudder", "probes"])
+def test_timed_out_solve_lane_raises_for_its_target(params, monkeypatch, timed_out):
+    real = cells_mod._heading_changes
+    message = _scalar_no_crossing(params, 600.0, monkeypatch)
+
+    def starboard_lanes_time_out(p, delta0s, *args):
+        hc = real(p, delta0s, *args)
+        if len(args) == 2:  # a solve pass, not the recorded one
+            hc[[timed_out(d) for d in delta0s]] = math.nan
         return hc
 
-    monkeypatch.setattr(cells_mod, "_heading_changes", nan_lanes)
-    assert build_cell_set(params, 6.0 * params.length_m, 5.0) == cells_factor6
+    monkeypatch.setattr(cells_mod, "_heading_changes", starboard_lanes_time_out)
+    _forbid_scalar_rollouts(monkeypatch)
+    with pytest.raises(NonConvergence) as err:
+        build_cell_set(params, 600.0, 15.0)
+    assert str(err.value) == f"target +15.0 deg: {message}"
 
 
 def test_timed_out_sample_lane_names_its_target(params, monkeypatch):
     real = cells_mod._heading_changes
+    message = _scalar_no_crossing(params, 600.0, monkeypatch)
 
     def recorded_lanes_time_out(*args):
         hc = real(*args)
         if len(args) == 5:  # the recorded pass
-            hc[:] = math.nan
+            hc[5:] = math.nan
         return hc
 
-    def no_crossing(*args):
-        raise NonConvergence("maneuver did not cross radius 600.0 within 15584 s")
-
     monkeypatch.setattr(cells_mod, "_heading_changes", recorded_lanes_time_out)
-    monkeypatch.setattr(cells_mod, "_roll_until_crossing", no_crossing)
-    with pytest.raises(NonConvergence, match=r"^target -90\.0 deg: maneuver did not cross"):
+    _forbid_scalar_rollouts(monkeypatch)
+    with pytest.raises(NonConvergence) as err:
         build_cell_set(params, 600.0, 15.0)
+    assert str(err.value) == f"target -15.0 deg: {message}"
+
+
+def test_exhausted_budget_returns_the_best_probe(params, monkeypatch):
+    monkeypatch.setattr(cells_mod, "_MAX_BISECTIONS", 10)
+    real = cells_mod._roll_until_crossing
+    rolled = []
+
+    def roll(p, delta0, *args):
+        rolled.append(delta0)
+        return real(p, delta0, *args)
+
+    monkeypatch.setattr(cells_mod, "_roll_until_crossing", roll)
+    cell = generate_cell(params, 45.0, 600.0)
+    monkeypatch.setattr(cells_mod, "_roll_until_crossing", real)
+    # full rudder, then probes 0-9: the budget ran out, and probe 8 was closest
+    assert len(rolled) == 11
+    assert cell.delta0_deg == rolled[9] != rolled[-1]
+    assert round(abs(cell.heading_change_deg - 45.0), 3) == 0.042
+    assert cell == _roll_until_crossing(params, cell.delta0_deg, 600.0, 0.5)
+    assert build_cell_set(params, 600.0, 15.0).nearest_cell(45.0) == cell
 
 
 def test_set_errors_name_their_target(params, monkeypatch):

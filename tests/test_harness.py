@@ -360,7 +360,8 @@ class TestCliExitCodes:
         assert not (tmp_path / "cells").exists()
 
     @pytest.mark.parametrize("args", [["--dt", "0"], ["--dt", "50"], ["--duration", "1"],
-                                      ["--duration", "-5"]])
+                                      ["--duration", "-5"], ["--duration", "nan"],
+                                      ["--duration", "inf"], ["--duration", "1e308"]])
     def test_turn_test_bad_arguments_exit_two(self, tmp_path, capsys, args):
         # a run too short for a full circle has no radius to fit
         rc = cli_main(["turn-test", *args, "--out-dir", str(tmp_path / "turn")])

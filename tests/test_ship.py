@@ -6,6 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from cgtc import ship as ship_mod
 from cgtc.errors import CGTCError, NonPositiveDt
 from cgtc.ship import (
     ShipParams,
@@ -62,6 +63,25 @@ def test_non_finite_dt_rejected(params, dt):
         online_generate(trimmed_state(params), params, 10.0, 100.0, dt)
     with pytest.raises(NonPositiveDt):
         simulate_turn(params, 10.0, 100.0, dt)
+
+
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf, -5.0, -0.1, 1e308])
+def test_unusable_horizon_rejected_before_any_step(params, horizon, monkeypatch):
+    # 1e308 s is finite, but its step count at dt 0.5 overflows to inf
+    def forbidden(*args):
+        raise AssertionError("stepped before the horizon was checked")
+
+    monkeypatch.setattr(ship_mod, "step", forbidden)
+    with pytest.raises(ValueError, match="horizon_s"):
+        online_generate(trimmed_state(params), params, 10.0, horizon, 0.5)
+    with pytest.raises(ValueError, match="horizon_s"):
+        simulate_turn(params, 10.0, horizon, 0.5)
+
+
+def test_zero_horizon_returns_the_start_state(params):
+    start = trimmed_state(params, x_m=4.0, heading_deg=30.0)
+    assert online_generate(start, params, 10.0, 0.0, 0.5) == [start]
+    assert simulate_turn(params, 10.0, 0.0, 0.5) == [trimmed_state(params)]
 
 
 def test_trajectory_hash_follows_equality():

@@ -11,11 +11,16 @@ SPANS = ROOT / "perfbench" / "spans.py"
 SCENARIOS = ROOT / "scenarios"
 
 
-def test_every_trace_target_exists():
+def _recorder():
+    """A new span Recorder from the benchmark's spans.py."""
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    recorder = spans.Recorder()
+    return spans.Recorder()
+
+
+def test_every_trace_target_exists():
+    recorder = _recorder()
     recorder.install(cgtc)
     try:
         assert recorder.missing == []
@@ -27,10 +32,7 @@ def test_every_trace_target_exists():
 
 def test_planning_goes_through_the_traced_functions():
     """A plan records calls to the placement and decision the benchmark times."""
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    recorder = spans.Recorder()
+    recorder = _recorder()
     recorder.install(cgtc)
     try:
         cgtc.static_planner.plan_static(cgtc.load_scenario(SCENARIOS / "fig25_analog.json"))
@@ -39,3 +41,17 @@ def test_planning_goes_through_the_traced_functions():
     called = Counter(recorder.name_id)
     for name in ("cells.transform_cell", "static_planner.decide_heading"):
         assert called[recorder._name_ids[name]] >= 1, name
+
+
+def test_traced_build_key_drops_the_fourth_argument():
+    """perfbench keys a traced build by build_cell_set's five bound arguments
+    and drops the fourth by position; the rest must be the set's own key."""
+    recorder = _recorder()
+    recorder.install(cgtc)
+    try:
+        built = cgtc.cells.build_cell_set(cgtc.ShipParams(), 600.0, 15.0)
+    finally:
+        recorder.uninstall()
+    [key] = recorder.build_keys
+    assert len(key) == 5
+    assert key[:3] + key[4:] == built.key
