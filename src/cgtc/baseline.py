@@ -13,7 +13,7 @@ import heapq
 import math
 from typing import TYPE_CHECKING, Optional
 
-from .cells import MAX_HEADING_CHANGE_DEG, CellSet, generate_cell
+from .cells import MAX_HEADING_CHANGE_DEG, CellSet, TrajectoryCell, generate_cell
 from .errors import NoGridPath
 from .grid import GridNode, compass_bearing, signed_degrees
 from .static_planner import Obstacle, PlanResult, execute_cells, scenario_cells
@@ -115,15 +115,35 @@ def collapse_collinear(points: list[Point]) -> list[Point]:
     return out
 
 
+def _tracking_cell(cells: CellSet, change: float,
+                  generated: dict[float, TrajectoryCell]) -> TrajectoryCell:
+    """The cell the tracker runs for a heading change within the family.
+
+    The change is rounded to 0.01 degrees. The set's cell is taken wherever
+    CellSet.held_cell gives one; any other change is generated at the set's
+    radius and dt, once per `generated` dict (the plan's).
+    """
+    key = round(change, 2)
+    held = cells.held_cell(key)
+    if held is not None:
+        return held
+    if key not in generated:
+        generated[key] = generate_cell(cells.params, key, cells.radius_m, dt=cells.dt_s)
+    return generated[key]
+
+
 def grid_baseline_plan(scenario: "Scenario", cells: Optional[CellSet] = None) -> PlanResult:
     """Plan on the square grid, then track the polyline with 45-deg headings.
 
     The tracker pursues each corner of the A* polyline: desired heading is
     the bearing to the current corner rounded to the nearest multiple of 45
-    degrees, executed as a generated maneuver of the same cell structure
-    (one steering per heading change). A corner is considered passed once
-    the vehicle is within one pitch of it. A change that is a multiple of the
-    set's resolution takes the set's cell instead of generating it again.
+    degrees, executed as a maneuver of the same cell structure (one steering
+    per heading change). A corner is considered passed once the vehicle is
+    within one pitch of it. _tracking_cell picks each cell: the set's cell
+    where CellSet.held_cell gives one, for a multiple of the resolution or
+    a change such as 44.99 that the nearest cell achieved within the solve
+    tolerance (heading drift leaves such changes); any other change, such
+    as 45 degrees on a 2-degree set, is generated once per plan.
     """
     obstacles = scenario.obstacles
     start_xy = (scenario.start_x_m, scenario.start_y_m)
@@ -133,18 +153,7 @@ def grid_baseline_plan(scenario: "Scenario", cells: Optional[CellSet] = None) ->
 
     waypoints = collapse_collinear(astar_grid_path(start_xy, dest, pitch, obstacles))
 
-    cell_cache = {}
-
-    def cell_for_change(change: float):
-        # a change the set was built for is that cell (the same solve);
-        # any other is generated once per plan
-        key = round(change, 2)
-        if round(key / cells.resolution_deg) * cells.resolution_deg == key:
-            return cells.nearest_cell(key)
-        if key not in cell_cache:
-            cell_cache[key] = generate_cell(cells.params, key, pitch, dt=cells.dt_s)
-        return cell_cache[key]
-
+    generated: dict[float, TrajectoryCell] = {}
     wp_i = 1 if len(waypoints) > 1 else 0
 
     def next_cell(pose: GridNode, t: float):
@@ -158,7 +167,7 @@ def grid_baseline_plan(scenario: "Scenario", cells: Optional[CellSet] = None) ->
         desired = round(bearing.degrees / 45.0) * 45.0
         change = signed_degrees(desired - pose.heading.degrees)
         change = max(-MAX_HEADING_CHANGE_DEG, min(MAX_HEADING_CHANGE_DEG, change))
-        cell = cell_for_change(change)
+        cell = _tracking_cell(cells, change, generated)
         return cell, cells.nearest_index(cell.heading_change_deg), cell.delta0_deg
 
     return execute_cells(scenario, next_cell, obstacles)

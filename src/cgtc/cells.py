@@ -21,7 +21,9 @@ bisection levels per pass. The solved delta0s are then rolled once more in
 one recorded lockstep pass, which gives each cell its samples: a cell keeps
 them as a ship.Trajectory over its own (7, n) array, never as ShipStates.
 A lane that never crosses raises, where the build reads it, the scalar
-rollout's own NonConvergence; that rollout serves generate_cell alone.
+rollout's own NonConvergence; that rollout serves generate_cell alone. It
+rolls ship.step_floats tuples, keeps each probe as plain rows, and only the
+cell that generate_cell returns becomes a (7, n) array.
 """
 
 from __future__ import annotations
@@ -29,13 +31,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NonConvergence, Unreachable
 from .grid import compass_bearing, wrap_degrees
 from .relation import CubicRelation, RelationSample, fit_poly, invert_relation
-from .ship import ShipParams, Trajectory, step, trimmed_state
+from .ship import ShipParams, Trajectory, step_floats
 
 MAX_HEADING_CHANGE_DEG = 90.0
 DEFAULT_RESOLUTION_DEG = 5.0
@@ -178,6 +181,22 @@ class CellSet:
     def nearest_cell(self, heading_change_deg: float) -> TrajectoryCell:
         return self.cells[self.nearest_index(heading_change_deg)]
 
+    def held_cell(self, heading_change_deg: float) -> TrajectoryCell | None:
+        """The set's cell for a heading change, or None when the set holds none.
+
+        A change the set was built for (a multiple of the resolution within
+        the family) is that cell, the same solve; so is any change that the
+        nearest cell's achieved heading change meets within _SOLVE_TOL_DEG,
+        the tolerance generate_cell accepts a probe at.
+        """
+        index = self.nearest_index(heading_change_deg)
+        cell = self.cells[index]
+        built_for = (index - len(self.cells) // 2) * self.resolution_deg
+        if (built_for == heading_change_deg
+                or abs(cell.heading_change_deg - heading_change_deg) <= _SOLVE_TOL_DEG):
+            return cell
+        return None
+
     def command_for(self, heading_change_deg: float) -> float:
         """Continuous rudder command for a heading change, via the relation.
 
@@ -192,15 +211,33 @@ class CellSet:
         return invert_relation(self.relation, target)
 
 
+class _Rollout(NamedTuple):
+    """One scalar rollout as plain rows, one (x, y, heading, u, v, yaw rate,
+    rudder) tuple per sample; cell() turns it into its TrajectoryCell."""
+
+    rows: list[tuple]
+    times: list[float]
+    delta0_deg: float
+    heading_change_deg: float
+    arc_length_m: float
+    radius_m: float
+
+    def cell(self) -> TrajectoryCell:
+        return _cell(np.array(self.rows, dtype=np.float64).T.copy(), self.times,
+                     self.delta0_deg, self.heading_change_deg, self.arc_length_m,
+                     self.radius_m)
+
+
 def _roll_until_crossing(params: ShipParams, delta0: float, radius_m: float,
-                         dt: float) -> TrajectoryCell:
+                         dt: float) -> _Rollout:
     """Simulate the two-stage maneuver until the path crosses the circle.
 
     Posture Adjustment holds delta0 until the yaw rate settles; the switch
     instant is located inside a step by linear interpolation of the yaw
     rate, keeping the delivered heading change continuous in delta0. The
-    final sample is interpolated onto the circle, and the run is returned
-    as the cell of delta0.
+    final sample is interpolated onto the circle. The states are
+    ship.step_floats tuples, each heading wrapped once as a ShipState wraps
+    it, so every row equals the ShipState that ship.step would give.
     """
     s = 1.0 if delta0 >= 0.0 else -1.0
     if delta0 >= 0.0:
@@ -210,8 +247,8 @@ def _roll_until_crossing(params: ShipParams, delta0: float, radius_m: float,
     yaw_thresh = (1.0 - YAW_SETTLE_FRAC) * yaw_steady
     adjusting = delta0 != 0.0
 
-    st = trimmed_state(params)
-    samples = [st]
+    st = (0.0, 0.0, 0.0, params.steady_speed_mps, 0.0, 0.0, 0.0)  # the trimmed state
+    rows = [st]
     times = [0.0]
     hc = 0.0
     t = 0.0
@@ -221,47 +258,46 @@ def _roll_until_crossing(params: ShipParams, delta0: float, radius_m: float,
 
     while True:
         if adjusting:
-            trial = step(st, params, delta0, dt)
-            if trial.rudder_deg == delta0 and s * trial.yaw_rate_degps >= s * yaw_thresh:
+            trial = step_floats(st, params, delta0, dt)
+            if trial[_RUD] == delta0 and s * trial[_R] >= s * yaw_thresh:
                 adjusting = False
-                denom = trial.yaw_rate_degps - st.yaw_rate_degps
-                w = (yaw_thresh - st.yaw_rate_degps) / denom if denom != 0.0 else 0.0
+                denom = trial[_R] - st[_R]
+                w = (yaw_thresh - st[_R]) / denom if denom != 0.0 else 0.0
                 if not 0.0 < w < 1.0:
                     continue  # already settled: switch without a partial step
                 # settle mid-step: integrate only up to the threshold crossing
                 step_dt = w * dt
-                new = step(st, params, delta0, step_dt)
+                new = step_floats(st, params, delta0, step_dt)
             else:
                 new = trial
                 step_dt = dt
         else:
-            new = step(st, params, 0.0, dt)
+            new = step_floats(st, params, 0.0, dt)
             step_dt = dt
+        x, y, heading, u, v, yaw_rate, rudder = new
 
-        d = math.hypot(new.x_m, new.y_m)
+        d = math.hypot(x, y)
         if d >= radius_m:
             w = 1.0 if d == d_prev else (radius_m - d_prev) / (d - d_prev)
-            hc_end = hc + w * step_dt * st.yaw_rate_degps
-            rows = [(s.x_m, s.y_m, s.heading_deg, s.u_mps, s.v_mps, s.yaw_rate_degps,
-                     s.rudder_deg) for s in samples]
+            hc_end = hc + w * step_dt * st[_R]
             # the end sample, its heading wrapped twice as a ShipState of it would be
-            rows.append((st.x_m + w * (new.x_m - st.x_m),
-                         st.y_m + w * (new.y_m - st.y_m),
-                         wrap_degrees(wrap_degrees(hc_end)),
-                         st.u_mps + w * (new.u_mps - st.u_mps),
-                         st.v_mps + w * (new.v_mps - st.v_mps),
-                         st.yaw_rate_degps + w * (new.yaw_rate_degps - st.yaw_rate_degps),
-                         st.rudder_deg + w * (new.rudder_deg - st.rudder_deg)))
-            arc += math.hypot(rows[-1][_X] - st.x_m, rows[-1][_Y] - st.y_m)
+            end = (st[_X] + w * (x - st[_X]),
+                   st[_Y] + w * (y - st[_Y]),
+                   wrap_degrees(wrap_degrees(hc_end)),
+                   st[_U] + w * (u - st[_U]),
+                   st[_V] + w * (v - st[_V]),
+                   st[_R] + w * (yaw_rate - st[_R]),
+                   st[_RUD] + w * (rudder - st[_RUD]))
+            rows.append(end)
+            arc += math.hypot(end[_X] - st[_X], end[_Y] - st[_Y])
             times.append(t + w * step_dt)
-            return _cell(np.array(rows, dtype=np.float64).T.copy(), times, delta0,
-                         hc_end, arc, radius_m)
+            return _Rollout(rows, times, delta0, hc_end, arc, radius_m)
 
-        hc += step_dt * st.yaw_rate_degps
+        hc += step_dt * st[_R]
         t += step_dt
-        arc += math.hypot(new.x_m - st.x_m, new.y_m - st.y_m)
-        st = new
-        samples.append(st)
+        arc += math.hypot(x - st[_X], y - st[_Y])
+        st = (x, y, wrap_degrees(heading), u, v, yaw_rate, rudder)
+        rows.append(st)
         times.append(t)
         d_prev = d
         if t > max_t:
@@ -275,7 +311,7 @@ _HC, _T, _D0, _SIGN, _THRESH, _ADJ, _LANE = range(7)
 
 
 def _step_lanes(params: ShipParams, st: np.ndarray, cmd, dt) -> np.ndarray:
-    """ship.step on a (7, n) array of states, operation for operation.
+    """ship.step_floats on a (7, n) array of states, operation for operation.
 
     cmd and dt may be scalars or per-lane arrays; cmd must lie within the
     rudder limits (clamping would leave it unchanged). The heading is
@@ -567,7 +603,7 @@ def generate_cell(params: ShipParams, target_heading_change_deg: float,
     check_dt(params, dt)
 
     if target == 0.0:
-        return _roll_until_crossing(params, 0.0, radius_m, dt)
+        return _roll_until_crossing(params, 0.0, radius_m, dt).cell()
 
     solve = _Bisection(params, target, radius_m)
     rolled = {solve.hi: _roll_until_crossing(params, solve.full_rudder, radius_m, dt)}
@@ -576,7 +612,7 @@ def generate_cell(params: ShipParams, target_heading_change_deg: float,
         mag = solve.probe()
         rolled[mag] = _roll_until_crossing(params, solve.sign * mag, radius_m, dt)
         solve.record(mag, rolled[mag].heading_change_deg)
-    return rolled[solve.result]
+    return rolled[solve.result].cell()
 
 
 def _target_error(target: float, exc: Exception) -> Exception:

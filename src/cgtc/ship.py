@@ -153,30 +153,27 @@ def clamp_rudder(params: ShipParams, rudder_command_deg: float) -> float:
     return rudder_command_deg
 
 
-def step(state: ShipState, params: ShipParams, rudder_command_deg: float,
-         dt: float) -> ShipState:
-    """Advance the state by one Euler step of dt seconds.
+def step_floats(state: tuple, params: ShipParams, rudder_command_deg: float,
+                dt: float) -> tuple:
+    """The arithmetic of one Euler step, on plain floats.
 
-    The actual rudder tracks the (clamped) command at no more than
-    rudder_rate_degps. Yaw rate relaxes toward turn_gain * rudder (divided
-    by asymmetry_factor on port rudder) with time constant turn_lag_s; u
-    relaxes toward the speed-loss target with time constant
-    speed_recovery_s; v decays with the yaw lag while receiving the adverse
-    kick forcing; position integrates the world-frame velocity of the old
-    state.
+    state is (x, y, heading, u, v, yaw rate, rudder) in ShipState field
+    order, and so is the tuple returned. The command must already lie within
+    the rudder limits and dt must be positive and finite: step checks both.
+    The returned heading is not wrapped; ShipState wraps it on construction,
+    and a caller that rolls tuples wraps it once with wrap_degrees, as
+    ShipState does, before the next step.
     """
-    if not 0.0 < dt < math.inf:
-        raise NonPositiveDt(f"dt must be positive and finite, got {dt}")
-    cmd = clamp_rudder(params, rudder_command_deg)
+    x, y, heading, u, v, yaw_rate, rudder = state
 
     # rate-limited rudder tracking; delta_move is the exact travel this step
     max_travel = params.rudder_rate_degps * dt
-    delta_move = cmd - state.rudder_deg
+    delta_move = rudder_command_deg - rudder
     if delta_move > max_travel:
         delta_move = max_travel
     elif delta_move < -max_travel:
         delta_move = -max_travel
-    rudder_new = state.rudder_deg + delta_move
+    rudder_new = rudder + delta_move
 
     if rudder_new >= 0.0:
         yaw_rate_target = params.turn_gain * rudder_new
@@ -187,18 +184,50 @@ def step(state: ShipState, params: ShipParams, rudder_command_deg: float,
     )
     kick_coeff = params.kick_gain * params.steady_speed_mps / params.rudder_limit_stbd_deg
 
-    h = math.radians(state.heading_deg)
+    h = math.radians(heading)
     sh, ch = math.sin(h), math.cos(h)
-    x_new = state.x_m + dt * (state.u_mps * sh + state.v_mps * ch)
-    y_new = state.y_m + dt * (state.u_mps * ch - state.v_mps * sh)
-    heading_new = state.heading_deg + dt * state.yaw_rate_degps
+    return (x + dt * (u * sh + v * ch),
+            y + dt * (u * ch - v * sh),
+            heading + dt * yaw_rate,
+            u + dt * (u_target - u) / params.speed_recovery_s,
+            v - dt * v / params.turn_lag_s - kick_coeff * delta_move,
+            yaw_rate + dt * (yaw_rate_target - yaw_rate) / params.turn_lag_s,
+            rudder_new)
 
-    u_new = state.u_mps + dt * (u_target - state.u_mps) / params.speed_recovery_s
-    v_new = state.v_mps - dt * state.v_mps / params.turn_lag_s - kick_coeff * delta_move
-    yaw_new = state.yaw_rate_degps + dt * (yaw_rate_target - state.yaw_rate_degps) / params.turn_lag_s
 
+def step(state: ShipState, params: ShipParams, rudder_command_deg: float,
+         dt: float) -> ShipState:
+    """Advance the state by one Euler step of dt seconds.
+
+    The actual rudder tracks the (clamped) command at no more than
+    rudder_rate_degps. Yaw rate relaxes toward turn_gain * rudder (divided
+    by asymmetry_factor on port rudder) with time constant turn_lag_s; u
+    relaxes toward the speed-loss target with time constant
+    speed_recovery_s; v decays with the yaw lag while receiving the adverse
+    kick forcing; position integrates the world-frame velocity of the old
+    state. The arithmetic is step_floats'.
+    """
+    if not 0.0 < dt < math.inf:
+        raise NonPositiveDt(f"dt must be positive and finite, got {dt}")
+    cmd = clamp_rudder(params, rudder_command_deg)
+    row = (state.x_m, state.y_m, state.heading_deg, state.u_mps, state.v_mps,
+           state.yaw_rate_degps, state.rudder_deg)
     # positional: keywords cost a sixth of the step
-    return ShipState(x_new, y_new, heading_new, u_new, v_new, yaw_new, rudder_new)
+    return ShipState(*step_floats(row, params, cmd, dt))
+
+
+# A held command runs for at most this many steady full-rudder turning
+# circles of the hull; a longer run only repeats the settled circle.
+_HORIZON_CIRCLES = 100
+
+
+def _max_horizon_s(params: ShipParams) -> float:
+    """The longest horizon online_generate takes for this hull, in seconds:
+    _HORIZON_CIRCLES steady full-rudder circles on its slower-turning side."""
+    slowest_degps = params.turn_gain * min(params.rudder_limit_stbd_deg,
+                                           -params.rudder_limit_port_deg
+                                           / params.asymmetry_factor)
+    return _HORIZON_CIRCLES * 360.0 / slowest_degps
 
 
 def online_generate(state: ShipState, params: ShipParams, rudder_command_deg: float,
@@ -208,7 +237,9 @@ def online_generate(state: ShipState, params: ShipParams, rudder_command_deg: fl
     The iterative contract: the last state of one call is a valid first
     state for the next, so chained calls reproduce a single longer call
     sample for sample. It takes round(horizon_s / dt) steps, which must be
-    a finite, non-negative count (zero returns the input state alone).
+    a finite, non-negative count (zero returns the input state alone), and
+    horizon_s may not exceed _max_horizon_s(params); both are checked before
+    any step.
     """
     if not 0.0 < dt < math.inf:
         raise NonPositiveDt(f"dt must be positive and finite, got {dt}")
@@ -216,6 +247,10 @@ def online_generate(state: ShipState, params: ShipParams, rudder_command_deg: fl
     if not 0.0 <= steps < math.inf:
         raise ValueError(f"horizon_s must be non-negative with a finite step count "
                          f"at dt {dt}, got {horizon_s}")
+    limit = _max_horizon_s(params)
+    if horizon_s > limit:
+        raise ValueError(f"horizon_s {horizon_s} s exceeds {_HORIZON_CIRCLES} full-rudder "
+                         f"turning circles of this hull ({limit:.0f} s)")
     out = [state]
     for _ in range(round(steps)):
         out.append(step(out[-1], params, rudder_command_deg, dt))

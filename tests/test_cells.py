@@ -5,9 +5,10 @@ import math
 import random
 import weakref
 from array import array
-from dataclasses import fields
+from dataclasses import astuple, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -31,7 +32,7 @@ from cgtc.errors import NonConvergence, Unreachable
 from cgtc.grid import wrap_degrees
 from cgtc.relation import RelationSample, fit_poly, pearson
 from cgtc.scenario import load_scenario
-from cgtc.ship import ShipParams, ShipState, Trajectory
+from cgtc.ship import ShipParams, ShipState, Trajectory, step, trimmed_state
 from cgtc.static_planner import PlanResult, plan_static
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -88,7 +89,7 @@ def test_lane_kernel_matches_scalar_rollout():
     lanes = [0.0, 1e-6, -1e-6, port, stbd, 0.01, -0.01]
     lanes += [rng.uniform(port, stbd) for _ in range(40)]
     for radius, dt in ((520.0, 0.5), (2.5 * hull.length_m, 0.7)):
-        scalar = [_roll_until_crossing(hull, d, radius, dt) for d in lanes]
+        scalar = [_roll_until_crossing(hull, d, radius, dt).cell() for d in lanes]
         assert (_heading_changes(hull, lanes, radius, dt).tolist()
                 == [c.heading_change_deg for c in scalar])
         from_lanes = _lane_cells(hull, lanes, radius, dt)
@@ -96,6 +97,73 @@ def test_lane_kernel_matches_scalar_rollout():
         for cell in from_lanes:
             assert cell.samples.columns.base is None  # owns its array
             assert not cell.samples.columns.flags.writeable
+
+
+def _rollout_from_states(params, delta0, radius, dt):
+    """The reference rollout: the scalar rollout's loop on ship.step, one
+    ShipState per sample."""
+    s = 1.0 if delta0 >= 0.0 else -1.0
+    if delta0 >= 0.0:
+        yaw_steady = params.turn_gain * delta0
+    else:
+        yaw_steady = params.turn_gain * delta0 / params.asymmetry_factor
+    yaw_thresh = (1.0 - cells_mod.YAW_SETTLE_FRAC) * yaw_steady
+    adjusting = delta0 != 0.0
+    st = trimmed_state(params)
+    samples, times = [st], [0.0]
+    hc = t = arc = d_prev = 0.0
+    while True:
+        if adjusting:
+            trial = step(st, params, delta0, dt)
+            if trial.rudder_deg == delta0 and s * trial.yaw_rate_degps >= s * yaw_thresh:
+                adjusting = False
+                denom = trial.yaw_rate_degps - st.yaw_rate_degps
+                w = (yaw_thresh - st.yaw_rate_degps) / denom if denom != 0.0 else 0.0
+                if not 0.0 < w < 1.0:
+                    continue
+                step_dt = w * dt
+                new = step(st, params, delta0, step_dt)
+            else:
+                new, step_dt = trial, dt
+        else:
+            new, step_dt = step(st, params, 0.0, dt), dt
+        d = math.hypot(new.x_m, new.y_m)
+        if d >= radius:
+            w = 1.0 if d == d_prev else (radius - d_prev) / (d - d_prev)
+            hc_end = hc + w * step_dt * st.yaw_rate_degps
+            rows = [astuple(x) for x in samples]
+            end = [a + w * (b - a) for a, b in zip(astuple(st), astuple(new))]
+            end[2] = wrap_degrees(wrap_degrees(hc_end))
+            rows.append(tuple(end))
+            arc += math.hypot(end[0] - st.x_m, end[1] - st.y_m)
+            times.append(t + w * step_dt)
+            return cells_mod._cell(np.array(rows).T.copy(), times, delta0, hc_end, arc, radius)
+        hc += step_dt * st.yaw_rate_degps
+        t += step_dt
+        arc += math.hypot(new.x_m - st.x_m, new.y_m - st.y_m)
+        st = new
+        samples.append(st)
+        times.append(t)
+        d_prev = d
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(0.0, 1.0), kick=st.floats(0.05, 0.15), loss=st.floats(0.02, 0.08),
+       jitter=st.floats(-0.1, 0.1), dt=st.sampled_from([0.25, 0.5]),
+       rudder=st.sampled_from(["zero", "port", "stbd"]) | st.floats(-1.0, 1.0))
+@example(a=0.5, kick=0.1, loss=0.05, jitter=0.0, dt=0.5, rudder="zero")
+@example(a=0.0, kick=0.05, loss=0.02, jitter=-0.1, dt=0.25, rudder="port")
+@example(a=1.0, kick=0.15, loss=0.08, jitter=0.1, dt=0.5, rudder="stbd")
+def test_float_rollout_equals_the_states_rollout(a, kick, loss, jitter, dt, rudder):
+    # the hull and circle space of the benchmark's cold scenes
+    hull = ShipParams(steady_speed_mps=6.0 + 4.0 * a, kick_gain=kick, speed_loss_gain=loss)
+    radius = 500.0 + 250.0 * min(1.0, max(0.0, a + jitter))
+    port, stbd = hull.rudder_limit_port_deg, hull.rudder_limit_stbd_deg
+    delta0 = {"zero": 0.0, "port": port, "stbd": stbd}.get(rudder)
+    if delta0 is None:  # a share of the way to full rudder on the side of its sign
+        delta0 = rudder * (stbd if rudder >= 0.0 else -port)
+    rolled = _roll_until_crossing(hull, delta0, radius, dt)
+    assert _cell_bytes(rolled.cell()) == _cell_bytes(_rollout_from_states(hull, delta0, radius, dt))
 
 
 def _cell_set_from_generate_cell(params, radius, resolution):
@@ -134,7 +202,7 @@ def test_cold_build_rolls_no_scalar_states(params, monkeypatch):
 
     expected = _cell_set_from_generate_cell(params, 600.0, 15.0)
     monkeypatch.setattr(ShipState, "__post_init__", forbidden)
-    monkeypatch.setattr(cells_mod, "step", forbidden)
+    monkeypatch.setattr(cells_mod, "step_floats", forbidden)
     monkeypatch.setattr(cells_mod, "_roll_until_crossing", forbidden)
     built = build_cell_set(params, 600.0, 15.0)
     monkeypatch.undo()
@@ -144,7 +212,7 @@ def test_cold_build_rolls_no_scalar_states(params, monkeypatch):
 def _scalar_no_crossing(params, radius, monkeypatch):
     """The scalar rollout's error, from a run whose steps never leave the origin."""
     with monkeypatch.context() as m:
-        m.setattr(cells_mod, "step", lambda state, *args: state)
+        m.setattr(cells_mod, "step_floats", lambda state, *args: state)
         with pytest.raises(NonConvergence) as err:
             _roll_until_crossing(params, 10.0, radius, 0.5)
     return str(err.value)
@@ -154,7 +222,7 @@ def _forbid_scalar_rollouts(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a set build took the scalar path")
 
-    monkeypatch.setattr(cells_mod, "step", forbidden)
+    monkeypatch.setattr(cells_mod, "step_floats", forbidden)
     monkeypatch.setattr(cells_mod, "_roll_until_crossing", forbidden)
 
 
@@ -210,7 +278,7 @@ def test_exhausted_budget_returns_the_best_probe(params, monkeypatch):
     assert len(rolled) == 11
     assert cell.delta0_deg == rolled[9] != rolled[-1]
     assert round(abs(cell.heading_change_deg - 45.0), 3) == 0.042
-    assert cell == _roll_until_crossing(params, cell.delta0_deg, 600.0, 0.5)
+    assert cell == _roll_until_crossing(params, cell.delta0_deg, 600.0, 0.5).cell()
     assert build_cell_set(params, 600.0, 15.0).nearest_cell(45.0) == cell
 
 

@@ -7,11 +7,14 @@ from array import array
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cgtc import baseline as baseline_mod
 from cgtc import cells as cells_mod
 from cgtc import cli as cli_mod
 from cgtc import harness as harness_mod
+from cgtc import ship as ship_mod
 from cgtc.cli import main as cli_main
 from cgtc.dynamic_planner import plan_dynamic
 from cgtc.errors import InsideObstacle, NonPositiveDt, ParseError, ValidationError
@@ -369,6 +372,17 @@ class TestCliExitCodes:
         assert capsys.readouterr().err.startswith("input error:")
         assert not (tmp_path / "turn").exists()
 
+    def test_turn_test_endless_duration_exits_two(self, tmp_path, capsys, monkeypatch):
+        # 1e300 s is 2e300 steps at dt 0.5: rejected by the hull's bound, not run
+        def forbidden(*args):
+            raise AssertionError("stepped before the duration was checked")
+
+        monkeypatch.setattr(ship_mod, "step", forbidden)
+        rc = cli_main(["turn-test", "--duration", "1e300", "--out-dir", str(tmp_path / "turn")])
+        assert rc == 2
+        assert "horizon_s" in capsys.readouterr().err
+        assert not (tmp_path / "turn").exists()
+
     @pytest.mark.parametrize("content", [
         b"\xff\xfe1,2\n",                                      # not UTF-8
         b"rudder,heading\n" + b"".join(b"%d,%d\n" % (d, d) for d in range(8)) + b"nan,1\n",
@@ -581,32 +595,87 @@ class TestBaselineCells:
         monkeypatch.setattr(baseline_mod, "generate_cell", counting_generate)
         return calls
 
+    @pytest.fixture
+    def held(self, monkeypatch):
+        """(change, cell) of every CellSet.held_cell call that found a cell."""
+        calls = []
+        real_held = cells_mod.CellSet.held_cell
+
+        def recording_held(cell_set, change):
+            cell = real_held(cell_set, change)
+            if cell is not None:
+                calls.append((change, cell))
+            return cell
+
+        monkeypatch.setattr(cells_mod.CellSet, "held_cell", recording_held)
+        return calls
+
     @staticmethod
     def generating_every_cell(scn):
-        """The library set as the baseline used it before: each change generated."""
+        """The library set as the baseline once used it: each change generated."""
         cells = cells_mod.cell_library(scn.ship, scn.radius_m, scn.cell_resolution_deg,
                                        dt=scn.dt_s)
         generating = dataclasses.replace(cells)
-        object.__setattr__(generating, "nearest_cell", lambda change: cells_mod.generate_cell(
+        object.__setattr__(generating, "held_cell", lambda change: cells_mod.generate_cell(
             scn.ship, change, scn.radius_m, dt=scn.dt_s))
         return generating
 
-    @pytest.mark.parametrize("scene, expected_calls", [
+    @pytest.mark.parametrize("scene, drifted", [
         ({**GOOD_SCENARIO, "destination": {"x_m": -6000.0, "y_m": 6000.0},
           "obstacles": [{"x_m": -3000.0, "y_m": 2500.0, "radius_m": 500.0}]}, 0),
-        (GOOD_SCENARIO, 3),  # heading drift leaves changes like 44.99 to generate
+        (GOOD_SCENARIO, 2),  # heading drift leaves changes like 44.99 and -0.01
     ])
-    def test_changes_held_by_the_set_are_not_generated(self, generated, scene,
-                                                       expected_calls):
+    def test_changes_held_by_the_set_are_not_generated(self, generated, held, scene,
+                                                       drifted):
         scn = scenario_from_dict(scene)
         assert scn.cell_resolution_deg == 5.0
         report = compare_planners(scn)
         assert report.grid.reached
-        assert len(generated) == expected_calls
-        assert all(round(t / 5.0) * 5.0 != t for t in generated)
+        assert generated == []
+        cells = cells_mod.cell_library(scn.ship, scn.radius_m, 5.0, dt=scn.dt_s)
+        off_grid = set()
+        for change, cell in held:
+            assert cell in cells.cells
+            if round(change / 5.0) * 5.0 != change:
+                off_grid.add(change)
+                # generate_cell's acceptance test: the set's cell meets the change
+                assert abs(cell.heading_change_deg - change) <= cells_mod._SOLVE_TOL_DEG
+        assert len(off_grid) == drifted
 
         new = baseline_mod.grid_baseline_plan(scn)
         assert any(abs(c) > 44.0 for c in new.heading_changes_deg)
         old = baseline_mod.grid_baseline_plan(scn, self.generating_every_cell(scn))
-        for f in dataclasses.fields(PlanResult):
-            assert getattr(new, f.name) == getattr(old, f.name), f.name
+        if not drifted:  # every change a multiple: the same plan as generating each
+            for f in dataclasses.fields(PlanResult):
+                assert getattr(new, f.name) == getattr(old, f.name), f.name
+        else:  # a set cell for a drifted change: the same route within a metre
+            assert (new.reached, new.steering_count) == (old.reached, old.steering_count)
+            assert new.path_length_m == pytest.approx(old.path_length_m, abs=1.0)
+
+
+@pytest.fixture(scope="module")
+def sets_5_and_2(params):
+    return [cells_mod.build_cell_set(params, 600.0, resolution) for resolution in (5.0, 2.0)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(hundredths=st.integers(-9000, 9000), pick=st.integers(0, 1))
+@example(hundredths=4499, pick=0)   # a drifted 45 on the 5-degree set
+@example(hundredths=-1, pick=0)
+@example(hundredths=4500, pick=1)   # 45 is no multiple of 2: generated
+@example(hundredths=-9000, pick=1)
+def test_baseline_cell_meets_its_key(sets_5_and_2, hundredths, pick):
+    """Any change rounded to 0.01 deg: the baseline runs a cell within the
+    cell contract, and a cell the set holds within the solve tolerance."""
+    cells = sets_5_and_2[pick]
+    key = round(hundredths / 100.0, 2)
+    generated = {}
+    cell = baseline_mod._tracking_cell(cells, key, generated)
+    assert abs(cell.heading_change_deg - key) <= cells_mod.CELL_TARGET_TOL_DEG
+    held = cells.held_cell(key)
+    if held is None:
+        assert round(key / cells.resolution_deg) * cells.resolution_deg != key
+        assert generated == {key: cell}
+    else:
+        assert cell is held and cell in cells.cells and generated == {}
+        assert abs(cell.heading_change_deg - key) <= cells_mod._SOLVE_TOL_DEG

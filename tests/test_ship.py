@@ -1,7 +1,7 @@
 """Ship response-model tests: trim, symmetry, convergence, turn geometry."""
 
 import math
-from dataclasses import fields
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -47,6 +47,14 @@ def test_determinism(params):
     assert a == b
 
 
+def test_step_wraps_the_heading_once(params):
+    # a heading sum just below zero wraps to 360.0 as ShipState wraps it;
+    # wrapped once more it would be 0.0
+    st = ShipState(u_mps=params.steady_speed_mps, yaw_rate_degps=-1e-20)
+    assert ship_mod.step_floats(astuple(st), params, 0.0, 0.5)[2] == -5e-21
+    assert step(st, params, 0.0, 0.5).heading_deg == 360.0
+
+
 def test_non_positive_dt_rejected(params):
     with pytest.raises(NonPositiveDt):
         step(trimmed_state(params), params, 0.0, 0.0)
@@ -76,6 +84,29 @@ def test_unusable_horizon_rejected_before_any_step(params, horizon, monkeypatch)
         online_generate(trimmed_state(params), params, 10.0, horizon, 0.5)
     with pytest.raises(ValueError, match="horizon_s"):
         simulate_turn(params, 10.0, horizon, 0.5)
+
+
+def test_horizon_beyond_the_hulls_turning_circles_rejected(params, monkeypatch):
+    # 1e300 s has a finite step count at dt 0.5, 2e300 steps, which never end
+    limit = ship_mod._max_horizon_s(params)
+    port_degps = params.turn_gain * -params.rudder_limit_port_deg / params.asymmetry_factor
+    assert limit == pytest.approx(100 * 360.0 / port_degps, rel=1e-12)  # slower side
+    assert 800.0 < limit  # cgtc turn-test's default duration
+
+    def forbidden(*args):
+        raise AssertionError("stepped before the horizon was checked")
+
+    with monkeypatch.context() as m:
+        m.setattr(ship_mod, "step", forbidden)
+        for horizon in (1e300, math.nextafter(limit, math.inf)):
+            with pytest.raises(ValueError, match="horizon_s"):
+                online_generate(trimmed_state(params), params, 10.0, horizon, 0.5)
+            with pytest.raises(ValueError, match="horizon_s"):
+                simulate_turn(params, 35.0, horizon, 0.5)
+    assert len(simulate_turn(params, 35.0, limit, 2.0)) == round(limit / 2.0) + 1
+    # a hull that turns twice as fast settles its circles in half the time
+    quick = ShipParams(turn_gain=2.0 * params.turn_gain)
+    assert ship_mod._max_horizon_s(quick) == pytest.approx(limit / 2.0, rel=1e-12)
 
 
 def test_zero_horizon_returns_the_start_state(params):

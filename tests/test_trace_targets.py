@@ -43,6 +43,22 @@ def test_planning_goes_through_the_traced_functions():
         assert called[recorder._name_ids[name]] >= 1, name
 
 
+def test_baseline_rollouts_go_through_the_traced_functions():
+    """The grid baseline's generated cells record their scalar rollouts, which
+    roll float tuples and so record no ship.step: on the 2-degree
+    fig25_analog set, +-45 degrees is no set cell and is generated."""
+    recorder = _recorder()
+    recorder.install(cgtc)
+    try:
+        cgtc.harness.compare_planners(cgtc.load_scenario(SCENARIOS / "fig25_analog.json"))
+    finally:
+        recorder.uninstall()
+    called = Counter(recorder.name_id)
+    for name in ("cells._roll_until_crossing", "cells.generate_cell"):
+        assert called[recorder._name_ids[name]] >= 1, name
+    assert called[recorder._name_ids["ship.step"]] == 0
+
+
 def test_traced_build_key_drops_the_fourth_argument():
     """perfbench keys a traced build by build_cell_set's five bound arguments
     and drops the fourth by position; the rest must be the set's own key."""
