@@ -38,7 +38,7 @@ import numpy as np
 from .errors import NonConvergence, Unreachable
 from .grid import compass_bearing, wrap_degrees
 from .relation import CubicRelation, RelationSample, fit_poly, invert_relation
-from .ship import ShipParams, Trajectory, step_floats
+from .ship import ShipParams, Trajectory, check_dt, step_floats
 
 MAX_HEADING_CHANGE_DEG = 90.0
 DEFAULT_RESOLUTION_DEG = 5.0
@@ -499,18 +499,6 @@ def check_resolution(resolution_deg: float) -> None:
         raise ValueError(
             f"resolution {resolution_deg} must divide {MAX_HEADING_CHANGE_DEG} evenly"
         )
-
-
-def check_dt(params: ShipParams, dt: float) -> None:
-    """Raise ValueError unless dt is a usable Euler step for this hull.
-
-    Explicit Euler on the first-order yaw and speed lags stops being
-    monotone once a step reaches their time constant.
-    """
-    lag = min(params.turn_lag_s, params.speed_recovery_s)
-    if not 0.0 < dt < lag:
-        raise ValueError(f"dt must be positive and below the ship's shortest time "
-                         f"constant ({lag} s), got {dt}")
 
 
 def _check_target(target: float) -> None:

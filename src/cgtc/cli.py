@@ -21,13 +21,17 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .cells import (DEFAULT_DT_S, DEFAULT_RESOLUTION_DEG, build_cell_set, check_dt,
+from .cells import (DEFAULT_DT_S, DEFAULT_RESOLUTION_DEG, build_cell_set,
                     check_radius, check_resolution)
 from .errors import CGTCError, ScenarioError
-from .harness import compare_planners, run_batch, run_scenario, scenario_is_safe
+from .harness import (TRAJECTORY_COLUMNS, compare_planners, run_batch, run_scenario,
+                      scenario_is_safe, write_csv)
 from .relation import RelationSample, fit_poly, pearson
 from .scenario import load_scenario
-from .ship import ShipParams, fitted_turn_radius, simulate_turn
+from .ship import ShipParams, check_dt, fitted_turn_radius, simulate_turn
+
+CELL_COLUMNS = ("t_s", "x_m", "y_m", "heading_deg", "u_mps", "v_mps", "rudder_deg")
+INDEX_COLUMNS = ("heading_change_deg", "delta0_deg", "duration_s", "arc_length_m")
 
 
 def _cmd_gen_cells(args) -> int:
@@ -43,17 +47,14 @@ def _cmd_gen_cells(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cells = build_cell_set(params, radius, args.resolution, dt=args.dt)
-    index = ["heading_change_deg,delta0_deg,duration_s,arc_length_m"]
     for cell in cells.cells:
         tag = f"{cell.heading_change_deg:+07.2f}".replace("+", "p").replace("-", "m")
-        lines = ["t_s,x_m,y_m,heading_deg,u_mps,v_mps,rudder_deg"]
         x, y, heading, u, v, _, rudder = cell.samples.columns.tolist()
-        for row in zip(cell.sample_times_s, x, y, heading, u, v, rudder):
-            lines.append(",".join(f"{value:.4f}" for value in row))
-        (out / f"cell_{tag}.csv").write_text("\n".join(lines) + "\n")
-        index.append(f"{cell.heading_change_deg:.4f},{cell.delta0_deg:.4f},"
-                     f"{cell.duration_s:.4f},{cell.arc_length_m:.4f}")
-    (out / "index.csv").write_text("\n".join(index) + "\n")
+        write_csv(out / f"cell_{tag}.csv", CELL_COLUMNS, ",".join(["%.4f"] * len(CELL_COLUMNS)),
+                  zip(cell.sample_times_s, x, y, heading, u, v, rudder))
+    write_csv(out / "index.csv", INDEX_COLUMNS, ",".join(["%.4f"] * len(INDEX_COLUMNS)),
+              ((c.heading_change_deg, c.delta0_deg, c.duration_s, c.arc_length_m)
+               for c in cells.cells))
     print(f"wrote {len(cells.cells)} cells to {out}")
     return 0
 
@@ -112,11 +113,10 @@ def _cmd_fit_relation(args) -> int:
 
 def _cmd_plan(args) -> int:
     scenario, result = run_scenario(args.scenario, args.out_dir)
-    ok = result.reached and scenario_is_safe(scenario, result)
-    print(f"{scenario.name}: reached={result.reached} "
-          f"safe={scenario_is_safe(scenario, result)} "
+    safe = scenario_is_safe(scenario, result)
+    print(f"{scenario.name}: reached={result.reached} safe={safe} "
           f"length={result.path_length_m:.0f} m steerings={result.steering_count}")
-    return 0 if ok else 1
+    return 0 if result.reached and safe else 1
 
 
 def _cmd_compare(args) -> int:
@@ -132,8 +132,8 @@ def _cmd_compare(args) -> int:
     }
     (out / "comparison.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(json.dumps(payload, indent=2, sort_keys=True))
-    both_ok = (report.circle is not None and report.circle.reached
-               and report.grid is not None and report.grid.reached)
+    both_ok = all(side is not None and side.reached and side.safe
+                  for side in (report.circle, report.grid))
     return 0 if both_ok else 1
 
 
@@ -163,11 +163,9 @@ def _cmd_turn_test(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     report = {}
     for name, (rudder, states, radius) in runs.items():
-        lines = ["t_s,x_m,y_m,heading_deg,u_mps,v_mps,yaw_rate_degps,rudder_deg"]
-        for i, s in enumerate(states):
-            lines.append(f"{i * args.dt:.3f},{s.x_m:.4f},{s.y_m:.4f},{s.heading_deg:.4f},"
-                         f"{s.u_mps:.4f},{s.v_mps:.4f},{s.yaw_rate_degps:.4f},{s.rudder_deg:.4f}")
-        (out / f"turn_{name}.csv").write_text("\n".join(lines) + "\n")
+        write_csv(out / f"turn_{name}.csv", TRAJECTORY_COLUMNS, "%.3f" + ",%.4f" * 7,
+                  ((i * args.dt, s.x_m, s.y_m, s.heading_deg, s.u_mps, s.v_mps,
+                    s.yaw_rate_degps, s.rudder_deg) for i, s in enumerate(states)))
         report[name] = {"rudder_deg": rudder, "fitted_radius_m": radius}
     (out / "turn_report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(json.dumps(report, indent=2, sort_keys=True))

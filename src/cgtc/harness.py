@@ -29,6 +29,7 @@ class PlannerMetrics:
     path_length_m: float
     steering_count: int
     reached: bool
+    safe: bool
     min_clearance_m: Optional[float]
 
 
@@ -42,11 +43,12 @@ class ComparisonReport:
     steering_ratio: Optional[float] = None
 
 
-def _metrics_of(result: PlanResult) -> PlannerMetrics:
+def _metrics_of(scenario: Scenario, result: PlanResult) -> PlannerMetrics:
     return PlannerMetrics(
         path_length_m=result.path_length_m,
         steering_count=result.steering_count,
         reached=result.reached,
+        safe=scenario_is_safe(scenario, result),
         min_clearance_m=result.min_clearance_m,
     )
 
@@ -55,8 +57,9 @@ def compare_planners(scenario: Scenario) -> ComparisonReport:
     """Run circle-grid and grid-baseline planners on the same scenario.
 
     A failure on one side is reported as that side's error string while the
-    other side's metrics still come through. Ratios (circle over grid) are
-    filled only when both planners reached the destination.
+    other side's metrics, with their safety verdict, still come through.
+    Ratios (circle over grid) are filled only when both planners reached
+    the destination.
     """
     if scenario.obstacles and any(o.moving for o in scenario.obstacles):
         raise ValidationError("compare_planners handles static and free scenarios only")
@@ -64,11 +67,11 @@ def compare_planners(scenario: Scenario) -> ComparisonReport:
     circle = grid = None
     circle_err = grid_err = None
     try:
-        circle = _metrics_of(plan_static(scenario))
+        circle = _metrics_of(scenario, plan_static(scenario))
     except CGTCError as exc:
         circle_err = f"{type(exc).__name__}: {exc}"
     try:
-        grid = _metrics_of(grid_baseline_plan(scenario))
+        grid = _metrics_of(scenario, grid_baseline_plan(scenario))
     except CGTCError as exc:
         grid_err = f"{type(exc).__name__}: {exc}"
 
@@ -81,27 +84,9 @@ def compare_planners(scenario: Scenario) -> ComparisonReport:
     return report
 
 
-def _write_trajectory_csv(path: Path, result: PlanResult):
-    row = ",".join(["{:.6f}"] * len(TRAJECTORY_COLUMNS))
-    lines = [",".join(TRAJECTORY_COLUMNS)]
-    for values in zip(result.sample_times_s, *result.trajectory.columns.tolist()):
-        lines.append(row.format(*values))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_commands_csv(path: Path, result: PlanResult):
-    lines = [",".join(COMMAND_COLUMNS)]
-    for i, (cmd, change) in enumerate(zip(result.rudder_commands,
-                                          result.heading_changes_deg)):
-        lines.append(f"{i},{cmd:.6f},{change:.6f}")
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_separation_csv(path: Path, result: PlanResult):
-    lines = ["t_s,distance_m"]
-    for t, d in zip(result.sample_times_s, result.separation_m):
-        lines.append(f"{t:.6f},{d:.6f}")
-    path.write_text("\n".join(lines) + "\n")
+def write_csv(path: Path, columns, row_format: str, rows) -> None:
+    """Write a header of column names, then `row_format % row` for each row tuple."""
+    path.write_text("\n".join([",".join(columns), *map(row_format.__mod__, rows)]) + "\n")
 
 
 def scenario_is_safe(scenario: Scenario, result: PlanResult) -> bool:
@@ -127,10 +112,16 @@ def run_scenario(path: str | Path, out_dir: str | Path) -> tuple[Scenario, PlanR
     else:
         result = plan_static(scenario)
 
-    _write_trajectory_csv(out / "trajectory.csv", result)
-    _write_commands_csv(out / "commands.csv", result)
+    times = result.sample_times_s
+    write_csv(out / "trajectory.csv", TRAJECTORY_COLUMNS,
+              ",".join(["%.6f"] * len(TRAJECTORY_COLUMNS)),
+              zip(times, *result.trajectory.columns.tolist()))
+    commands = result.rudder_commands
+    write_csv(out / "commands.csv", COMMAND_COLUMNS, "%d,%.6f,%.6f",
+              zip(range(len(commands)), commands, result.heading_changes_deg))
     if result.separation_m:
-        _write_separation_csv(out / "separation.csv", result)
+        write_csv(out / "separation.csv", ("t_s", "distance_m"), "%.6f,%.6f",
+                  zip(times, result.separation_m))
 
     metrics = {
         "scenario": scenario.name,

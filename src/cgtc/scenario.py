@@ -12,11 +12,11 @@ import math
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
 
-from .cells import (DEFAULT_DT_S, DEFAULT_RESOLUTION_DEG, check_dt, check_radius,
+from .cells import (DEFAULT_DT_S, DEFAULT_RESOLUTION_DEG, check_radius,
                     check_resolution)
 from .errors import FactorOutOfRange, ParseError, ValidationError
 from .grid import ship_domain_radius
-from .ship import ShipParams
+from .ship import ShipParams, check_dt
 from .static_planner import Obstacle
 
 MODES = ("static", "dynamic", "free")
@@ -87,6 +87,20 @@ def _reject_unknown(obj: dict, allowed: set[str], where: str):
         raise ValidationError(f"{where}: unknown field(s) {sorted(unknown)}")
 
 
+def _read_object(obj, where: str, required: tuple[str, ...] = (),
+                 optional: tuple[str, ...] = ()) -> dict[str, float]:
+    """The numbers of one JSON object whose fields are exactly these names.
+
+    The required fields, then the optional ones that are present, are taken
+    in the order given; an absent optional field is left to its owner's
+    default.
+    """
+    _require(isinstance(obj, dict), f"{where}: expected an object")
+    _reject_unknown(obj, {*required, *optional}, where)
+    return {key: _take_number(obj, key, where)
+            for key in (*required, *optional) if key in required or key in obj}
+
+
 def scenario_from_dict(data: dict, name: str = "") -> Scenario:
     _require(isinstance(data, dict), "scenario: top level must be a single object")
     _reject_unknown(data, {"mode", "ship", "start", "destination", "obstacles",
@@ -96,25 +110,13 @@ def scenario_from_dict(data: dict, name: str = "") -> Scenario:
     mode = data.get("mode")
     _require(mode in MODES, f"scenario.mode: expected one of {MODES}, got {mode!r}")
 
-    ship_obj = data.get("ship", {})
-    _require(isinstance(ship_obj, dict), "scenario.ship: expected an object")
-    ship_fields = {f.name for f in dc_fields(ShipParams)}
-    _reject_unknown(ship_obj, ship_fields, "scenario.ship")
     ship = _checked("scenario.ship", ShipParams,
-                    **{k: _take_number(ship_obj, k, "scenario.ship") for k in ship_obj})
-
-    start = data.get("start")
-    _require(isinstance(start, dict), "scenario.start: expected an object")
-    _reject_unknown(start, {"x_m", "y_m", "heading_deg"}, "scenario.start")
-    sx = _take_number(start, "x_m", "scenario.start")
-    sy = _take_number(start, "y_m", "scenario.start")
-    sh = _take_number(start, "heading_deg", "scenario.start")
-
-    dest = data.get("destination")
-    _require(isinstance(dest, dict), "scenario.destination: expected an object")
-    _reject_unknown(dest, {"x_m", "y_m"}, "scenario.destination")
-    dx = _take_number(dest, "x_m", "scenario.destination")
-    dy = _take_number(dest, "y_m", "scenario.destination")
+                    **_read_object(data.get("ship", {}), "scenario.ship",
+                                   optional=tuple(f.name for f in dc_fields(ShipParams))))
+    sx, sy, sh = _read_object(data.get("start"), "scenario.start",
+                              ("x_m", "y_m", "heading_deg")).values()
+    dx, dy = _read_object(data.get("destination"), "scenario.destination",
+                          ("x_m", "y_m")).values()
     _require((sx, sy) != (dx, dy), "scenario: start and destination coincide")
 
     radius = _take_number(data, "circle_radius_m", "scenario", required=False)
@@ -133,15 +135,10 @@ def scenario_from_dict(data: dict, name: str = "") -> Scenario:
     _require(isinstance(obs_list, list), "scenario.obstacles: expected a list")
     for i, obs in enumerate(obs_list):
         where = f"scenario.obstacles[{i}]"
-        _require(isinstance(obs, dict), f"{where}: expected an object")
-        _reject_unknown(obs, {"x_m", "y_m", "radius_m", "speed_mps", "course_deg"}, where)
-        ox = _take_number(obs, "x_m", where)
-        oy = _take_number(obs, "y_m", where)
-        orad = _take_number(obs, "radius_m", where)
-        ospeed = _take_number(obs, "speed_mps", where, required=False, default=0.0)
-        ocourse = _take_number(obs, "course_deg", where, required=False, default=0.0)
-        obstacles.append(_checked(where, Obstacle, center=(ox, oy), radius_m=orad,
-                                  speed_mps=ospeed, course_deg=ocourse))
+        nums = _read_object(obs, where, ("x_m", "y_m", "radius_m"),
+                            ("speed_mps", "course_deg"))
+        obstacles.append(_checked(where, Obstacle, center=(nums.pop("x_m"), nums.pop("y_m")),
+                                  **nums))
 
     sim = data.get("sim", {})
     _require(isinstance(sim, dict), "scenario.sim: expected an object")

@@ -216,6 +216,28 @@ def step(state: ShipState, params: ShipParams, rudder_command_deg: float,
     return ShipState(*step_floats(row, params, cmd, dt))
 
 
+# An Euler step shorter than the hull's shortest time constant over this
+# count resolves nothing more of the response; it only multiplies the steps.
+_MAX_STEPS_PER_LAG = 100
+
+
+def check_dt(params: ShipParams, dt: float) -> None:
+    """Raise ValueError unless dt is a usable Euler step for this hull.
+
+    Explicit Euler on the first-order yaw and speed lags stops being
+    monotone once a step reaches their time constant, and a step below
+    _MAX_STEPS_PER_LAG steps per time constant only makes a run longer.
+    """
+    lag = min(params.turn_lag_s, params.speed_recovery_s)
+    if not 0.0 < dt < lag:
+        raise ValueError(f"dt must be positive and below the ship's shortest time "
+                         f"constant ({lag} s), got {dt}")
+    if dt < lag / _MAX_STEPS_PER_LAG:
+        raise ValueError(f"dt must be at least {lag / _MAX_STEPS_PER_LAG} s, "
+                         f"1/{_MAX_STEPS_PER_LAG} of the ship's shortest time "
+                         f"constant ({lag} s), got {dt}")
+
+
 # A held command runs for at most this many steady full-rudder turning
 # circles of the hull; a longer run only repeats the settled circle.
 _HORIZON_CIRCLES = 100
@@ -237,12 +259,13 @@ def online_generate(state: ShipState, params: ShipParams, rudder_command_deg: fl
     The iterative contract: the last state of one call is a valid first
     state for the next, so chained calls reproduce a single longer call
     sample for sample. It takes round(horizon_s / dt) steps, which must be
-    a finite, non-negative count (zero returns the input state alone), and
-    horizon_s may not exceed _max_horizon_s(params); both are checked before
-    any step.
+    a finite, non-negative count (zero returns the input state alone); dt
+    must pass check_dt and horizon_s may not exceed _max_horizon_s(params).
+    All are checked before any step.
     """
     if not 0.0 < dt < math.inf:
         raise NonPositiveDt(f"dt must be positive and finite, got {dt}")
+    check_dt(params, dt)
     steps = horizon_s / dt
     if not 0.0 <= steps < math.inf:
         raise ValueError(f"horizon_s must be non-negative with a finite step count "

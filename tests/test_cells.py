@@ -525,6 +525,20 @@ def test_unusable_dt_rejected_before_any_rollout(params, dt):
         build_cell_set(params, 600.0, 15.0, dt=dt)
 
 
+@pytest.mark.parametrize("dt", [1e-9, 0.0399])
+def test_dt_below_the_floor_rejected_before_any_rollout(params, dt, monkeypatch):
+    # 0.04 s is 1/100 of the default hull's 4 s lags; at 1e-9 s a lane never ends
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rolled before dt was checked")
+
+    monkeypatch.setattr(cells_mod, "_roll_until_crossing", forbidden)
+    monkeypatch.setattr(cells_mod, "_heading_changes", forbidden)
+    with pytest.raises(ValueError, match="dt must be at least 0.04 s"):
+        generate_cell(params, 30.0, 600.0, dt=dt)
+    with pytest.raises(ValueError, match="dt must be at least 0.04 s"):
+        build_cell_set(params, 600.0, 15.0, dt=dt)
+
+
 @pytest.mark.parametrize("theta_m", [45.0, 60.0, 180.0])
 def test_cell_family_width_is_fixed(params, theta_m):
     with pytest.raises(ValueError, match="spans"):

@@ -15,12 +15,13 @@ from cgtc import cells as cells_mod
 from cgtc import cli as cli_mod
 from cgtc import harness as harness_mod
 from cgtc import ship as ship_mod
+from cgtc.cells import build_cell_set
 from cgtc.cli import main as cli_main
 from cgtc.dynamic_planner import plan_dynamic
 from cgtc.errors import InsideObstacle, NonPositiveDt, ParseError, ValidationError
 from cgtc.harness import compare_planners, run_batch, run_scenario, scenario_is_safe
 from cgtc.scenario import Scenario, load_scenario, scenario_from_dict
-from cgtc.ship import online_generate, trimmed_state
+from cgtc.ship import ShipParams, online_generate, simulate_turn, trimmed_state
 from cgtc.static_planner import Obstacle, PlanResult, plan_static
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -34,6 +35,58 @@ GOOD_SCENARIO = {
     "obstacles": [{"x_m": 100.0, "y_m": 2500.0, "radius_m": 650.0}],
     "sim": {"max_steps": 40},
 }
+
+
+# perfbench/gen.py compare_scene(1, 3): both plans reach; the grid plan
+# enters the fifth disc by about 226 m, the circle plan keeps 87 m
+UNSAFE_GRID_SCENE = {
+    "mode": "static",
+    "start": {"x_m": 0.0, "y_m": 0.0, "heading_deg": 8.891},
+    "destination": {"x_m": 1806.789, "y_m": 11550.403},
+    "circle_radius_m": 600.0,
+    "sim": {"max_steps": 100, "cell_resolution_deg": 5.0},
+    "obstacles": [
+        {"x_m": -699.087, "y_m": 1435.557, "radius_m": 537.669},
+        {"x_m": -459.841, "y_m": 2719.546, "radius_m": 466.738},
+        {"x_m": 1334.274, "y_m": 4281.788, "radius_m": 567.88},
+        {"x_m": 468.387, "y_m": 5426.253, "radius_m": 461.947},
+        {"x_m": 1401.169, "y_m": 6197.483, "radius_m": 522.069},
+        {"x_m": 1839.962, "y_m": 7931.073, "radius_m": 549.209},
+        {"x_m": -27.925, "y_m": 9102.838, "radius_m": 427.894},
+        {"x_m": 573.575, "y_m": 10294.034, "radius_m": 694.524},
+    ],
+}
+
+# each object section of a scenario: (a valid object, a required field or
+# None, a number field)
+OBJECT_SECTIONS = {
+    "ship": ({"steady_speed_mps": 9.0}, None, "steady_speed_mps"),
+    "start": (GOOD_SCENARIO["start"], "x_m", "heading_deg"),
+    "destination": (GOOD_SCENARIO["destination"], "y_m", "y_m"),
+    "obstacles[0]": (GOOD_SCENARIO["obstacles"][0], "radius_m", "radius_m"),
+    "sim": (GOOD_SCENARIO["sim"], None, "dt_s"),
+}
+
+
+def _section_faults():
+    for section, (valid, required, number) in OBJECT_SECTIONS.items():
+        yield section, [valid], "expected an object"
+        yield section, "x_m", "expected an object"
+        yield section, {**valid, "zzz": 1.0}, "unknown field(s) ['zzz']"
+        if required is not None:
+            missing = {k: v for k, v in valid.items() if k != required}
+            yield section, missing, f"missing required field '{required}'"
+        yield section, {**valid, number: "1"}, f"{number}: expected a number"
+
+
+def _with_section(section, value):
+    if section == "obstacles[0]":
+        return {**GOOD_SCENARIO, "obstacles": [value]}
+    return {**GOOD_SCENARIO, section: value}
+
+
+def _csv_rows(path):
+    return [line.split(",") for line in path.read_text().splitlines()]
 
 
 class TestOnlineGenerate:
@@ -197,6 +250,14 @@ class TestScenarioFiles:
         assert "utf16.json" in str(err.value)
         assert cli_main(["plan", str(path), "--out-dir", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("section, value, fault", list(_section_faults()))
+    def test_object_section_faults_name_the_section(self, section, value, fault):
+        assert scenario_from_dict(_with_section(section, OBJECT_SECTIONS[section][0]))
+        with pytest.raises(ValidationError) as err:
+            scenario_from_dict(_with_section(section, value))
+        assert str(err.value).startswith(f"scenario.{section}")
+        assert fault in str(err.value)
+
     def test_shipped_scenarios_parse(self):
         for path in sorted(SCENARIO_DIR.glob("*.json")):
             sc = load_scenario(path)
@@ -243,6 +304,64 @@ class TestRunScenario:
         commands = (tmp_path / "commands.csv").read_text().splitlines()[1:]
         steer = sum(1 for r in commands if abs(float(r.split(",")[1])) >= 1.0)
         assert metrics["steering_count"] == steer
+
+
+class TestArtifactFormats:
+    """Every CSV field is the documented format of the value the result holds."""
+
+    @pytest.mark.parametrize("name", ["fig25_analog", "dynamic_sit3_must_steer"])
+    def test_plan_files(self, tmp_path, name):
+        _, result = run_scenario(SCENARIO_DIR / f"{name}.json", tmp_path)
+        f6 = "{:.6f}".format
+        times = result.sample_times_s
+        assert _csv_rows(tmp_path / "trajectory.csv") == [
+            ["t_s", "x_m", "y_m", "heading_deg", "u_mps", "v_mps", "yaw_rate_degps",
+             "rudder_deg"],
+            *([f6(t), *map(f6, dataclasses.astuple(s))]
+              for t, s in zip(times, result.trajectory, strict=True))]
+        assert _csv_rows(tmp_path / "commands.csv") == [
+            ["step", "delta0_deg", "heading_change_deg"],
+            *([str(i), f6(cmd), f6(change)] for i, (cmd, change)
+              in enumerate(zip(result.rudder_commands, result.heading_changes_deg,
+                               strict=True)))]
+        if result.separation_m:
+            assert _csv_rows(tmp_path / "separation.csv") == [
+                ["t_s", "distance_m"],
+                *([f6(t), f6(d)] for t, d in zip(times, result.separation_m, strict=True))]
+        else:
+            assert not (tmp_path / "separation.csv").exists()
+        assert (name == "dynamic_sit3_must_steer") == bool(result.separation_m)
+
+    def test_gen_cells_files(self, tmp_path):
+        assert cli_main(["gen-cells", "--resolution", "15", "--out-dir", str(tmp_path)]) == 0
+        params = ShipParams()
+        cells = build_cell_set(params, 6.0 * params.length_m, 15.0)
+        f4 = "{:.4f}".format
+        assert _csv_rows(tmp_path / "index.csv") == [
+            ["heading_change_deg", "delta0_deg", "duration_s", "arc_length_m"],
+            *([f4(c.heading_change_deg), f4(c.delta0_deg), f4(c.duration_s),
+               f4(c.arc_length_m)] for c in cells.cells)]
+        assert len(list(tmp_path.glob("cell_*.csv"))) == len(cells.cells)
+        for cell in cells.cells:
+            tag = f"{cell.heading_change_deg:+07.2f}".replace("+", "p").replace("-", "m")
+            assert _csv_rows(tmp_path / f"cell_{tag}.csv") == [
+                ["t_s", "x_m", "y_m", "heading_deg", "u_mps", "v_mps", "rudder_deg"],
+                *([f4(t), f4(s.x_m), f4(s.y_m), f4(s.heading_deg), f4(s.u_mps),
+                   f4(s.v_mps), f4(s.rudder_deg)]
+                  for t, s in zip(cell.sample_times_s, cell.samples, strict=True))]
+
+    def test_turn_test_files(self, tmp_path):
+        argv = ["turn-test", "--duration", "600", "--dt", "0.25", "--out-dir", str(tmp_path)]
+        assert cli_main(argv) == 0
+        params = ShipParams()
+        for name, rudder in (("starboard", params.rudder_limit_stbd_deg),
+                             ("port", params.rudder_limit_port_deg)):
+            states = simulate_turn(params, rudder, 600.0, 0.25)
+            assert _csv_rows(tmp_path / f"turn_{name}.csv") == [
+                ["t_s", "x_m", "y_m", "heading_deg", "u_mps", "v_mps", "yaw_rate_degps",
+                 "rudder_deg"],
+                *(["{:.3f}".format(i * 0.25), *map("{:.4f}".format, dataclasses.astuple(s))]
+                  for i, s in enumerate(states))]
 
 
 class TestLazyTrajectory:
@@ -383,6 +502,25 @@ class TestCliExitCodes:
         assert "horizon_s" in capsys.readouterr().err
         assert not (tmp_path / "turn").exists()
 
+    @pytest.mark.parametrize("command", ["plan", "gen-cells", "turn-test"])
+    def test_tiny_dt_exits_two_before_any_rollout(self, tmp_path, capsys, monkeypatch,
+                                                  command):
+        # below 1/100 of the 4 s lags: at 1e-9 s each would run for hours
+        def forbidden(*args, **kwargs):
+            raise AssertionError("rolled before dt was checked")
+
+        for module, name in ((harness_mod, "plan_static"), (cli_mod, "build_cell_set"),
+                             (ship_mod, "step"), (cells_mod, "_heading_changes")):
+            monkeypatch.setattr(module, name, forbidden)
+        scenario = tmp_path / "tiny_dt.json"
+        scenario.write_text(json.dumps({**GOOD_SCENARIO, "sim": {"dt_s": 1e-9}}))
+        argv = {"plan": ["plan", str(scenario)],
+                "gen-cells": ["gen-cells", "--dt", "1e-9"],
+                "turn-test": ["turn-test", "--dt", "1e-6"]}[command]
+        assert cli_main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "dt must be at least 0.04 s" in err
+
     @pytest.mark.parametrize("content", [
         b"\xff\xfe1,2\n",                                      # not UTF-8
         b"rudder,heading\n" + b"".join(b"%d,%d\n" % (d, d) for d in range(8)) + b"nan,1\n",
@@ -490,6 +628,17 @@ class TestCliExitCodes:
             "steering_ratio": report.steering_ratio,
         }
         assert written["length_ratio"] is not None and written["steering_ratio"] is not None
+
+    def test_compare_exits_one_when_a_plan_is_unsafe(self, tmp_path, capsys):
+        path = tmp_path / "unsafe_grid.json"
+        path.write_text(json.dumps(UNSAFE_GRID_SCENE))
+        assert cli_main(["compare", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+        written = json.loads((tmp_path / "out" / "comparison.json").read_text())
+        assert written["circle"]["reached"] and written["circle"]["safe"]
+        assert written["grid"]["reached"] and not written["grid"]["safe"]
+        assert written["grid"]["min_clearance_m"] < -200.0
+        # the ratios keep their rule: both sides reached
+        assert written["length_ratio"] is not None
 
     def test_planning_error_exit_one(self, tmp_path, capsys, monkeypatch):
         def raising(scenario, cells=None):

@@ -109,6 +109,30 @@ def test_horizon_beyond_the_hulls_turning_circles_rejected(params, monkeypatch):
     assert ship_mod._max_horizon_s(quick) == pytest.approx(limit / 2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("dt", [1e-9, 1e-6, 0.0399])
+def test_dt_below_the_floor_rejected_before_any_step(params, dt, monkeypatch):
+    # 1/100 of the default hull's 4 s lags; 1e-9 s would step 8e11 times in 800 s
+    def forbidden(*args):
+        raise AssertionError("stepped before dt was checked")
+
+    monkeypatch.setattr(ship_mod, "step", forbidden)
+    with pytest.raises(ValueError, match="dt must be at least 0.04 s"):
+        ship_mod.check_dt(params, dt)
+    with pytest.raises(ValueError, match="dt must be at least 0.04 s"):
+        online_generate(trimmed_state(params), params, 10.0, 100.0, dt)
+    with pytest.raises(ValueError, match="dt must be at least 0.04 s"):
+        simulate_turn(params, 10.0, 100.0, dt)
+
+
+def test_dt_floor_scales_with_the_shortest_lag(params):
+    ship_mod.check_dt(params, 0.04)
+    ship_mod.check_dt(params, 0.05)  # the finest step the suite runs
+    slow = ShipParams(turn_lag_s=40.0, speed_recovery_s=20.0)
+    ship_mod.check_dt(slow, 0.2)
+    with pytest.raises(ValueError, match="dt must be at least 0.2 s"):
+        ship_mod.check_dt(slow, math.nextafter(0.2, 0.0))
+
+
 def test_zero_horizon_returns_the_start_state(params):
     start = trimmed_state(params, x_m=4.0, heading_deg=30.0)
     assert online_generate(start, params, 10.0, 0.0, 0.5) == [start]
