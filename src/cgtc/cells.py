@@ -501,6 +501,11 @@ def check_resolution(resolution_deg: float) -> None:
         )
 
 
+def check_rollout_dt(params: ShipParams, radius_m: float, dt: float) -> None:
+    """check_dt for rollouts on this (checked) circle, up to the time limit."""
+    check_dt(params, dt, _time_limit(params, radius_m))
+
+
 def _check_target(target: float) -> None:
     if not abs(target) <= MAX_HEADING_CHANGE_DEG + 1e-9:
         raise ValueError(f"|target| must be <= {MAX_HEADING_CHANGE_DEG}, got {target}")
@@ -588,7 +593,7 @@ def generate_cell(params: ShipParams, target_heading_change_deg: float,
     target = target_heading_change_deg
     _check_target(target)
     check_radius(params, radius_m)
-    check_dt(params, dt)
+    check_rollout_dt(params, radius_m, dt)
 
     if target == 0.0:
         return _roll_until_crossing(params, 0.0, radius_m, dt).cell()
@@ -681,7 +686,7 @@ def build_cell_set(params: ShipParams, radius_m: float,
                          f"got {max_heading_change_deg}")
     check_resolution(resolution_deg)
     check_radius(params, radius_m)
-    check_dt(params, dt)
+    check_rollout_dt(params, radius_m, dt)
     half = int(round(MAX_HEADING_CHANGE_DEG / resolution_deg))
     targets = [k * resolution_deg for k in range(-half, half + 1)]
 

@@ -22,7 +22,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .cells import (DEFAULT_DT_S, DEFAULT_RESOLUTION_DEG, build_cell_set,
-                    check_radius, check_resolution)
+                    check_radius, check_resolution, check_rollout_dt)
 from .errors import CGTCError, ScenarioError
 from .harness import (TRAJECTORY_COLUMNS, compare_planners, run_batch, run_scenario,
                       scenario_is_safe, write_csv)
@@ -31,7 +31,10 @@ from .scenario import load_scenario
 from .ship import ShipParams, check_dt, fitted_turn_radius, simulate_turn
 
 CELL_COLUMNS = ("t_s", "x_m", "y_m", "heading_deg", "u_mps", "v_mps", "rudder_deg")
+CELL_ROW = ",".join(["%.4f"] * len(CELL_COLUMNS))
 INDEX_COLUMNS = ("heading_change_deg", "delta0_deg", "duration_s", "arc_length_m")
+INDEX_ROW = ",".join(["%.4f"] * len(INDEX_COLUMNS))
+TURN_ROW = "%.3f" + ",%.4f" * (len(TRAJECTORY_COLUMNS) - 1)
 
 
 def _cmd_gen_cells(args) -> int:
@@ -40,7 +43,7 @@ def _cmd_gen_cells(args) -> int:
     try:
         check_resolution(args.resolution)
         check_radius(params, radius)
-        check_dt(params, args.dt)
+        check_rollout_dt(params, radius, args.dt)
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -50,9 +53,9 @@ def _cmd_gen_cells(args) -> int:
     for cell in cells.cells:
         tag = f"{cell.heading_change_deg:+07.2f}".replace("+", "p").replace("-", "m")
         x, y, heading, u, v, _, rudder = cell.samples.columns.tolist()
-        write_csv(out / f"cell_{tag}.csv", CELL_COLUMNS, ",".join(["%.4f"] * len(CELL_COLUMNS)),
+        write_csv(out / f"cell_{tag}.csv", CELL_COLUMNS, CELL_ROW,
                   zip(cell.sample_times_s, x, y, heading, u, v, rudder))
-    write_csv(out / "index.csv", INDEX_COLUMNS, ",".join(["%.4f"] * len(INDEX_COLUMNS)),
+    write_csv(out / "index.csv", INDEX_COLUMNS, INDEX_ROW,
               ((c.heading_change_deg, c.delta0_deg, c.duration_s, c.arc_length_m)
                for c in cells.cells))
     print(f"wrote {len(cells.cells)} cells to {out}")
@@ -163,7 +166,7 @@ def _cmd_turn_test(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     report = {}
     for name, (rudder, states, radius) in runs.items():
-        write_csv(out / f"turn_{name}.csv", TRAJECTORY_COLUMNS, "%.3f" + ",%.4f" * 7,
+        write_csv(out / f"turn_{name}.csv", TRAJECTORY_COLUMNS, TURN_ROW,
                   ((i * args.dt, s.x_m, s.y_m, s.heading_deg, s.u_mps, s.v_mps,
                     s.yaw_rate_degps, s.rudder_deg) for i, s in enumerate(states)))
         report[name] = {"rudder_deg": rudder, "fitted_radius_m": radius}

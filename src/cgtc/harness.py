@@ -21,7 +21,11 @@ from .static_planner import PlanResult, plan_static
 
 TRAJECTORY_COLUMNS = ("t_s", "x_m", "y_m", "heading_deg", "u_mps", "v_mps",
                       "yaw_rate_degps", "rudder_deg")
+TRAJECTORY_ROW = ",".join(["%.6f"] * len(TRAJECTORY_COLUMNS))
 COMMAND_COLUMNS = ("step", "delta0_deg", "heading_change_deg")
+COMMAND_ROW = "%d,%.6f,%.6f"
+SEPARATION_COLUMNS = ("t_s", "distance_m")
+SEPARATION_ROW = "%.6f,%.6f"
 
 
 @dataclass
@@ -35,8 +39,8 @@ class PlannerMetrics:
 
 @dataclass
 class ComparisonReport:
-    circle: Optional[PlannerMetrics]
-    grid: Optional[PlannerMetrics]
+    circle: Optional[PlannerMetrics] = None
+    grid: Optional[PlannerMetrics] = None
     circle_error: Optional[str] = None
     grid_error: Optional[str] = None
     length_ratio: Optional[float] = None
@@ -64,19 +68,15 @@ def compare_planners(scenario: Scenario) -> ComparisonReport:
     if scenario.obstacles and any(o.moving for o in scenario.obstacles):
         raise ValidationError("compare_planners handles static and free scenarios only")
 
-    circle = grid = None
-    circle_err = grid_err = None
-    try:
-        circle = _metrics_of(scenario, plan_static(scenario))
-    except CGTCError as exc:
-        circle_err = f"{type(exc).__name__}: {exc}"
-    try:
-        grid = _metrics_of(scenario, grid_baseline_plan(scenario))
-    except CGTCError as exc:
-        grid_err = f"{type(exc).__name__}: {exc}"
+    sides = {}
+    for side, plan in (("circle", plan_static), ("grid", grid_baseline_plan)):
+        try:
+            sides[side] = _metrics_of(scenario, plan(scenario))
+        except CGTCError as exc:
+            sides[f"{side}_error"] = f"{type(exc).__name__}: {exc}"
 
-    report = ComparisonReport(circle=circle, grid=grid,
-                              circle_error=circle_err, grid_error=grid_err)
+    report = ComparisonReport(**sides)
+    circle, grid = report.circle, report.grid
     if circle and grid and circle.reached and grid.reached:
         report.length_ratio = circle.path_length_m / grid.path_length_m
         if grid.steering_count > 0:
@@ -113,14 +113,13 @@ def run_scenario(path: str | Path, out_dir: str | Path) -> tuple[Scenario, PlanR
         result = plan_static(scenario)
 
     times = result.sample_times_s
-    write_csv(out / "trajectory.csv", TRAJECTORY_COLUMNS,
-              ",".join(["%.6f"] * len(TRAJECTORY_COLUMNS)),
+    write_csv(out / "trajectory.csv", TRAJECTORY_COLUMNS, TRAJECTORY_ROW,
               zip(times, *result.trajectory.columns.tolist()))
     commands = result.rudder_commands
-    write_csv(out / "commands.csv", COMMAND_COLUMNS, "%d,%.6f,%.6f",
+    write_csv(out / "commands.csv", COMMAND_COLUMNS, COMMAND_ROW,
               zip(range(len(commands)), commands, result.heading_changes_deg))
     if result.separation_m:
-        write_csv(out / "separation.csv", ("t_s", "distance_m"), "%.6f,%.6f",
+        write_csv(out / "separation.csv", SEPARATION_COLUMNS, SEPARATION_ROW,
                   zip(times, result.separation_m))
 
     metrics = {

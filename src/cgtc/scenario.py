@@ -13,10 +13,10 @@ from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
 
 from .cells import (DEFAULT_DT_S, DEFAULT_RESOLUTION_DEG, check_radius,
-                    check_resolution)
+                    check_resolution, check_rollout_dt)
 from .errors import FactorOutOfRange, ParseError, ValidationError
 from .grid import ship_domain_radius
-from .ship import ShipParams, check_dt
+from .ship import ShipParams
 from .static_planner import Obstacle
 
 MODES = ("static", "dynamic", "free")
@@ -125,7 +125,8 @@ def scenario_from_dict(data: dict, name: str = "") -> Scenario:
              "scenario: give circle_radius_m or domain_factor")
     if factor is not None:
         domain_radius = _checked("scenario.domain_factor", ship_domain_radius, ship, factor)
-    _checked("scenario", check_radius, ship, radius if radius is not None else domain_radius)
+    circle = radius if radius is not None else domain_radius
+    _checked("scenario", check_radius, ship, circle)
     reach = _take_number(data, "reach_tolerance_m", "scenario", required=False)
     _require(reach is None or reach > 0,
              f"scenario.reach_tolerance_m: expected a positive number, got {reach!r}")
@@ -144,7 +145,7 @@ def scenario_from_dict(data: dict, name: str = "") -> Scenario:
     _require(isinstance(sim, dict), "scenario.sim: expected an object")
     _reject_unknown(sim, {"dt_s", "max_steps", "cell_resolution_deg"}, "scenario.sim")
     dt = _take_number(sim, "dt_s", "scenario.sim", required=False, default=DEFAULT_DT_S)
-    _checked("scenario.sim.dt_s", check_dt, ship, dt)
+    _checked("scenario.sim.dt_s", check_rollout_dt, ship, circle, dt)
     max_steps = sim.get("max_steps", _DEFAULT_MAX_STEPS)
     _require(isinstance(max_steps, int) and not isinstance(max_steps, bool)
              and max_steps > 0,

@@ -145,12 +145,8 @@ def trimmed_state(params: ShipParams, x_m: float = 0.0, y_m: float = 0.0,
 
 def clamp_rudder(params: ShipParams, rudder_command_deg: float) -> float:
     """Clamp a rudder command to the actuator limits."""
-    lo, hi = params.rudder_limit_port_deg, params.rudder_limit_stbd_deg
-    if rudder_command_deg < lo:
-        return lo
-    if rudder_command_deg > hi:
-        return hi
-    return rudder_command_deg
+    return min(max(rudder_command_deg, params.rudder_limit_port_deg),
+               params.rudder_limit_stbd_deg)
 
 
 def step_floats(state: tuple, params: ShipParams, rudder_command_deg: float,
@@ -216,26 +212,23 @@ def step(state: ShipState, params: ShipParams, rudder_command_deg: float,
     return ShipState(*step_floats(row, params, cmd, dt))
 
 
-# An Euler step shorter than the hull's shortest time constant over this
-# count resolves nothing more of the response; it only multiplies the steps.
-_MAX_STEPS_PER_LAG = 100
+# A run may take at most this many Euler steps: a dt that would take it
+# further is refused before the first step instead of stepping for hours.
+MAX_RUN_STEPS = 1_000_000
 
 
-def check_dt(params: ShipParams, dt: float) -> None:
-    """Raise ValueError unless dt is a usable Euler step for this hull.
-
-    Explicit Euler on the first-order yaw and speed lags stops being
-    monotone once a step reaches their time constant, and a step below
-    _MAX_STEPS_PER_LAG steps per time constant only makes a run longer.
-    """
+def check_dt(params: ShipParams, dt: float, run_s: float = 0.0) -> None:
+    """Raise ValueError unless dt is a usable Euler step for this hull on a
+    run of up to run_s seconds: explicit Euler on the yaw and speed lags
+    stops being monotone once a step reaches their time constant, and the
+    run may take at most MAX_RUN_STEPS steps."""
     lag = min(params.turn_lag_s, params.speed_recovery_s)
     if not 0.0 < dt < lag:
         raise ValueError(f"dt must be positive and below the ship's shortest time "
                          f"constant ({lag} s), got {dt}")
-    if dt < lag / _MAX_STEPS_PER_LAG:
-        raise ValueError(f"dt must be at least {lag / _MAX_STEPS_PER_LAG} s, "
-                         f"1/{_MAX_STEPS_PER_LAG} of the ship's shortest time "
-                         f"constant ({lag} s), got {dt}")
+    if run_s / dt > MAX_RUN_STEPS:
+        raise ValueError(f"dt must be at least {run_s / MAX_RUN_STEPS:g} s to run "
+                         f"{run_s:.0f} s in at most {MAX_RUN_STEPS} steps, got {dt}")
 
 
 # A held command runs for at most this many steady full-rudder turning
@@ -259,17 +252,16 @@ def online_generate(state: ShipState, params: ShipParams, rudder_command_deg: fl
     The iterative contract: the last state of one call is a valid first
     state for the next, so chained calls reproduce a single longer call
     sample for sample. It takes round(horizon_s / dt) steps, which must be
-    a finite, non-negative count (zero returns the input state alone); dt
-    must pass check_dt and horizon_s may not exceed _max_horizon_s(params).
-    All are checked before any step.
+    a non-negative count of at most MAX_RUN_STEPS (zero returns the input
+    state alone), and horizon_s may not exceed _max_horizon_s(params); both
+    are checked before any step.
     """
     if not 0.0 < dt < math.inf:
         raise NonPositiveDt(f"dt must be positive and finite, got {dt}")
-    check_dt(params, dt)
     steps = horizon_s / dt
-    if not 0.0 <= steps < math.inf:
-        raise ValueError(f"horizon_s must be non-negative with a finite step count "
-                         f"at dt {dt}, got {horizon_s}")
+    if not 0.0 <= steps <= MAX_RUN_STEPS:
+        raise ValueError(f"horizon_s must be non-negative and take at most "
+                         f"{MAX_RUN_STEPS} steps of dt {dt} s, got {horizon_s}")
     limit = _max_horizon_s(params)
     if horizon_s > limit:
         raise ValueError(f"horizon_s {horizon_s} s exceeds {_HORIZON_CIRCLES} full-rudder "

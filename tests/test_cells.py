@@ -525,18 +525,24 @@ def test_unusable_dt_rejected_before_any_rollout(params, dt):
         build_cell_set(params, 600.0, 15.0, dt=dt)
 
 
-@pytest.mark.parametrize("dt", [1e-9, 0.0399])
-def test_dt_below_the_floor_rejected_before_any_rollout(params, dt, monkeypatch):
-    # 0.04 s is 1/100 of the default hull's 4 s lags; at 1e-9 s a lane never ends
+@pytest.mark.parametrize("dt", [1e-9, 0.0155])
+def test_dt_past_the_step_bound_rejected_before_any_rollout(params, dt, monkeypatch):
+    # a rollout on a 600 m circle may run 15 584 s, which at most 1e6 steps
+    # cover at dt >= 0.0156 s; at 1e-9 s a lane that never crosses never ends
     def forbidden(*args, **kwargs):
         raise AssertionError("rolled before dt was checked")
 
     monkeypatch.setattr(cells_mod, "_roll_until_crossing", forbidden)
     monkeypatch.setattr(cells_mod, "_heading_changes", forbidden)
-    with pytest.raises(ValueError, match="dt must be at least 0.04 s"):
+    with pytest.raises(ValueError, match="dt must be at least 0.0155844 s to run 15584 s"):
         generate_cell(params, 30.0, 600.0, dt=dt)
-    with pytest.raises(ValueError, match="dt must be at least 0.04 s"):
+    with pytest.raises(ValueError, match="dt must be at least 0.0155844 s to run 15584 s"):
         build_cell_set(params, 600.0, 15.0, dt=dt)
+
+
+def test_slow_hull_builds_its_cells_at_the_default_dt():
+    slow = ShipParams(turn_lag_s=60.0, speed_recovery_s=60.0)
+    assert len(build_cell_set(slow, 600.0, 15.0).cells) == 13
 
 
 @pytest.mark.parametrize("theta_m", [45.0, 60.0, 180.0])

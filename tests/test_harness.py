@@ -505,7 +505,8 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("command", ["plan", "gen-cells", "turn-test"])
     def test_tiny_dt_exits_two_before_any_rollout(self, tmp_path, capsys, monkeypatch,
                                                   command):
-        # below 1/100 of the 4 s lags: at 1e-9 s each would run for hours
+        # past MAX_RUN_STEPS steps for the run each makes: at 1e-9 s they
+        # would step for hours
         def forbidden(*args, **kwargs):
             raise AssertionError("rolled before dt was checked")
 
@@ -519,7 +520,17 @@ class TestCliExitCodes:
                 "turn-test": ["turn-test", "--dt", "1e-6"]}[command]
         assert cli_main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("input error:") and "dt must be at least 0.04 s" in err
+        assert err.startswith("input error:")
+        assert {"plan": "dt must be at least 0.0155844 s",
+                "gen-cells": "dt must be at least 0.00991169 s",
+                "turn-test": "at most 1000000 steps of dt 1e-06 s"}[command] in err
+
+    def test_slow_hull_plans_at_the_default_dt(self, tmp_path):
+        # 60 s lags: the step bound, not the hull's lags, limits how fine dt may be
+        scenario = tmp_path / "slow.json"
+        scenario.write_text(json.dumps({**GOOD_SCENARIO, "ship": {"turn_lag_s": 60.0,
+                                                                    "speed_recovery_s": 60.0}}))
+        assert cli_main(["plan", str(scenario), "--out-dir", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("content", [
         b"\xff\xfe1,2\n",                                      # not UTF-8

@@ -109,28 +109,32 @@ def test_horizon_beyond_the_hulls_turning_circles_rejected(params, monkeypatch):
     assert ship_mod._max_horizon_s(quick) == pytest.approx(limit / 2.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("dt", [1e-9, 1e-6, 0.0399])
-def test_dt_below_the_floor_rejected_before_any_step(params, dt, monkeypatch):
-    # 1/100 of the default hull's 4 s lags; 1e-9 s would step 8e11 times in 800 s
+@pytest.mark.parametrize("dt", [1e-9, 1e-6, math.nextafter(8e-4, 0.0)])
+def test_run_past_the_step_bound_rejected_before_any_step(params, dt, monkeypatch):
+    # 800 s in at most MAX_RUN_STEPS (1e6) steps needs dt >= 0.0008 s;
+    # at 1e-9 s the run would take 8e11 steps
     def forbidden(*args):
-        raise AssertionError("stepped before dt was checked")
+        raise AssertionError("stepped before the step count was checked")
 
     monkeypatch.setattr(ship_mod, "step", forbidden)
-    with pytest.raises(ValueError, match="dt must be at least 0.04 s"):
-        ship_mod.check_dt(params, dt)
-    with pytest.raises(ValueError, match="dt must be at least 0.04 s"):
-        online_generate(trimmed_state(params), params, 10.0, 100.0, dt)
-    with pytest.raises(ValueError, match="dt must be at least 0.04 s"):
-        simulate_turn(params, 10.0, 100.0, dt)
+    with pytest.raises(ValueError, match="horizon_s must .* at most 1000000 steps"):
+        online_generate(trimmed_state(params), params, 10.0, 800.0, dt)
+    with pytest.raises(ValueError, match="horizon_s must .* at most 1000000 steps"):
+        simulate_turn(params, 10.0, 800.0, dt)
+    with pytest.raises(ValueError, match="dt must be at least 0.0008 s to run 800 s"):
+        ship_mod.check_dt(params, dt, 800.0)
+    ship_mod.check_dt(params, 8e-4, 800.0)  # exactly MAX_RUN_STEPS steps
 
 
-def test_dt_floor_scales_with_the_shortest_lag(params):
-    ship_mod.check_dt(params, 0.04)
-    ship_mod.check_dt(params, 0.05)  # the finest step the suite runs
-    slow = ShipParams(turn_lag_s=40.0, speed_recovery_s=20.0)
-    ship_mod.check_dt(slow, 0.2)
-    with pytest.raises(ValueError, match="dt must be at least 0.2 s"):
-        ship_mod.check_dt(slow, math.nextafter(0.2, 0.0))
+def test_step_bound_does_not_depend_on_the_lags(params):
+    # a hull whose lags are 60 s takes the default 0.5 s step, and a dt at
+    # or above a lag is check_dt's to reject, not online_generate's
+    slow = ShipParams(turn_lag_s=60.0, speed_recovery_s=60.0)
+    ship_mod.check_dt(slow, 0.5)
+    assert len(simulate_turn(slow, 35.0, 800.0, 0.5)) == 1601
+    with pytest.raises(ValueError, match="dt must be positive and below"):
+        ship_mod.check_dt(params, 5.0)
+    assert len(simulate_turn(params, 35.0, 40.0, 5.0)) == 9
 
 
 def test_zero_horizon_returns_the_start_state(params):
