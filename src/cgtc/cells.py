@@ -712,8 +712,13 @@ def build_cell_set(params: ShipParams, radius_m: float,
     )
 
 
-# The one library set kept for reuse, or None; the set carries its own key.
-_library_slot: CellSet | None = None
+# At most this many library sets are kept, and at most this many keys of
+# released sets are remembered.
+_LIBRARY_SETS = 4
+# The keys the library was asked for, least recently used first. A kept set's
+# key maps to (set, reused), reused telling whether the key was asked for
+# again; a released set leaves its key mapped to None.
+_library: dict[tuple, tuple[CellSet, bool] | None] = {}
 
 
 def cell_library(params: ShipParams, radius_m: float,
@@ -722,19 +727,32 @@ def cell_library(params: ShipParams, radius_m: float,
     """The cell set for (params, radius, resolution, dt), built once and reused.
 
     The planners take their cells here when none are passed, so a process
-    that plans many scenarios on one hull and grid builds the library once.
-    One slot only: on a miss the kept set is released before the new one is
-    built, so the process never holds two library sets at once.
+    that plans many scenarios on a few hulls and grids builds each set once.
+    A key asked for again is reused: its set becomes the most recent, or is
+    built again if it was released. On a miss, before the new set is built,
+    every set whose key was never reused is released, so a stream of
+    distinct keys holds one set at a time; then the least recently used sets
+    are released until fewer than _LIBRARY_SETS remain. So the library holds
+    at most _LIBRARY_SETS sets (about 1.6 MB each at 2 degrees and 600 m),
+    and remembers the _LIBRARY_SETS most recently used keys of released sets.
     build_cell_set stays the uncached way to generate a set.
     """
-    global _library_slot
-    slot = _library_slot
-    if slot is not None and slot.key == (params, radius_m, resolution_deg, dt):
-        return slot
-    # drop both references to the kept set before building the next one
-    slot = _library_slot = None
-    slot = _library_slot = build_cell_set(params, radius_m, resolution_deg, dt=dt)
-    return slot
+    key = (params, radius_m, resolution_deg, dt)
+    asked_before = key in _library
+    kept = _library.pop(key, None)
+    if kept is not None:
+        _library[key] = (kept[0], True)
+        return kept[0]
+    # keep the most recent reused sets, release the rest and forget old keys
+    stay = [k for k, entry in _library.items() if entry and entry[1]][1 - _LIBRARY_SETS:]
+    released = [k for k in _library if k not in stay]
+    for k in released[:-_LIBRARY_SETS]:
+        del _library[k]
+    for k in released[-_LIBRARY_SETS:]:
+        _library[k] = None
+    cells = build_cell_set(params, radius_m, resolution_deg, dt=dt)
+    _library[key] = (cells, asked_before)
+    return cells
 
 
 def validate_rules(cell: TrajectoryCell, params: ShipParams) -> RuleReport:

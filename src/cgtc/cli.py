@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 planning failure (not reached or unsafe),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -142,12 +143,13 @@ def _cmd_compare(args) -> int:
 
 def _cmd_batch(args) -> int:
     summary = run_batch(args.scenario_dir, args.out_dir)
-    bad = [name for name, row in summary.items()
-           if not (row["reached"] and row["safe"])]
     for name, row in summary.items():
-        print(f"{name}: reached={row['reached']} safe={row['safe']} "
-              f"length={row['path_length_m']:.0f} steerings={row['steering_count']}")
-    return 0 if not bad else 1
+        if "error" in row:
+            print(f"{name}: planning error: {row['error']}")
+        else:
+            print(f"{name}: reached={row['reached']} safe={row['safe']} "
+                  f"length={row['path_length_m']:.0f} steerings={row['steering_count']}")
+    return 0 if all(row["reached"] and row["safe"] for row in summary.values()) else 1
 
 
 def _cmd_turn_test(args) -> int:
@@ -216,8 +218,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call to main."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ScenarioError, OSError) as exc:

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .baseline import grid_baseline_plan
 from .dynamic_planner import plan_dynamic
-from .errors import CGTCError, ValidationError
+from .errors import CGTCError, ScenarioError, ValidationError
 from .scenario import Scenario, load_scenario
 from .static_planner import PlanResult, plan_static
 
@@ -141,7 +141,11 @@ def run_scenario(path: str | Path, out_dir: str | Path) -> tuple[Scenario, PlanR
 def run_batch(scenario_dir: str | Path, out_dir: str | Path) -> dict[str, dict]:
     """Run every *.json scenario in a directory into per-scenario subfolders.
 
-    Raises ValidationError unless scenario_dir is a directory holding some.
+    A scenario whose planning raises a CGTCError gets the error string in its
+    summary row, with reached and safe false, and the batch goes on; the
+    summary is written once every file has been run. An input error (a
+    ScenarioError) stops the batch. Raises ValidationError unless
+    scenario_dir is a directory holding *.json files.
     """
     scenario_dir = Path(scenario_dir)
     out_dir = Path(out_dir)
@@ -150,7 +154,14 @@ def run_batch(scenario_dir: str | Path, out_dir: str | Path) -> dict[str, dict]:
         raise ValidationError(f"{scenario_dir}: not a directory of *.json scenario files")
     summary = {}
     for path in paths:
-        scenario, result = run_scenario(path, out_dir / path.stem)
+        try:
+            scenario, result = run_scenario(path, out_dir / path.stem)
+        except ScenarioError:
+            raise
+        except CGTCError as exc:
+            summary[path.stem] = {"reached": False, "safe": False,
+                                  "error": f"{type(exc).__name__}: {exc}"}
+            continue
         summary[path.stem] = {
             "reached": result.reached,
             "safe": scenario_is_safe(scenario, result),

@@ -619,8 +619,8 @@ def test_command_for_monotone(cells_factor6):
 
 @pytest.fixture
 def empty_library(monkeypatch):
-    """Start with no library set kept; the previous slot is restored afterwards."""
-    monkeypatch.setattr(cells_mod, "_library_slot", None)
+    """Start with an empty library; the previous one is restored afterwards."""
+    monkeypatch.setattr(cells_mod, "_library", {})
 
 
 def test_cell_library_reuses_set_for_repeated_key(params, empty_library):
@@ -644,6 +644,68 @@ def test_cell_library_releases_old_set_before_building(params, empty_library,
     cell_library(params, 650.0, 15.0)
     assert alive_during_build == [False]
     assert ref() is None
+
+
+class LibraryAsks:
+    """Asks the library for 15-degree sets of one hull by radius and records,
+    at each build, the radii whose last returned set was still alive."""
+
+    def __init__(self, params, monkeypatch):
+        self.params = params
+        self.refs = {}
+        self.builds = []
+        real_build = cells_mod.build_cell_set
+
+        def build(params, radius_m, *args, **kwargs):
+            self.builds.append((radius_m, self.alive()))
+            return real_build(params, radius_m, *args, **kwargs)
+
+        monkeypatch.setattr(cells_mod, "build_cell_set", build)
+
+    def alive(self) -> list[float]:
+        return sorted(r for r, ref in self.refs.items() if ref() is not None)
+
+    def ask(self, *radii: float) -> None:
+        for radius in radii:
+            self.refs[radius] = weakref.ref(cell_library(self.params, radius, 15.0))
+
+
+@pytest.fixture
+def asks(params, empty_library, monkeypatch):
+    return LibraryAsks(params, monkeypatch)
+
+
+def test_cell_library_builds_a_repeated_key_once(asks):
+    asks.ask(600.0, 600.0, 650.0, 600.0)
+    assert asks.builds == [(600.0, []), (650.0, [600.0])]
+
+
+def test_cell_library_releases_only_sets_never_reused(asks):
+    asks.ask(600.0, 600.0, 650.0, 700.0)
+    assert asks.builds[-1] == (700.0, [600.0])
+    assert asks.alive() == [600.0, 700.0]
+
+
+def test_cell_library_counts_a_released_key_asked_again_as_reused(asks):
+    asks.ask(600.0, 650.0, 600.0, 700.0)
+    assert [r for r, _ in asks.builds] == [600.0, 650.0, 600.0, 700.0]
+    assert asks.builds[-1] == (700.0, [600.0])
+
+
+def test_cell_library_keeps_at_most_its_bound_of_reused_sets(asks):
+    radii = [600.0, 650.0, 700.0, 750.0, 800.0]
+    for radius in radii:
+        asks.ask(radius, radius)
+    assert all(len(alive) < cells_mod._LIBRARY_SETS for _, alive in asks.builds)
+    assert asks.alive() == radii[1:]
+    assert sum(entry is not None for entry in cells_mod._library.values()) == 4
+
+
+def test_cell_library_holds_one_set_of_a_distinct_key_stream(asks):
+    radii = [600.0 + 50.0 * i for i in range(7)]
+    asks.ask(*radii)
+    assert asks.builds == [(radius, []) for radius in radii]
+    assert len(cells_mod._library) <= cells_mod._LIBRARY_SETS + 1
 
 
 def test_plan_from_library_equals_plan_from_explicit_cells(empty_library):

@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from array import array
 from pathlib import Path
 
@@ -54,6 +57,22 @@ UNSAFE_GRID_SCENE = {
         {"x_m": 1839.962, "y_m": 7931.073, "radius_m": 549.209},
         {"x_m": -27.925, "y_m": 9102.838, "radius_m": 427.894},
         {"x_m": 573.575, "y_m": 10294.034, "radius_m": 694.524},
+    ],
+}
+
+# perfbench/gen.py batch_scene(1, 18): plan_static reaches a node inside the
+# fourth disc, where its tangent geometry raises InsideObstacle
+INSIDE_OBSTACLE_SCENE = {
+    "mode": "static",
+    "start": {"x_m": 0.0, "y_m": 0.0, "heading_deg": 14.234},
+    "destination": {"x_m": 985.881, "y_m": 3886.566},
+    "circle_radius_m": 600.0,
+    "sim": {"max_steps": 64, "cell_resolution_deg": 5.0},
+    "obstacles": [
+        {"x_m": -49.956, "y_m": 1118.115, "radius_m": 486.968},
+        {"x_m": -25.232, "y_m": 1443.645, "radius_m": 404.741},
+        {"x_m": 838.2, "y_m": 2613.472, "radius_m": 584.8},
+        {"x_m": 1258.55, "y_m": 2675.862, "radius_m": 569.167},
     ],
 }
 
@@ -574,6 +593,59 @@ class TestCliExitCodes:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["one"]["reached"] is True
 
+    def test_batch_goes_on_after_a_planning_failure(self, tmp_path, capsys):
+        src = tmp_path / "scenarios"
+        src.mkdir()
+        good = (SCENARIO_DIR / "free_bearing37.json").read_text()
+        (src / "a.json").write_text(good)
+        (src / "b.json").write_text(json.dumps(INSIDE_OBSTACLE_SCENE))
+        (src / "c.json").write_text(good)
+        rc = cli_main(["batch", str(src), "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert list(summary) == ["a", "b", "c"]
+        assert summary["a"] == summary["c"] and summary["a"]["reached"] is True
+        b = summary["b"]
+        assert (b["reached"], b["safe"]) == (False, False)
+        assert b["error"].startswith("InsideObstacle: ")
+        assert "b: planning error: InsideObstacle: " in capsys.readouterr().out
+        for name in ("a", "c"):
+            assert (tmp_path / "out" / name / "metrics.json").exists()
+
+    def test_batch_stops_at_an_input_error(self, tmp_path, capsys):
+        src = tmp_path / "scenarios"
+        src.mkdir()
+        (src / "a.json").write_text((SCENARIO_DIR / "free_bearing37.json").read_text())
+        (src / "b.json").write_text("{nope")
+        rc = cli_main(["batch", str(src), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("input error:")
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    def test_parser_is_built_once_per_process(self, tmp_path, capsys, monkeypatch):
+        built = []
+        real_build = cli_mod.build_parser
+
+        def counting_build():
+            built.append(1)
+            return real_build()
+
+        monkeypatch.setattr(cli_mod, "build_parser", counting_build)
+        cli_mod._parser.cache_clear()
+        try:
+            scenario = str(SCENARIO_DIR / "free_bearing37.json")
+            for out in ("one", "two"):
+                assert cli_main(["plan", scenario, "--out-dir", str(tmp_path / out)]) == 0
+            assert built == [1]
+            assert (tmp_path / "two" / "metrics.json").read_bytes() == \
+                (tmp_path / "one" / "metrics.json").read_bytes()
+            with pytest.raises(SystemExit) as usage:
+                cli_main(["plan"])
+            assert usage.value.code == 2
+            assert built == [1]
+        finally:
+            cli_mod._parser.cache_clear()
+
 
     @pytest.mark.parametrize("command", ["plan", "compare", "gen-cells", "batch-file-out",
                                          "batch-missing", "batch-file", "batch-empty"])
@@ -720,7 +792,7 @@ class TestCellLibraryReuse:
     @pytest.fixture
     def builds(self, monkeypatch):
         """Arguments of every build_cell_set call, starting from an empty library."""
-        monkeypatch.setattr(cells_mod, "_library_slot", None)
+        monkeypatch.setattr(cells_mod, "_library", {})
         calls = []
         real_build = cells_mod.build_cell_set
 
@@ -739,12 +811,36 @@ class TestCellLibraryReuse:
         compare_planners(load_scenario(SCENARIO_DIR / "fig25_analog.json"))
         assert len(builds) == 1
 
+    def test_batch_passes_reuse_the_library(self, tmp_path, builds):
+        passes = []
+        for i in range(3):
+            run_batch(SCENARIO_DIR, tmp_path / f"pass{i}")
+            passes.append(len(builds))
+            builds.clear()
+        assert passes[0] == 3 and passes[2] == 0
+
+    def test_second_batch_in_process_matches_a_fresh_process(self, tmp_path):
+        for out in ("first", "second"):
+            assert cli_main(["batch", str(SCENARIO_DIR), "--out-dir", str(tmp_path / out)]) == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(cells_mod.__file__).parent.parent)}
+        subprocess.run([sys.executable, "-m", "cgtc.cli", "batch", str(SCENARIO_DIR),
+                        "--out-dir", str(tmp_path / "fresh")],
+                       check=True, env=env, capture_output=True)
+
+        def files(root):
+            return {p.relative_to(root): p.read_bytes()
+                    for p in sorted(root.rglob("*")) if p.is_file()}
+
+        fresh = files(tmp_path / "fresh")
+        assert len(fresh) > 5 * 3
+        assert files(tmp_path / "second") == fresh
+
 
 class TestBaselineCells:
     @pytest.fixture
     def generated(self, monkeypatch):
         """Targets of every generate_cell call the baseline makes."""
-        monkeypatch.setattr(cells_mod, "_library_slot", None)
+        monkeypatch.setattr(cells_mod, "_library", {})
         calls = []
         real_generate = baseline_mod.generate_cell
 
