@@ -24,6 +24,14 @@ if TYPE_CHECKING:
 Point = tuple[float, float]
 
 _DIRS = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
+# Turn cost in degrees from an incoming to an outgoing direction, by their
+# _DIRS indices (none out of the start node), and the length of a step along
+# each direction in pitches.
+_TURN_DEG = [[abs(signed_degrees(math.degrees(math.atan2(d[0], d[1]))
+                                 - math.degrees(math.atan2(prev[0], prev[1]))))
+              for d in _DIRS] for prev in _DIRS]
+_NO_TURN = [0.0] * len(_DIRS)
+_STEP = [math.hypot(*d) for d in _DIRS]
 
 
 def _segment_clear(a: Point, b: Point, obstacles: list[Obstacle]) -> bool:
@@ -49,7 +57,9 @@ def astar_grid_path(start: Point, goal: Point, pitch_m: float,
 
     The goal snaps to the nearest grid node. Edges (not only nodes) are
     checked against the obstacle discs. Ties in f break toward the smaller
-    heading change from the incoming direction.
+    heading change from the incoming direction. Each expanded node first
+    screens the discs: only one whose centre lies within its radius plus a
+    diagonal step of the node can touch one of the node's edges.
     """
     goal_ij = (round((goal[0] - start[0]) / pitch_m),
                round((goal[1] - start[1]) / pitch_m))
@@ -63,13 +73,26 @@ def astar_grid_path(start: Point, goal: Point, pitch_m: float,
     def heur(ij):
         return pitch_m * math.dist(ij, goal_ij)
 
+    step = [pitch_m * length for length in _STEP]
+    diagonal = abs(pitch_m) * math.sqrt(2.0)
+    # the slack, far above the rounding of the world coordinates and of the
+    # segment test, keeps every disc the segment test could find blocking
+    extent = abs(start[0]) + abs(start[1]) + 2.0 * bound * diagonal
+    discs = []
+    for o in obstacles:
+        ox, oy = o.center
+        reach = o.radius_m + diagonal
+        reach += 1e-9 * (reach + extent + abs(ox) + abs(oy))
+        discs.append((o, ox, oy, reach * reach))
+
     counter = 0
-    open_heap = [(heur((0, 0)), 0.0, counter, (0, 0), None)]
+    h_of = {(0, 0): heur((0, 0))}
+    open_heap = [(h_of[(0, 0)], 0.0, counter, (0, 0), None)]
     g_cost = {(0, 0): 0.0}
     came: dict = {(0, 0): None}
 
     while open_heap:
-        f, turn, _, ij, prev_dir = heapq.heappop(open_heap)
+        f, turn, _, ij, prev_k = heapq.heappop(open_heap)
         if ij == goal_ij:
             path = []
             node = ij
@@ -78,26 +101,30 @@ def astar_grid_path(start: Point, goal: Point, pitch_m: float,
                 node = came[node]
             return path[::-1]
         base = g_cost[ij]
-        if f - heur(ij) > base + 1e-9:
+        if f - h_of[ij] > base + 1e-9:
             continue  # stale entry
-        for d in _DIRS:
-            nb = (ij[0] + d[0], ij[1] + d[1])
+        here = world(ij)
+        hx, hy = here
+        near = [o for o, ox, oy, reach_sq in discs
+                if (ox - hx) ** 2 + (oy - hy) ** 2 <= reach_sq]
+        turns = _TURN_DEG[prev_k] if prev_k is not None else _NO_TURN
+        i, j = ij
+        for k, (di, dj) in enumerate(_DIRS):
+            nb = (i + di, j + dj)
             if abs(nb[0]) > bound or abs(nb[1]) > bound:
                 continue
-            if not _segment_clear(world(ij), world(nb), obstacles):
+            if near and not _segment_clear(here, world(nb), near):
                 continue
-            ng = base + pitch_m * math.hypot(*d)
-            if nb not in g_cost or ng < g_cost[nb] - 1e-9:
+            ng = base + step[k]
+            known = g_cost.get(nb)
+            if known is None or ng < known - 1e-9:
                 g_cost[nb] = ng
                 came[nb] = ij
-                if prev_dir is None:
-                    turn_cost = 0.0
-                else:
-                    a0 = math.degrees(math.atan2(prev_dir[0], prev_dir[1]))
-                    a1 = math.degrees(math.atan2(d[0], d[1]))
-                    turn_cost = abs(signed_degrees(a1 - a0))
+                h = h_of.get(nb)
+                if h is None:
+                    h = h_of[nb] = heur(nb)
                 counter += 1
-                heapq.heappush(open_heap, (ng + heur(nb), turn_cost, counter, nb, d))
+                heapq.heappush(open_heap, (ng + h, turns[k], counter, nb, k))
     raise NoGridPath(f"no 8-connected path from {start} to {goal} at pitch {pitch_m}")
 
 
@@ -115,21 +142,20 @@ def collapse_collinear(points: list[Point]) -> list[Point]:
     return out
 
 
-def _tracking_cell(cells: CellSet, change: float,
-                  generated: dict[float, TrajectoryCell]) -> TrajectoryCell:
+def _tracking_cell(cells: CellSet, change: float) -> TrajectoryCell:
     """The cell the tracker runs for a heading change within the family.
 
     The change is rounded to 0.01 degrees. The set's cell is taken wherever
     CellSet.held_cell gives one; any other change is generated at the set's
-    radius and dt, once per `generated` dict (the plan's).
+    radius and dt and kept with the set (CellSet.kept_cell), so later plans
+    on the same set reuse it.
     """
     key = round(change, 2)
     held = cells.held_cell(key)
     if held is not None:
         return held
-    if key not in generated:
-        generated[key] = generate_cell(cells.params, key, cells.radius_m, dt=cells.dt_s)
-    return generated[key]
+    return cells.kept_cell(key, lambda: generate_cell(cells.params, key, cells.radius_m,
+                                                      dt=cells.dt_s))
 
 
 def grid_baseline_plan(scenario: "Scenario", cells: Optional[CellSet] = None) -> PlanResult:
@@ -143,7 +169,8 @@ def grid_baseline_plan(scenario: "Scenario", cells: Optional[CellSet] = None) ->
     where CellSet.held_cell gives one, for a multiple of the resolution or
     a change such as 44.99 that the nearest cell achieved within the solve
     tolerance (heading drift leaves such changes); any other change, such
-    as 45 degrees on a 2-degree set, is generated once per plan.
+    as 45 degrees on a 2-degree set, is generated once and kept with the
+    set, up to cells._KEPT_CELLS of them.
     """
     obstacles = scenario.obstacles
     start_xy = (scenario.start_x_m, scenario.start_y_m)
@@ -153,7 +180,6 @@ def grid_baseline_plan(scenario: "Scenario", cells: Optional[CellSet] = None) ->
 
     waypoints = collapse_collinear(astar_grid_path(start_xy, dest, pitch, obstacles))
 
-    generated: dict[float, TrajectoryCell] = {}
     wp_i = 1 if len(waypoints) > 1 else 0
 
     def next_cell(pose: GridNode, t: float):
@@ -167,7 +193,7 @@ def grid_baseline_plan(scenario: "Scenario", cells: Optional[CellSet] = None) ->
         desired = round(bearing.degrees / 45.0) * 45.0
         change = signed_degrees(desired - pose.heading.degrees)
         change = max(-MAX_HEADING_CHANGE_DEG, min(MAX_HEADING_CHANGE_DEG, change))
-        cell = _tracking_cell(cells, change, generated)
+        cell = _tracking_cell(cells, change)
         return cell, cells.nearest_index(cell.heading_change_deg), cell.delta0_deg
 
     return execute_cells(scenario, next_cell, obstacles)

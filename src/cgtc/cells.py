@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,6 +60,10 @@ _MAX_BISECTIONS = 80
 # the benchmark's cold-scene sets, 3 levels were about as fast and 5 or 6
 # slower.
 _LEVELS_PER_PASS = 4
+
+# A CellSet keeps at most this many cells generated for changes it holds no
+# cell for (CellSet.kept_cell), about 1 MB at 600 m and 0.5 s.
+_KEPT_CELLS = 64
 
 _RULE1_SPEED_FRAC = 0.001
 _RULE3_RADIUS_FRAC = 0.005
@@ -196,6 +200,34 @@ class CellSet:
                 or abs(cell.heading_change_deg - heading_change_deg) <= _SOLVE_TOL_DEG):
             return cell
         return None
+
+    @cached_property
+    def _kept(self) -> dict[float, TrajectoryCell]:
+        """Cells kept by kept_cell, by heading change, least recently used first.
+
+        Cached on the instance, not a dataclass field, so ==, hash and repr
+        are unchanged, and a new set or a dataclasses.replace copy starts
+        with an empty store.
+        """
+        return {}
+
+    def kept_cell(self, heading_change_deg: float,
+                  generate: Callable[[], TrajectoryCell]) -> TrajectoryCell:
+        """The cell kept with the set for a heading change, generate() on a miss.
+
+        For changes the set holds no cell for: the caller generates the cell
+        for exactly this change at the set's key, so a kept cell is the one
+        generate() would make again. The set keeps the _KEPT_CELLS most
+        recently used cells and drops the least recently used.
+        """
+        kept = self._kept
+        cell = kept.pop(heading_change_deg, None)
+        if cell is None:
+            cell = generate()
+            if len(kept) >= _KEPT_CELLS:
+                del kept[next(iter(kept))]
+        kept[heading_change_deg] = cell
+        return cell
 
     def command_for(self, heading_change_deg: float) -> float:
         """Continuous rudder command for a heading change, via the relation.

@@ -25,8 +25,8 @@ from pathlib import Path
 from .cells import (DEFAULT_DT_S, DEFAULT_RESOLUTION_DEG, build_cell_set,
                     check_radius, check_resolution, check_rollout_dt)
 from .errors import CGTCError, ScenarioError
-from .harness import (TRAJECTORY_COLUMNS, compare_planners, run_batch, run_scenario,
-                      scenario_is_safe, write_csv)
+from .harness import (TRAJECTORY_COLUMNS, compare_planners, remove_artifacts, run_batch,
+                      run_scenario, scenario_is_safe, write_csv)
 from .relation import RelationSample, fit_poly, pearson
 from .scenario import load_scenario
 from .ship import ShipParams, check_dt, fitted_turn_radius, simulate_turn
@@ -127,7 +127,11 @@ def _cmd_compare(args) -> int:
     scenario = load_scenario(args.scenario)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report = compare_planners(scenario)
+    try:
+        report = compare_planners(scenario)
+    except CGTCError:
+        remove_artifacts(out, ("comparison.json",))
+        raise
     payload = {
         "circle": asdict(report.circle) if report.circle else report.circle_error,
         "grid": asdict(report.grid) if report.grid else report.grid_error,

@@ -26,6 +26,8 @@ COMMAND_COLUMNS = ("step", "delta0_deg", "heading_change_deg")
 COMMAND_ROW = "%d,%.6f,%.6f"
 SEPARATION_COLUMNS = ("t_s", "distance_m")
 SEPARATION_ROW = "%.6f,%.6f"
+# every file run_scenario may write into its out dir
+RUN_ARTIFACTS = ("trajectory.csv", "commands.csv", "separation.csv", "metrics.json")
 
 
 @dataclass
@@ -89,6 +91,18 @@ def write_csv(path: Path, columns, row_format: str, rows) -> None:
     path.write_text("\n".join([",".join(columns), *map(row_format.__mod__, rows)]) + "\n")
 
 
+def remove_artifacts(out: Path, names) -> None:
+    """Unlink the named files from out where an earlier run left them.
+
+    A command calls this for the artifacts it owns but does not write this
+    time, so an out dir never shows an earlier run's file beside this run's
+    error or beside files that no longer belong with it.
+    """
+    if out.is_dir():
+        for name in names:
+            (out / name).unlink(missing_ok=True)
+
+
 def scenario_is_safe(scenario: Scenario, result: PlanResult) -> bool:
     """Hard safety: no static disc entered; moving-obstacle separation kept."""
     if result.min_clearance_m is not None and result.min_clearance_m <= 0.0:
@@ -102,15 +116,23 @@ def scenario_is_safe(scenario: Scenario, result: PlanResult) -> bool:
 
 
 def run_scenario(path: str | Path, out_dir: str | Path) -> tuple[Scenario, PlanResult]:
-    """Load, plan, and write artifacts. Raises ScenarioError on bad input."""
+    """Load, plan, and write artifacts. Raises ScenarioError on bad input.
+
+    Of RUN_ARTIFACTS, a plan that raises leaves none in out_dir, and a plan
+    without a separation series leaves no separation.csv.
+    """
     scenario = load_scenario(path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    if scenario.mode == "dynamic":
-        result = plan_dynamic(scenario)
-    else:
-        result = plan_static(scenario)
+    try:
+        if scenario.mode == "dynamic":
+            result = plan_dynamic(scenario)
+        else:
+            result = plan_static(scenario)
+    except CGTCError:
+        remove_artifacts(out, RUN_ARTIFACTS)
+        raise
 
     times = result.sample_times_s
     write_csv(out / "trajectory.csv", TRAJECTORY_COLUMNS, TRAJECTORY_ROW,
@@ -121,6 +143,8 @@ def run_scenario(path: str | Path, out_dir: str | Path) -> tuple[Scenario, PlanR
     if result.separation_m:
         write_csv(out / "separation.csv", SEPARATION_COLUMNS, SEPARATION_ROW,
                   zip(times, result.separation_m))
+    else:
+        (out / "separation.csv").unlink(missing_ok=True)
 
     metrics = {
         "scenario": scenario.name,
@@ -144,8 +168,8 @@ def run_batch(scenario_dir: str | Path, out_dir: str | Path) -> dict[str, dict]:
     A scenario whose planning raises a CGTCError gets the error string in its
     summary row, with reached and safe false, and the batch goes on; the
     summary is written once every file has been run. An input error (a
-    ScenarioError) stops the batch. Raises ValidationError unless
-    scenario_dir is a directory holding *.json files.
+    ScenarioError) stops the batch and leaves no summary.json. Raises
+    ValidationError unless scenario_dir is a directory holding *.json files.
     """
     scenario_dir = Path(scenario_dir)
     out_dir = Path(out_dir)
@@ -157,6 +181,7 @@ def run_batch(scenario_dir: str | Path, out_dir: str | Path) -> dict[str, dict]:
         try:
             scenario, result = run_scenario(path, out_dir / path.stem)
         except ScenarioError:
+            remove_artifacts(out_dir, ("summary.json",))
             raise
         except CGTCError as exc:
             summary[path.stem] = {"reached": False, "safe": False,

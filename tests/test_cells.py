@@ -5,7 +5,7 @@ import math
 import random
 import weakref
 from array import array
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cgtc import cells as cells_mod
+from cgtc.baseline import grid_baseline_plan
 from cgtc.cells import (
     CellSet,
     TrajectoryCell,
@@ -716,3 +717,58 @@ def test_plan_from_library_equals_plan_from_explicit_cells(empty_library):
     from_explicit = plan_static(scn, explicit)
     for f in fields(PlanResult):
         assert getattr(from_library, f.name) == getattr(from_explicit, f.name), f.name
+
+
+def test_kept_cells_are_the_cells_generate_cell_makes():
+    """The grid baseline keeps the cells it generates with the set: each is
+    byte for byte what generate_cell makes for its key at the set's key."""
+    scn = load_scenario(SCENARIO_DIR / "fig25_analog.json")
+    cells = build_cell_set(scn.ship, scn.radius_m, scn.cell_resolution_deg, dt=scn.dt_s)
+    grid_baseline_plan(scn, cells)
+    assert {-45.0, 45.0} <= set(cells._kept)  # no multiples of 2 degrees
+    for key, cell in cells._kept.items():
+        fresh = generate_cell(scn.ship, key, scn.radius_m, dt=scn.dt_s)
+        assert _cell_bytes(cell) == _cell_bytes(fresh), key
+
+
+def test_kept_cells_stay_within_the_bound_least_recently_used_out(cells600):
+    cells = replace(cells600)
+    made = []
+
+    def keep(key):
+        return cells.kept_cell(key, lambda: made.append(key) or object())
+
+    bound = cells_mod._KEPT_CELLS
+    first = keep(0.01)
+    for i in range(2, bound + 1):
+        keep(i / 100.0)
+    assert len(cells._kept) == bound and len(made) == bound
+    assert keep(0.01) is first and len(made) == bound  # a hit generates nothing
+    for i in range(bound + 1, 2 * bound):
+        keep(i / 100.0)
+        assert len(cells._kept) == bound
+    # 0.01 was used after 0.02 to 0.64, so it outlived them
+    assert list(cells._kept) == [0.01] + [i / 100.0 for i in range(bound + 1, 2 * bound)]
+    keep(9.99)
+    assert 0.01 not in cells._kept and len(cells._kept) == bound
+
+
+def test_a_failed_generation_keeps_nothing(cells600):
+    cells = replace(cells600)
+
+    def failing():
+        raise NonConvergence("no cell")
+
+    with pytest.raises(NonConvergence):
+        cells.kept_cell(12.34, failing)
+    assert cells._kept == {}
+
+
+def test_new_sets_and_copies_start_with_an_empty_store(params, cells600):
+    cells = replace(cells600)
+    before = (hash(cells), repr(cells))
+    cell = cells.kept_cell(12.34, lambda: cells600.cells[0])
+    assert cells._kept == {12.34: cell}
+    assert (hash(cells), repr(cells)) == before and cells == cells600
+    assert replace(cells)._kept == {}
+    assert build_cell_set(params, 600.0, 15.0)._kept == {}

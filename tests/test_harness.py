@@ -313,6 +313,27 @@ class TestRunScenario:
         metrics = json.loads((tmp_path / "metrics.json").read_text())
         assert metrics["min_separation_m"] > 1500.0
 
+    def test_static_plan_after_a_dynamic_one_leaves_no_separation_series(self, tmp_path):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        run_scenario(SCENARIO_DIR / "dynamic_sit3_must_steer.json", out)
+        assert (out / "separation.csv").exists()
+        run_scenario(SCENARIO_DIR / "free_bearing37.json", out)
+        run_scenario(SCENARIO_DIR / "free_bearing37.json", fresh)
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in fresh.iterdir())
+        for p in fresh.iterdir():
+            assert (out / p.name).read_bytes() == p.read_bytes()
+
+    def test_planning_error_leaves_no_earlier_artifacts(self, tmp_path):
+        out = tmp_path / "out"
+        run_scenario(SCENARIO_DIR / "dynamic_sit3_must_steer.json", out)
+        assert {p.name for p in out.iterdir()} == set(harness_mod.RUN_ARTIFACTS)
+        (out / "notes.txt").write_text("not an artifact\n")
+        failing = tmp_path / "inside.json"
+        failing.write_text(json.dumps(INSIDE_OBSTACLE_SCENE))
+        with pytest.raises(InsideObstacle):
+            run_scenario(failing, out)
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+
     def test_metrics_match_recomputation_from_csv(self, tmp_path):
         _, result = run_scenario(SCENARIO_DIR / "fig25_analog.json", tmp_path)
         rows = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
@@ -622,6 +643,17 @@ class TestCliExitCodes:
         assert capsys.readouterr().err.startswith("input error:")
         assert not (tmp_path / "out" / "summary.json").exists()
 
+    def test_batch_input_error_leaves_no_earlier_summary(self, tmp_path, capsys):
+        src = tmp_path / "scenarios"
+        src.mkdir()
+        (src / "a.json").write_text((SCENARIO_DIR / "free_bearing37.json").read_text())
+        out = tmp_path / "out"
+        assert cli_main(["batch", str(src), "--out-dir", str(out)]) == 0
+        assert (out / "summary.json").exists()
+        (src / "b.json").write_text("{nope")
+        assert cli_main(["batch", str(src), "--out-dir", str(out)]) == 2
+        assert not (out / "summary.json").exists()
+
     def test_parser_is_built_once_per_process(self, tmp_path, capsys, monkeypatch):
         built = []
         real_build = cli_mod.build_parser
@@ -697,6 +729,26 @@ class TestCliExitCodes:
         }[command]
         assert cli_main([*argv, "--out-dir", str(a_file)]) == 2
         assert capsys.readouterr().err.startswith("input error:")
+
+    def test_failed_compare_leaves_no_earlier_report(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli_main(["compare", str(SCENARIO_DIR / "fig25_analog.json"),
+                         "--out-dir", str(out)]) == 0
+        assert (out / "comparison.json").exists()
+        assert cli_main(["compare", str(SCENARIO_DIR / "dynamic_sit1_own_first.json"),
+                         "--out-dir", str(out)]) == 2
+        assert list(out.iterdir()) == []
+
+    def test_plan_error_leaves_no_earlier_metrics(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli_main(["plan", str(SCENARIO_DIR / "free_bearing37.json"),
+                         "--out-dir", str(out)]) == 0
+        assert json.loads((out / "metrics.json").read_text())["reached"] is True
+        failing = tmp_path / "inside.json"
+        failing.write_text(json.dumps(INSIDE_OBSTACLE_SCENE))
+        assert cli_main(["plan", str(failing), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("planning error: InsideObstacle:")
+        assert list(out.iterdir()) == []
 
     def test_compare_success_writes_report(self, tmp_path, capsys):
         rc = cli_main(["compare", str(SCENARIO_DIR / "fig25_analog.json"),
@@ -909,6 +961,22 @@ class TestBaselineCells:
             assert new.path_length_m == pytest.approx(old.path_length_m, abs=1.0)
 
 
+    def test_a_second_plan_on_the_set_generates_nothing(self, generated):
+        """On the 2-degree fig25_analog set, +-45 degrees is no set cell: the
+        first plan generates those cells and keeps them with the set, a
+        second plan on the same set takes them from there."""
+        scn = load_scenario(SCENARIO_DIR / "fig25_analog.json")
+        first = baseline_mod.grid_baseline_plan(scn)
+        cells = cells_mod.cell_library(scn.ship, scn.radius_m, scn.cell_resolution_deg,
+                                       dt=scn.dt_s)
+        assert {-45.0, 45.0} <= set(generated) == set(cells._kept)
+        generated.clear()
+        second = baseline_mod.grid_baseline_plan(scn)
+        assert generated == []
+        for f in dataclasses.fields(PlanResult):
+            assert getattr(second, f.name) == getattr(first, f.name), f.name
+
+
 @pytest.fixture(scope="module")
 def sets_5_and_2(params):
     return [cells_mod.build_cell_set(params, 600.0, resolution) for resolution in (5.0, 2.0)]
@@ -922,16 +990,18 @@ def sets_5_and_2(params):
 @example(hundredths=-9000, pick=1)
 def test_baseline_cell_meets_its_key(sets_5_and_2, hundredths, pick):
     """Any change rounded to 0.01 deg: the baseline runs a cell within the
-    cell contract, and a cell the set holds within the solve tolerance."""
+    cell contract, and a cell the set holds within the solve tolerance. A
+    generated cell is kept with the set as its most recent cell; a held
+    cell is the set's own and is not kept."""
     cells = sets_5_and_2[pick]
     key = round(hundredths / 100.0, 2)
-    generated = {}
-    cell = baseline_mod._tracking_cell(cells, key, generated)
+    cell = baseline_mod._tracking_cell(cells, key)
     assert abs(cell.heading_change_deg - key) <= cells_mod.CELL_TARGET_TOL_DEG
     held = cells.held_cell(key)
     if held is None:
         assert round(key / cells.resolution_deg) * cells.resolution_deg != key
-        assert generated == {key: cell}
+        assert list(cells._kept.items())[-1] == (key, cell)
+        assert baseline_mod._tracking_cell(cells, key) is cell
     else:
-        assert cell is held and cell in cells.cells and generated == {}
+        assert cell is held and cell in cells.cells and key not in cells._kept
         assert abs(cell.heading_change_deg - key) <= cells_mod._SOLVE_TOL_DEG

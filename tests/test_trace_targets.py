@@ -43,10 +43,12 @@ def test_planning_goes_through_the_traced_functions():
         assert called[recorder._name_ids[name]] >= 1, name
 
 
-def test_baseline_rollouts_go_through_the_traced_functions():
+def test_baseline_rollouts_go_through_the_traced_functions(monkeypatch):
     """The grid baseline's generated cells record their scalar rollouts, which
     roll float tuples and so record no ship.step: on the 2-degree
-    fig25_analog set, +-45 degrees is no set cell and is generated."""
+    fig25_analog set, +-45 degrees is no set cell and is generated. A fresh
+    library, so no earlier plan has kept those cells with the set."""
+    monkeypatch.setattr(cgtc.cells, "_library", {})
     recorder = _recorder()
     recorder.install(cgtc)
     try:
