@@ -17,7 +17,9 @@ switch instant is located inside an integration step (split step) to keep
 that function continuous in delta0. A cell set solves all of its targets
 together: the bisection probes of every target are rolled in lockstep as
 numpy lanes, with the same arithmetic as the scalar rollout, several
-bisection levels per pass. The solved delta0s are then rolled once more in
+bisection levels per pass, so a set is solved in two passes. Once every
+lane's rudder is at rest, a lockstep step leaves out the terms that are
+then exact zeros and ones. The solved delta0s are then rolled once more in
 one recorded lockstep pass, which gives each cell its samples: a cell keeps
 them as a ship.Trajectory over its own (7, n) array, never as ShipStates.
 A lane that never crosses raises, where the build reads it, the scalar
@@ -54,11 +56,14 @@ YAW_SETTLE_FRAC = 0.01
 CELL_TARGET_TOL_DEG = 0.2
 _SOLVE_TOL_DEG = 0.02
 _MAX_BISECTIONS = 80
-# Bisection levels that one _solve_delta0s pass rolls ahead for each target.
-# A pass costs mostly numpy call overhead, not lanes: 4 levels (15 probes
-# per target) solve a set in 3 passes where 2 levels took 6. Measured over
-# the benchmark's cold-scene sets, 3 levels were about as fast and 5 or 6
-# slower.
+# Bisection levels that the first _solve_delta0s pass rolls ahead, and each
+# later pass. A pass costs mostly numpy call overhead, not lanes. Every
+# target on a side starts from the same bracket, so the first pass rolls one
+# subtree per side (255 probes at 8 levels); after it the brackets part, and
+# a pass rolls 15 probes per target at 4 levels. 8 then 4 levels solve the
+# default hull's sets at 600 m in 2 passes, where 4 levels a pass took 3,
+# and the second pass is the largest, as the third was.
+_FIRST_PASS_LEVELS = 8
 _LEVELS_PER_PASS = 4
 
 # A CellSet keeps at most this many cells generated for changes it holds no
@@ -374,6 +379,31 @@ def _step_lanes(params: ShipParams, st: np.ndarray, cmd, dt) -> np.ndarray:
     return new
 
 
+def _stabilize_lanes(params: ShipParams, st: np.ndarray, dt: float) -> np.ndarray:
+    """_step_lanes(params, st, 0.0, dt) bit for bit: the Posture Stabilization step.
+
+    Once every rudder is exactly +0.0 it stays +0.0, and the full step's
+    yaw-rate target (turn_gain * 0.0), speed target (U * (1.0 - 0.0)) and
+    kick term (kick_coeff * 0.0) are exact 0.0, U and 0.0; z - 0.0 == z for
+    every float z, -0.0 included. So this step computes only the terms left.
+    A rudder of -0.0 or any other value takes the full step.
+    """
+    if st[_RUD].view(np.uint64).any():  # a bit set: the rudder is not +0.0
+        return _step_lanes(params, st, 0.0, dt)
+    x, y, hdg, u, v, r, _ = st
+    h = np.radians(hdg)
+    sh, ch = np.sin(h), np.cos(h)
+    new = np.empty_like(st)
+    new[_X] = x + dt * (u * sh + v * ch)
+    new[_Y] = y + dt * (u * ch - v * sh)
+    new[_HDG] = np.remainder(hdg + dt * r, 360.0)
+    new[_U] = u + dt * (params.steady_speed_mps - u) / params.speed_recovery_s
+    new[_V] = v - dt * v / params.turn_lag_s
+    new[_R] = r + dt * (0.0 - r) / params.turn_lag_s
+    new[_RUD] = 0.0
+    return new
+
+
 class _Recording:
     """The samples a recorded _heading_changes pass keeps.
 
@@ -443,7 +473,7 @@ def _heading_changes(params: ShipParams, delta0s, radius_m: float, dt: float,
                 aux[_ADJ, i] = 0.0
                 n_adjusting -= i.size
         else:
-            new = _step_lanes(params, st, 0.0, dt)
+            new = _stabilize_lanes(params, st, dt)
 
         done = np.hypot(new[_X], new[_Y]) >= near
         if done.any():
@@ -649,11 +679,13 @@ def _solve_delta0s(params: ShipParams, targets: list[float], radius_m: float,
     """delta0 of every target, all bisections advancing together.
 
     Each pass rolls, for every unsolved target, the subtree of its next
-    _LEVELS_PER_PASS probes, and advances each bisection by that many
-    levels; equal probes of different targets share a lane, and the
-    full-rudder rollout of each side rides along the first pass. The probe sequence of
-    each target is therefore exactly generate_cell's. A NaN lane fails its
-    target with _no_crossing; the lowest failing target's error is raised.
+    probes (_FIRST_PASS_LEVELS levels in the first pass, _LEVELS_PER_PASS
+    in each later one), and advances each bisection by that many levels.
+    Targets that share a bracket share its subtree, and equal probes share
+    a lane; the full-rudder rollout of each side rides along the first pass.
+    The probe sequence of each target is therefore exactly generate_cell's.
+    A NaN lane fails its target with _no_crossing; the lowest failing
+    target's error is raised.
     """
     def measured(hc: float) -> float:
         if math.isnan(hc):  # the lane did not cross in time
@@ -664,8 +696,10 @@ def _solve_delta0s(params: ShipParams, targets: list[float], radius_m: float,
     full_rudder = [b.full_rudder for b in solves]
     errors: dict[float, Exception] = {}
     active = solves
+    levels = _FIRST_PASS_LEVELS
     while active:
-        probes = (b.sign * mag for b in active for mag in b.next_levels(_LEVELS_PER_PASS))
+        subtrees = {(b.sign, b.lo, b.hi): b for b in active}.values()
+        probes = (b.sign * mag for b in subtrees for mag in b.next_levels(levels))
         lanes = list(dict.fromkeys([*full_rudder, *probes]))
         hc = dict(zip(lanes, _heading_changes(params, lanes, radius_m, dt).tolist()))
         if full_rudder:
@@ -679,7 +713,7 @@ def _solve_delta0s(params: ShipParams, targets: list[float], radius_m: float,
             full_rudder = []
         for solve in active:
             try:
-                for _ in range(_LEVELS_PER_PASS):
+                for _ in range(levels):
                     mag = solve.probe()
                     solve.record(mag, measured(hc[solve.sign * mag]))
                     if solve.result is not None:
@@ -687,6 +721,7 @@ def _solve_delta0s(params: ShipParams, targets: list[float], radius_m: float,
             except NonConvergence as exc:
                 errors[solve.target] = exc
         active = [b for b in active if b.result is None and b.target not in errors]
+        levels = _LEVELS_PER_PASS
 
     if errors:
         target = min(errors)

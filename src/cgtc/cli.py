@@ -50,15 +50,25 @@ def _cmd_gen_cells(args) -> int:
         return 2
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cells = build_cell_set(params, radius, args.resolution, dt=args.dt)
+    # the files are named by each cell's achieved change, so an earlier set's
+    # cells are found by pattern
+    try:
+        cells = build_cell_set(params, radius, args.resolution, dt=args.dt)
+    except CGTCError:
+        remove_artifacts(out, ["index.csv", *(p.name for p in out.glob("cell_*.csv"))])
+        raise
+    written = set()
     for cell in cells.cells:
         tag = f"{cell.heading_change_deg:+07.2f}".replace("+", "p").replace("-", "m")
+        name = f"cell_{tag}.csv"
+        written.add(name)
         x, y, heading, u, v, _, rudder = cell.samples.columns.tolist()
-        write_csv(out / f"cell_{tag}.csv", CELL_COLUMNS, CELL_ROW,
+        write_csv(out / name, CELL_COLUMNS, CELL_ROW,
                   zip(cell.sample_times_s, x, y, heading, u, v, rudder))
     write_csv(out / "index.csv", INDEX_COLUMNS, INDEX_ROW,
               ((c.heading_change_deg, c.delta0_deg, c.duration_s, c.arc_length_m)
                for c in cells.cells))
+    remove_artifacts(out, [p.name for p in out.glob("cell_*.csv") if p.name not in written])
     print(f"wrote {len(cells.cells)} cells to {out}")
     return 0
 

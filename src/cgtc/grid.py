@@ -79,13 +79,19 @@ def polar_to_world(center: Point, radius_m: float, alpha: "CompassAngle | float"
     return (center[0] + radius_m * math.sin(a), center[1] + radius_m * math.cos(a))
 
 
-def compass_bearing(origin: Point, target: Point) -> CompassAngle:
-    """Four-quadrant compass bearing of target as seen from origin."""
+def bearing_deg(origin: Point, target: Point) -> float:
+    """Four-quadrant compass bearing of target from origin, in degrees as
+    atan2 gives them: wrap_degrees of it is compass_bearing's degrees."""
     dx = target[0] - origin[0]
     dy = target[1] - origin[1]
     if dx == 0.0 and dy == 0.0:
         raise CoincidentPoints(f"bearing undefined between coincident points {origin}")
-    return CompassAngle(math.degrees(math.atan2(dx, dy)))
+    return math.degrees(math.atan2(dx, dy))
+
+
+def compass_bearing(origin: Point, target: Point) -> CompassAngle:
+    """Four-quadrant compass bearing of target as seen from origin."""
+    return CompassAngle(bearing_deg(origin, target))
 
 
 def rotate_offset(offset: Point, heading_deg: float) -> Point:

@@ -147,7 +147,9 @@ def invert_relation(rel: CubicRelation, heading_change_deg: float) -> float:
     monotonicity invariant. Raises OutOfRange when the requested heading
     change is not reachable inside the domain; CellSet.command_for clamps
     its request into the fitted range first, so the planners never see it.
+    The loop evaluates the relation as rel() does, on local coefficients.
     """
+    a, b, c, d = rel.a, rel.b, rel.c, rel.d
     lo, hi = rel.domain_lo_deg, rel.domain_hi_deg
     f_lo = rel(lo) - heading_change_deg
     f_hi = rel(hi) - heading_change_deg
@@ -158,7 +160,7 @@ def invert_relation(rel: CubicRelation, heading_change_deg: float) -> float:
         )
     for _ in range(_INVERT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        f_mid = rel(mid) - heading_change_deg
+        f_mid = ((a * mid + b) * mid + c) * mid + d - heading_change_deg
         if abs(f_mid) < _INVERT_TOL_DEG:
             return mid
         if f_mid < 0.0:

@@ -24,7 +24,8 @@ from .errors import (
     StartInsideObstacle,
     ValidationError,
 )
-from .grid import CompassAngle, GridNode, advance_pose, compass_bearing
+from .grid import (CompassAngle, GridNode, advance_pose, bearing_deg, compass_bearing,
+                   signed_degrees, wrap_degrees)
 from .ship import Trajectory
 
 if TYPE_CHECKING:
@@ -119,18 +120,19 @@ def is_bypassed(pose: GridNode, obstacle: Obstacle, destination: Point) -> bool:
 
     Either the destination bearing clears the obstacle's tangent cone, or
     the obstacle center sits more than 90 degrees off the current heading
-    (abeam or astern).
+    (abeam or astern). The bearings are compass_bearing's degrees, on
+    floats: each is wrapped once, as a CompassAngle wraps it.
     """
     d = math.dist(pose.position, obstacle.center)
     if d <= obstacle.radius_m:
         return False
-    center_bearing = compass_bearing(pose.position, obstacle.center)
-    rel = abs(center_bearing.diff_from(pose.heading))
+    center_bearing = wrap_degrees(bearing_deg(pose.position, obstacle.center))
+    rel = abs(signed_degrees(center_bearing - pose.heading.degrees))
     if rel > 90.0:
         return True
-    dest_bearing = compass_bearing(pose.position, destination)
+    dest_bearing = wrap_degrees(bearing_deg(pose.position, destination))
     half_deg = math.degrees(math.asin(obstacle.radius_m / d))
-    return abs(dest_bearing.diff_from(center_bearing)) >= half_deg
+    return abs(signed_degrees(dest_bearing - center_bearing)) >= half_deg
 
 
 def _aim(pose: GridNode, bearing: CompassAngle, side: int = 0) -> HeadingDecision:

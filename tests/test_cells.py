@@ -22,6 +22,8 @@ from cgtc.cells import (
     _heading_changes,
     _lane_cells,
     _roll_until_crossing,
+    _stabilize_lanes,
+    _step_lanes,
     build_cell_set,
     check_radius,
     cell_library,
@@ -98,6 +100,76 @@ def test_lane_kernel_matches_scalar_rollout():
         for cell in from_lanes:
             assert cell.samples.columns.base is None  # owns its array
             assert not cell.samples.columns.flags.writeable
+
+
+@pytest.mark.parametrize("resolution", [5.0, 2.0])
+def test_cold_build_solves_in_two_passes_and_records_once(params, monkeypatch, resolution):
+    real = cells_mod._heading_changes
+    passes = []
+
+    def counting(p, delta0s, *args):
+        passes.append(list(delta0s))
+        return real(p, delta0s, *args)
+
+    monkeypatch.setattr(cells_mod, "_heading_changes", counting)
+    build_cell_set(params, 600.0, resolution)
+    assert len(passes) == 3
+    # full rudder each way, and each side's 8-level subtree of [0, 35]
+    tree = [35.0 * k / 256 for k in range(1, 256)]
+    first = passes[0]
+    assert len(first) == len(set(first)) == 512
+    assert set(first) == {35.0, -35.0, *tree, *(-d for d in tree)}
+
+
+def _lane_states(lanes):
+    """A (7, n) state array from per-lane (x, y, heading, u, v, r) tuples, rudder +0.0."""
+    st_ = np.zeros((7, len(lanes)))
+    st_[:6] = np.array(lanes, dtype=np.float64).T
+    return st_
+
+
+_signed_zero = st.sampled_from([0.0, -0.0])
+_lane = st.tuples(st.floats(-2000.0, 2000.0), st.floats(-2000.0, 2000.0),
+                  st.floats(0.0, 360.0, exclude_max=True), st.floats(0.0, 12.0),
+                  _signed_zero | st.floats(-3.0, 3.0), _signed_zero | st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(speed=st.floats(2.0, 12.0), gain=st.floats(0.02, 0.3), lag=st.floats(0.5, 60.0),
+       recovery=st.floats(0.5, 60.0), asym=st.floats(1.0, 1.5), kick=st.floats(0.0, 0.2),
+       loss=st.floats(0.0, 0.2), rate=st.floats(0.5, 8.0), dt=st.floats(0.01, 1.0),
+       lanes=st.lists(_lane, min_size=1, max_size=8))
+@example(speed=7.7, gain=0.126, lag=4.0, recovery=4.0, asym=1.13, kick=0.1, loss=0.05,
+         rate=3.0, dt=0.5, lanes=[(0.0, 0.0, 0.0, 7.7, -0.0, -0.0),
+                                  (1.0, 2.0, 359.9, 7.0, 0.0, 0.0),
+                                  (-5.0, 3.0, 180.0, 6.5, -0.0, 0.0),
+                                  (0.0, 0.0, 0.0, 0.0, 0.0, -0.0)])
+def test_rest_step_equals_the_full_step(speed, gain, lag, recovery, asym, kick, loss, rate, dt,
+                                        lanes):
+    hull = ShipParams(steady_speed_mps=speed, turn_gain=gain, turn_lag_s=lag,
+                      speed_recovery_s=recovery, asymmetry_factor=asym, kick_gain=kick,
+                      speed_loss_gain=loss, rudder_rate_degps=rate)
+    states = _lane_states(lanes)
+    full = _step_lanes(hull, states, 0.0, dt)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cells_mod, "_step_lanes", None)  # the rest step must not call it
+        rest = _stabilize_lanes(hull, states, dt)
+    assert rest.tobytes() == full.tobytes()
+
+
+def test_a_negative_zero_rudder_takes_the_full_step(params, monkeypatch):
+    states = _lane_states([(0.0, 0.0, 0.0, 7.7, 0.0, 0.0), (10.0, 20.0, 30.0, 7.5, 0.01, -0.2)])
+    states[6, 1] = -0.0
+    full_steps = []
+
+    def full_step(*args):
+        full_steps.append(args)
+        return _step_lanes(*args)
+
+    monkeypatch.setattr(cells_mod, "_step_lanes", full_step)
+    stepped = _stabilize_lanes(params, states, 0.5)
+    assert len(full_steps) == 1 and full_steps[0][2] == 0.0
+    assert stepped.tobytes() == _step_lanes(params, states, 0.0, 0.5).tobytes()
 
 
 def _rollout_from_states(params, delta0, radius, dt):

@@ -750,6 +750,28 @@ class TestCliExitCodes:
         assert capsys.readouterr().err.startswith("planning error: InsideObstacle:")
         assert list(out.iterdir()) == []
 
+    def test_gen_cells_at_another_resolution_leaves_only_its_cells(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli_main(["gen-cells", "--resolution", "15", "--out-dir", str(out)]) == 0
+        (out / "notes.txt").write_text("not a cell\n")
+        assert cli_main(["gen-cells", "--resolution", "10", "--out-dir", str(out)]) == 0
+        params = ShipParams()
+        cells = build_cell_set(params, 6.0 * params.length_m, 10.0)
+        tags = [f"{c.heading_change_deg:+07.2f}".replace("+", "p").replace("-", "m")
+                for c in cells.cells]
+        assert len(_csv_rows(out / "index.csv")) == 1 + 19
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["index.csv", "notes.txt", *(f"cell_{tag}.csv" for tag in tags)])
+
+    def test_failed_gen_cells_leaves_no_earlier_cells(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli_main(["gen-cells", "--resolution", "15", "--out-dir", str(out)]) == 0
+        assert cli_main(["gen-cells", "--resolution", "10", "--out-dir", str(out)]) == 0
+        (out / "notes.txt").write_text("not a cell\n")
+        assert cli_main(["gen-cells", "--radius", "128", "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("planning error: Unreachable:")
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+
     def test_compare_success_writes_report(self, tmp_path, capsys):
         rc = cli_main(["compare", str(SCENARIO_DIR / "fig25_analog.json"),
                        "--out-dir", str(tmp_path)])

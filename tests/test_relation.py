@@ -1,10 +1,14 @@
 """Correlation and polynomial-fit tests, including the published 12-row table."""
 
+import functools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cgtc.cells import build_cell_set
 from cgtc.errors import (
     InsufficientSamples,
     LengthMismatch,
@@ -13,6 +17,7 @@ from cgtc.errors import (
     ZeroVariance,
 )
 from cgtc.relation import CubicRelation, RelationSample, fit_poly, invert_relation, pearson
+from cgtc.ship import ShipParams
 
 from conftest import RUDDER_HEADING_TABLE
 
@@ -143,3 +148,47 @@ class TestInvertRelation:
             invert_relation(rel, rel.range_hi_deg + 5.0)
         with pytest.raises(OutOfRange):
             invert_relation(rel, rel.range_lo_deg - 5.0)
+
+
+def reference_invert(rel, heading_change_deg):
+    """invert_relation's bisection with each probe evaluated through rel()."""
+    lo, hi = rel.domain_lo_deg, rel.domain_hi_deg
+    if rel(lo) - heading_change_deg > 0.0 or rel(hi) - heading_change_deg < 0.0:
+        raise OutOfRange(heading_change_deg)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid = rel(mid) - heading_change_deg
+        if abs(f_mid) < 1e-6:
+            return mid
+        if f_mid < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@functools.cache
+def default_cells(resolution):
+    return build_cell_set(ShipParams(), 600.0, resolution)
+
+
+@settings(max_examples=300, deadline=None)
+@given(resolution=st.sampled_from([5.0, 2.0]),
+       change=st.floats(-100.0, 100.0) | st.sampled_from([-90.0, 0.0, 90.0]))
+@example(resolution=5.0, change=-1e9)
+@example(resolution=2.0, change=1e9)
+# 1e-6 off the relation at an early probe, so the last bit of each probe's
+# value decides whether the bisection stops there
+@example(resolution=5.0, change=-40.043446355272245)
+@example(resolution=2.0, change=-75.90228052828814)
+def test_inversion_is_bit_equal_to_evaluating_through_the_relation(resolution, change):
+    cells = default_cells(resolution)
+    rel = cells.relation
+    lo, hi = rel.range_lo_deg, rel.range_hi_deg
+    span = hi - lo
+    target = max(lo + 1e-9 * span, min(hi - 1e-9 * span, change))  # command_for's clamp
+    expected = reference_invert(rel, target).hex()
+    assert invert_relation(rel, target).hex() == expected
+    assert cells.command_for(change).hex() == expected
+    if lo <= change <= hi:
+        assert invert_relation(rel, change).hex() == reference_invert(rel, change).hex()

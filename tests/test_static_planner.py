@@ -21,7 +21,8 @@ from cgtc.errors import (
     StartInsideObstacle,
     ValidationError,
 )
-from cgtc.grid import CompassAngle, GridNode, compass_bearing, signed_degrees
+from cgtc.grid import (CompassAngle, GridNode, bearing_deg, compass_bearing,
+                       signed_degrees, wrap_degrees)
 from cgtc.scenario import Scenario, load_scenario, mirror_scenario
 from cgtc.ship import ShipParams
 from cgtc.static_planner import (
@@ -176,6 +177,48 @@ class TestIsBypassed:
         # obstacle well off to the side of the destination bearing
         assert is_bypassed(pose, Obstacle(center=(3000.0, 500.0), radius_m=400.0),
                            (0.0, 5000.0))
+
+
+def reference_is_bypassed(pose, obstacle, destination):
+    """is_bypassed on the CompassAngles of compass_bearing."""
+    d = math.dist(pose.position, obstacle.center)
+    if d <= obstacle.radius_m:
+        return False
+    center_bearing = compass_bearing(pose.position, obstacle.center)
+    if abs(center_bearing.diff_from(pose.heading)) > 90.0:
+        return True
+    dest_bearing = compass_bearing(pose.position, destination)
+    half_deg = math.degrees(math.asin(obstacle.radius_m / d))
+    return abs(dest_bearing.diff_from(center_bearing)) >= half_deg
+
+
+_coordinate = st.floats(-8000.0, 8000.0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(x=_coordinate, y=_coordinate, heading=st.floats(0.0, 360.0, exclude_max=True),
+       offset=st.tuples(_coordinate, _coordinate) | st.tuples(st.floats(-1e-6, 1e-6),
+                                                             st.floats(-8000.0, 8000.0)),
+       radius=st.floats(1.0, 3000.0), destination=st.tuples(_coordinate, _coordinate))
+# atan2 of a tiny negative dx: the disc's bearing wraps to 360.0, not 0.0, and
+# the destination's offset from it clears the cone only when taken from 360.0
+@example(x=0.0, y=0.0, heading=0.1, offset=(-1e-300, 2000.0), radius=500.0,
+         destination=(1249.9999999999998, 4841.229182759272))
+@example(x=0.0, y=0.0, heading=0.0, offset=(0.0, 2000.0), radius=500.0,
+         destination=(-1e-300, 5000.0))
+def test_bypass_on_floats_equals_bypass_on_compass_angles(x, y, heading, offset, radius,
+                                                          destination):
+    pose = GridNode(position=(x, y), heading=CompassAngle(heading))
+    center = (x + offset[0], y + offset[1])
+    obstacle = Obstacle(center=center, radius_m=radius)
+    for target in (center, destination):
+        if target != pose.position:
+            assert (wrap_degrees(bearing_deg(pose.position, target)).hex()
+                    == compass_bearing(pose.position, target).degrees.hex())
+    if destination == pose.position:
+        return
+    assert (is_bypassed(pose, obstacle, destination)
+            == reference_is_bypassed(pose, obstacle, destination))
 
 
 def fig20_scenario(params):
