@@ -180,10 +180,7 @@ def grid_baseline_plan(scenario: "Scenario", cells: Optional[CellSet] = None) ->
 
     waypoints = collapse_collinear(astar_grid_path(start_xy, dest, pitch, obstacles))
 
-    wp_i = 1 if len(waypoints) > 1 else 0
-
-    def next_cell(pose: GridNode, t: float):
-        nonlocal wp_i
+    def step(pose: GridNode, t: float, wp_i: int):
         while wp_i < len(waypoints) - 1 and math.dist(pose.position, waypoints[wp_i]) <= pitch:
             wp_i += 1
         target = waypoints[wp_i]
@@ -194,6 +191,6 @@ def grid_baseline_plan(scenario: "Scenario", cells: Optional[CellSet] = None) ->
         change = signed_degrees(desired - pose.heading.degrees)
         change = max(-MAX_HEADING_CHANGE_DEG, min(MAX_HEADING_CHANGE_DEG, change))
         cell = _tracking_cell(cells, change)
-        return cell, cells.nearest_index(cell.heading_change_deg), cell.delta0_deg
+        return cell, cells.nearest_index(cell.heading_change_deg), cell.delta0_deg, wp_i
 
-    return execute_cells(scenario, next_cell, obstacles)
+    return execute_cells(scenario, step, 1 if len(waypoints) > 1 else 0, obstacles)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -242,8 +242,8 @@ def _with_avoid_radius(enc: Encounter, r_x: float) -> VirtualObstacle:
                            avoid_radius_m=avoid)
 
 
-def min_separation(own_traj: list[ShipState],
-                   obstacle_track: list[Point]) -> tuple[list[float], float]:
+def min_separation(own_traj: Trajectory | Sequence[ShipState],
+                   obstacle_track: Sequence[Point] | np.ndarray) -> tuple[list[float], float]:
     """Pointwise own/obstacle distances over a common time base.
 
     own_traj is a Trajectory (read through its columns) or any sequence of
@@ -265,6 +265,17 @@ def min_separation(own_traj: list[ShipState],
     return series, min(series)
 
 
+@dataclass(frozen=True)
+class _DynamicState:
+    """plan_dynamic's step state: the episode, the virtual disc as bypassed
+    (dropped for good once virtual_done) and the last classified heading."""
+
+    engagement: Engagement = Engagement()
+    virtual: Optional[Obstacle] = None
+    virtual_done: bool = False
+    classified_heading: Optional[float] = None
+
+
 def plan_dynamic(scenario: "Scenario", cells: Optional[CellSet] = None) -> PlanResult:
     """Two-stage dynamic plan around one constant-velocity moving obstacle.
 
@@ -274,8 +285,10 @@ def plan_dynamic(scenario: "Scenario", cells: Optional[CellSet] = None) -> PlanR
     track intersection; stage 1 bypasses it through the static tangency
     strategy and stage 2 starts once it reports bypassed, dropping it for
     good and driving home. Static obstacles participate in every decision
-    throughout, and the separation to the moving obstacle is recorded at
-    every trajectory sample.
+    throughout. Each step is a pure function of a frozen _DynamicState,
+    which execute_cells threads. The separation to the moving obstacle is
+    recorded at every trajectory sample; when no cell runs, only its
+    minimum is measured, at the start point, and the series stays empty.
     """
     movers = [o for o in scenario.obstacles if o.moving]
     if len(movers) != 1:
@@ -288,54 +301,46 @@ def plan_dynamic(scenario: "Scenario", cells: Optional[CellSet] = None) -> PlanR
     check_endpoints(scenario, statics)
     cells = scenario_cells(scenario, cells)
     dest = (scenario.dest_x_m, scenario.dest_y_m)
-    virtual: Optional[Obstacle] = None  # the virtual disc as the planner bypasses it
-    virtual_done = False
-    engagement = Engagement()
     tracked_statics = list(enumerate(statics))
-    last_classified_heading: Optional[float] = None
 
-    def next_cell(pose: GridNode, t: float):
-        nonlocal virtual, virtual_done, last_classified_heading
-        force_starboard = False
-        if not virtual_done and virtual is None:
-            # The maintain-heading bounds are a whole-track guarantee under
-            # constant courses, so they are re-derived only when the own
-            # heading has changed since last evaluated. Once MustSteer fires,
-            # the virtual disc stays fixed at that meeting point (a virtual
-            # placed on an already-turned heading ray would clear its own
-            # tangent cone immediately) and is dropped only via bypass.
-            if pose.heading.degrees != last_classified_heading:
-                try:
-                    enc = make_encounter(pose, scenario.ship.steady_speed_mps,
-                                         replace(mover, center=mover.position_at(t)),
-                                         scenario.radius_m, mover.radius_m)
-                    cls = classify_encounter(enc)
-                    if cls.kind is EncounterClass.MUST_STEER:
-                        try:
-                            virtual = virtual_obstacle_radius(enc).as_obstacle()
-                        except NoFeasibleRadius:
-                            force_starboard = True
-                except (ParallelCourses, NoForwardIntersection):
-                    pass  # diverging tracks: no crossing risk from here
-                last_classified_heading = pose.heading.degrees
-        if force_starboard:
-            decision = HeadingDecision(
-                target_bearing_deg=pose.heading.plus(MAX_HEADING_CHANGE_DEG).degrees,
-                heading_change_deg=MAX_HEADING_CHANGE_DEG,
-                two_step=True, avoid_side=+1,
-            )
-        else:
+    def step(pose: GridNode, t: float, state: _DynamicState):
+        virtual, classified = state.virtual, state.classified_heading
+        decision = None
+        # The maintain-heading bounds are a whole-track guarantee under
+        # constant courses, so they are re-derived only when the own heading
+        # has changed since last evaluated. Once MustSteer fires, the virtual
+        # disc stays fixed at that meeting point (a virtual placed on an
+        # already-turned heading ray would clear its own tangent cone
+        # immediately) and is dropped only via bypass.
+        if not state.virtual_done and virtual is None and pose.heading.degrees != classified:
+            classified = pose.heading.degrees
+            try:
+                enc = make_encounter(pose, scenario.ship.steady_speed_mps,
+                                     replace(mover, center=mover.position_at(t)),
+                                     scenario.radius_m, mover.radius_m)
+                if classify_encounter(enc).kind is EncounterClass.MUST_STEER:
+                    try:
+                        virtual = virtual_obstacle_radius(enc).as_obstacle()
+                    except NoFeasibleRadius:  # no disc resolves it: turn hard to starboard
+                        decision = HeadingDecision(MAX_HEADING_CHANGE_DEG, avoid_side=+1)
+            except (ParallelCourses, NoForwardIntersection):
+                pass  # diverging tracks: no crossing risk from here
+        engagement, virtual_done = state.engagement, state.virtual_done
+        if decision is None:
             tracked = (tracked_statics if virtual is None
                        else [*tracked_statics, ("virtual", virtual)])
-            decision = decide_heading(pose, dest, tracked, engagement)
+            decision, engagement = decide_heading(pose, dest, tracked, engagement)
             if virtual is not None and "virtual" not in engagement.ids:
                 # bypassed: stage 2 drives home without it
-                virtual = None
-                virtual_done = True
-        return pick_cell(decision, cells)
+                virtual, virtual_done = None, True
+        return (*pick_cell(decision, cells),
+                _DynamicState(engagement, virtual, virtual_done, classified))
 
-    result = execute_cells(scenario, next_cell, statics)
+    result = execute_cells(scenario, step, _DynamicState(), statics)
     if result.trajectory:
         track = np.column_stack(mover.position_at(np.array(result.sample_times_s)))
         result.separation_m, result.min_separation_m = min_separation(result.trajectory, track)
+    else:
+        result.min_separation_m = math.dist((scenario.start_x_m, scenario.start_y_m),
+                                            mover.position_at(0.0))
     return result

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, TypeVar
 
 import numpy as np
 
@@ -73,18 +73,16 @@ class Obstacle:
 
 @dataclass(frozen=True)
 class HeadingDecision:
-    """One search-loop decision: which bearing to pursue and how far to turn.
+    """One search-loop decision: how far to turn, and away from which side.
 
-    heading_change_deg is already clamped to the cell family's maximum; when
-    the full bearing difference exceeds it, two_step marks that the rest is
-    left to re-evaluation from the next node. avoid_side is +1/-1 when the
-    bearing is a starboard/port tangent (the executor then rounds the cell
-    choice away from the obstacle), 0 for plain destination pursuit.
+    heading_change_deg is already clamped to ±MAX_HEADING_CHANGE_DEG; a
+    bearing further off is left to re-evaluation from the next node.
+    avoid_side is +1/-1 when the turn pursues a starboard/port tangent (the
+    executor then rounds the cell choice away from the obstacle), 0 for
+    plain destination pursuit.
     """
 
-    target_bearing_deg: float
     heading_change_deg: float
-    two_step: bool
     avoid_side: int = 0
 
 
@@ -136,11 +134,10 @@ def is_bypassed(pose: GridNode, obstacle: Obstacle, destination: Point) -> bool:
 
 
 def _aim(pose: GridNode, bearing: CompassAngle, side: int = 0) -> HeadingDecision:
-    """Pursue a bearing, capping the turn at the cell family's maximum."""
+    """Pursue a bearing, clamping the turn to ±MAX_HEADING_CHANGE_DEG."""
     diff = bearing.diff_from(pose.heading)
-    two_step = abs(diff) > MAX_HEADING_CHANGE_DEG
-    change = math.copysign(MAX_HEADING_CHANGE_DEG, diff) if two_step else diff
-    return HeadingDecision(bearing.degrees, change, two_step, avoid_side=side)
+    return HeadingDecision(max(-MAX_HEADING_CHANGE_DEG, min(MAX_HEADING_CHANGE_DEG, diff)),
+                           side)
 
 
 def select_heading_free(pose: GridNode, destination: Point) -> HeadingDecision:
@@ -148,7 +145,7 @@ def select_heading_free(pose: GridNode, destination: Point) -> HeadingDecision:
     return _aim(pose, compass_bearing(pose.position, destination))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Engagement:
     """Avoidance-episode state for the continuous-tracking loop.
 
@@ -163,8 +160,8 @@ class Engagement:
 
 def decide_heading(pose: GridNode, destination: Point,
                    tracked: list[tuple[object, Obstacle]],
-                   engagement: Engagement) -> HeadingDecision:
-    """One planning decision via the extreme-tangency comparison.
+                   engagement: Engagement) -> tuple[HeadingDecision, Engagement]:
+    """One decision, and the next node's Engagement, by extreme tangency.
 
     Takes the tangent bearings of every tracked obstacle still blocking the
     destination bearing (the free-water rule when none does). A fresh
@@ -174,13 +171,11 @@ def decide_heading(pose: GridNode, destination: Point,
     re-evaluation does not flip-flop across the obstacle. tracked pairs a
     stable identifier with each obstacle so an episode survives obstacles
     dropping out (and the dynamic planner's virtual obstacle being
-    refreshed under the same identifier).
+    refreshed under the same identifier). engagement is only read.
     """
     blocking = [(oid, o) for oid, o in tracked if not is_bypassed(pose, o, destination)]
     if not blocking:
-        engagement.side = None
-        engagement.ids = frozenset()
-        return select_heading_free(pose, destination)
+        return select_heading_free(pose, destination), Engagement()
 
     dest_bearing = compass_bearing(pose.position, destination)
     tangents = [tangent_angles(pose.position, o) for _, o in blocking]
@@ -188,17 +183,17 @@ def decide_heading(pose: GridNode, destination: Point,
     right_diffs = [right.diff_from(dest_bearing) for _, right in tangents]
     ids = frozenset(oid for oid, _ in blocking)
     fresh = engagement.side is None or not (ids & engagement.ids)
-    engagement.ids = ids
     if fresh:
         port_most = min(left_diffs + right_diffs)
         stbd_most = max(left_diffs + right_diffs)
         # ties (within angle-arithmetic noise) break to starboard
-        engagement.side = -1 if abs(port_most) < abs(stbd_most) - 1e-9 else +1
-        chosen_diff = port_most if engagement.side < 0 else stbd_most
+        side = -1 if abs(port_most) < abs(stbd_most) - 1e-9 else +1
+        chosen_diff = port_most if side < 0 else stbd_most
     else:
-        chosen_diff = max(right_diffs) if engagement.side > 0 else min(left_diffs)
-    side = engagement.side
+        side = engagement.side
+        chosen_diff = max(right_diffs) if side > 0 else min(left_diffs)
     decision = _aim(pose, dest_bearing.plus(chosen_diff), side)
+    engagement = Engagement(side, ids)
     # While tracking, only ever turn further away from the obstacle: hold
     # the heading when it already clears the committed-side tangent (the
     # re-aim commands decay to nothing as the path converges onto the
@@ -206,14 +201,14 @@ def decide_heading(pose: GridNode, destination: Point,
     change = decision.heading_change_deg
     held = max(0.0, change) if side > 0 else min(0.0, change)
     if fresh or held == change:
-        return decision
-    return HeadingDecision(pose.heading.degrees, held, two_step=False, avoid_side=side)
+        return decision, engagement
+    return HeadingDecision(held, side), engagement
 
 
 def select_heading_static(pose: GridNode, destination: Point,
                           obstacles: list[Obstacle]) -> HeadingDecision:
     """decide_heading with no avoidance episode in progress."""
-    return decide_heading(pose, destination, list(enumerate(obstacles)), Engagement())
+    return decide_heading(pose, destination, list(enumerate(obstacles)), Engagement())[0]
 
 
 def pick_cell(decision: HeadingDecision,
@@ -265,25 +260,28 @@ def check_endpoints(scenario: "Scenario", obstacles: list[Obstacle]) -> None:
             raise DestinationInsideObstacle(f"destination {dest} inside obstacle at {o.center}")
 
 
-# next_cell(pose, t) -> (cell, cell index, rudder command) for one step
-NextCell = Callable[[GridNode, float], tuple[TrajectoryCell, int, float]]
+# step(pose, t, state) -> (cell, cell index, rudder command, next state);
+# a planner's step mutates nothing, so it may be re-run on any input
+State = TypeVar("State")
+Step = Callable[[GridNode, float, State], tuple[TrajectoryCell, int, float, State]]
 
 
-def execute_cells(scenario: "Scenario", next_cell: NextCell,
+def execute_cells(scenario: "Scenario", step: Step[State], state: State,
                   obstacles: list[Obstacle]) -> PlanResult:
     """On-line execution loop shared by every planner.
 
-    From the start pose, asks next_cell for the cell to run at each node
-    (t is the plan time at that node), places the cell at the pose, keeps
-    its sample columns and times (consecutive cells share their joint
-    sample; the arrays are joined once, after the last cell) and advances
-    to the cell's end node. Stops within
-    the reach tolerance of the destination, or with reached=False when the
-    step budget runs out. The path length sums the sample-to-sample
-    distances in sample order. Clearance is measured against obstacles
-    (None when there are none), at the start point if no cell ran, by
-    min_clearance: one numpy screen of every sample against every disc,
-    then an exact clearance() re-check of the samples near the minimum.
+    From the start pose, asks step for the cell to run at each node (t is
+    the plan time at that node), threading the state: state is the start
+    node's, and each step returns the next node's. Places the cell at the
+    pose, keeps its sample columns and times (consecutive cells share their
+    joint sample; the arrays are joined once, after the last cell) and
+    advances to the cell's end node. Stops within the reach tolerance of
+    the destination, or with reached=False when the step budget runs out.
+    The path length sums the sample-to-sample distances in sample order.
+    Clearance is measured against obstacles (None when there are none), at
+    the start point if no cell ran, by min_clearance: one numpy screen of
+    every sample against every disc, then an exact clearance() re-check of
+    the samples near the minimum.
     """
     start_xy = (scenario.start_x_m, scenario.start_y_m)
     dest = (scenario.dest_x_m, scenario.dest_y_m)
@@ -299,7 +297,7 @@ def execute_cells(scenario: "Scenario", next_cell: NextCell,
     for _ in range(scenario.max_steps):
         if math.dist(pose.position, dest) < reach_tol:
             break
-        cell, idx, command = next_cell(pose, t)
+        cell, idx, command, state = step(pose, t, state)
         commands.append(command)
         changes.append(cell.heading_change_deg)
 
@@ -358,17 +356,17 @@ def plan_static(scenario: "Scenario", cells: Optional[CellSet] = None) -> PlanRe
 
     Each iteration decides a heading, converts it to a rudder command via
     the cell relation, executes the nearest (safely rounded) cell, and
-    re-evaluates from the new node (see execute_cells).
+    re-evaluates from the new node (see execute_cells); the state is the
+    Engagement.
     """
     obstacles = scenario.obstacles
     check_endpoints(scenario, obstacles)
     cells = scenario_cells(scenario, cells)
     dest = (scenario.dest_x_m, scenario.dest_y_m)
-    engagement = Engagement()
     tracked = list(enumerate(obstacles))
 
-    def next_cell(pose: GridNode, t: float):
-        decision = decide_heading(pose, dest, tracked, engagement)
-        return pick_cell(decision, cells)
+    def step(pose: GridNode, t: float, engagement: Engagement):
+        decision, engagement = decide_heading(pose, dest, tracked, engagement)
+        return (*pick_cell(decision, cells), engagement)
 
-    return execute_cells(scenario, next_cell, obstacles)
+    return execute_cells(scenario, step, Engagement(), obstacles)

@@ -489,6 +489,26 @@ class TestCliExitCodes:
         rc = cli_main(["plan", str(bad), "--out-dir", str(tmp_path / "out")])
         assert rc == 2
 
+    def test_dynamic_plan_without_cells_measures_the_mover_at_the_start(self, tmp_path):
+        """A start within the reach tolerance runs no cell; the mover 300 m
+        off still makes the plan unsafe (it needs 600 + 200 m)."""
+        scn = {"mode": "dynamic",
+               "start": {"x_m": 0.0, "y_m": 0.0, "heading_deg": 0.0},
+               "destination": {"x_m": 0.0, "y_m": 100.0},
+               "circle_radius_m": 600.0,
+               "obstacles": [{"x_m": 0.0, "y_m": 300.0, "radius_m": 200.0,
+                              "speed_mps": 5.0, "course_deg": 90.0}]}
+        path = tmp_path / "beside_mover.json"
+        path.write_text(json.dumps(scn))
+        sc = load_scenario(path)
+        result = plan_dynamic(sc)
+        assert result.reached and not result.trajectory
+        assert result.min_separation_m == 300.0 and result.separation_m == []
+        assert not scenario_is_safe(sc, result)
+        out = tmp_path / "out"
+        assert cli_main(["plan", str(path), "--out-dir", str(out)]) == 1
+        assert (out / "trajectory.csv").exists() and not (out / "separation.csv").exists()
+
     def test_planning_failure_exit_one(self, tmp_path):
         stuck = dict(GOOD_SCENARIO)
         stuck["destination"] = {"x_m": 0.0, "y_m": 80000.0}

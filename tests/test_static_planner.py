@@ -87,21 +87,18 @@ class TestSelectHeadingFree:
         pose = GridNode(position=(0.0, 0.0), heading=CompassAngle(0.0))
         d = select_heading_free(pose, (0.0, 5000.0))
         assert d.heading_change_deg == pytest.approx(0.0, abs=1e-12)
-        assert not d.two_step
 
     def test_one_step_at_37(self):
         pose = GridNode(position=(0.0, 0.0), heading=CompassAngle(0.0))
         target = (5000.0 * math.sin(math.radians(37)), 5000.0 * math.cos(math.radians(37)))
         d = select_heading_free(pose, target)
         assert d.heading_change_deg == pytest.approx(37.0, abs=1e-9)
-        assert not d.two_step
 
     def test_two_step_beyond_max(self):
         pose = GridNode(position=(0.0, 0.0), heading=CompassAngle(0.0))
         target = (5000.0 * math.sin(math.radians(135)), 5000.0 * math.cos(math.radians(135)))
         d = select_heading_free(pose, target)
         assert d.heading_change_deg == pytest.approx(90.0)
-        assert d.two_step
 
 
 class TestSelectHeadingStatic:
@@ -136,7 +133,8 @@ class TestSelectHeadingStatic:
         port_most, stbd_most = min(diffs), max(diffs)
         expected = port_most if abs(port_most) < abs(stbd_most) else stbd_most
         d = select_heading_static(pose, dest, obstacles)
-        chosen_diff = signed_degrees(d.target_bearing_deg - dest_bearing.degrees)
+        chosen_diff = signed_degrees(pose.heading.degrees + d.heading_change_deg
+                                     - dest_bearing.degrees)
         assert chosen_diff == pytest.approx(expected, abs=0.1)
 
     def test_each_obstacle_screened_once_per_decision(self, monkeypatch):
@@ -155,7 +153,7 @@ class TestSelectHeadingStatic:
         engagement = Engagement()
         pose = GridNode(position=(0.0, 0.0), heading=CompassAngle(0.0))
         for _ in range(2):  # a fresh episode, then the committed side
-            decide_heading(pose, (400.0, 6400.0), tracked, engagement)
+            _, engagement = decide_heading(pose, (400.0, 6400.0), tracked, engagement)
             assert screened == obstacles
             screened.clear()
         assert engagement.ids == frozenset({0, 1})
@@ -300,10 +298,10 @@ class TestPlanStatic:
         dest = (sc.dest_x_m, sc.dest_y_m)
         dists = []
         for node, nxt in zip(res.nodes, res.nodes[1:]):
-            decision = decide_heading(node, dest, tracked, engagement)
+            decision, engagement = decide_heading(node, dest, tracked, engagement)
             if engagement.side is None:
                 break  # obstacle bypassed: tracking episode over
-            ray = math.radians(decision.target_bearing_deg)
+            ray = math.radians(node.heading.degrees + decision.heading_change_deg)
             dx, dy = math.sin(ray), math.cos(ray)
             px = nxt.position[0] - node.position[0]
             py = nxt.position[1] - node.position[1]
