@@ -16,7 +16,8 @@ from typing import TYPE_CHECKING, Optional
 from .cells import MAX_HEADING_CHANGE_DEG, CellSet, TrajectoryCell, generate_cell
 from .errors import NoGridPath
 from .grid import GridNode, compass_bearing, signed_degrees
-from .static_planner import Obstacle, PlanResult, execute_cells, scenario_cells
+from .static_planner import (Obstacle, PlanResult, _segment_gap, execute_cells,
+                             scenario_cells)
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -35,18 +36,9 @@ _STEP = [math.hypot(*d) for d in _DIRS]
 
 
 def _segment_clear(a: Point, b: Point, obstacles: list[Obstacle]) -> bool:
-    ax, ay = a
-    bx, by = b
-    dx, dy = bx - ax, by - ay
-    seg_sq = dx * dx + dy * dy
+    """True when the segment a-b keeps a positive gap to every disc."""
     for o in obstacles:
-        ox, oy = o.center
-        if seg_sq == 0.0:
-            d_sq = (ox - ax) ** 2 + (oy - ay) ** 2
-        else:
-            t = max(0.0, min(1.0, ((ox - ax) * dx + (oy - ay) * dy) / seg_sq))
-            d_sq = (ax + t * dx - ox) ** 2 + (ay + t * dy - oy) ** 2
-        if d_sq <= o.radius_m * o.radius_m:
+        if _segment_gap(a, b, o.center, o.radius_m) <= 0.0:
             return False
     return True
 

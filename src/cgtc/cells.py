@@ -477,6 +477,8 @@ def _heading_changes(params: ShipParams, delta0s, radius_m: float, dt: float,
 
         done = np.hypot(new[_X], new[_Y]) >= near
         if done.any():
+            # per-lane step lengths, when the settle split shortened some lanes' step
+            lane_dts = step_dt.tolist() if isinstance(step_dt, np.ndarray) else None
             for i in np.flatnonzero(done).tolist():
                 d = math.hypot(new[_X, i], new[_Y, i])
                 if d < radius_m:
@@ -484,7 +486,7 @@ def _heading_changes(params: ShipParams, delta0s, radius_m: float, dt: float,
                     continue
                 d_prev = math.hypot(st[_X, i], st[_Y, i])
                 w = 1.0 if d == d_prev else (radius_m - d_prev) / (d - d_prev)
-                lane_dt = step_dt if np.isscalar(step_dt) else float(step_dt[i])
+                lane_dt = step_dt if lane_dts is None else lane_dts[i]
                 lane = int(aux[_LANE, i])
                 out[lane] = hc_end = float(aux[_HC, i]) + w * lane_dt * float(st[_R, i])
                 if record is not None:

@@ -80,18 +80,17 @@ def _read_relation_csv(path: str) -> list[RelationSample]:
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     rows = []
-    for ln, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    lines = [(ln, line.strip()) for ln, line in enumerate(text.splitlines(), 1)]
+    lines = [(ln, line) for ln, line in lines if line and not line.startswith("#")]
+    for k, (ln, line) in enumerate(lines):
         parts = line.split(",")
         if len(parts) != 2:
             raise ValueError(f"{path}:{ln}: expected two columns")
         try:
             rudder, heading = float(parts[0]), float(parts[1])
         except ValueError:
-            if ln == 1:
-                continue  # header row
+            if k == 0:
+                continue  # header row: the first line neither blank nor a comment
             raise ValueError(f"{path}:{ln}: not numeric") from None
         if not (math.isfinite(rudder) and math.isfinite(heading)):
             raise ValueError(f"{path}:{ln}: not a finite number")
@@ -104,7 +103,7 @@ def _cmd_fit_relation(args) -> int:
         rows = _read_relation_csv(args.csv)
         r = pearson([s.rudder_deg for s in rows], [s.heading_change_deg for s in rows])
         rel, resid = fit_poly(rows, 3)
-        by_degree = {deg: fit_poly(rows, deg)[1] for deg in range(1, 6)}
+        by_degree = {deg: fit_poly(rows, deg)[1] for deg in range(1, min(5, len(rows) - 1) + 1)}
     except (ValueError, CGTCError) as exc:
         # the fit fails only on its input: too few rows, a constant column
         # or a non-monotone cubic

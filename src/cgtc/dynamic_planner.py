@@ -35,6 +35,7 @@ from .static_planner import (
     HeadingDecision,
     Obstacle,
     PlanResult,
+    _polyline_gap,
     check_endpoints,
     decide_heading,
     execute_cells,
@@ -244,12 +245,12 @@ def _with_avoid_radius(enc: Encounter, r_x: float) -> VirtualObstacle:
 
 def min_separation(own_traj: Trajectory | Sequence[ShipState],
                    obstacle_track: Sequence[Point] | np.ndarray) -> tuple[list[float], float]:
-    """Pointwise own/obstacle distances over a common time base.
+    """Own/obstacle distances at each sample, and their minimum between samples.
 
     own_traj is a Trajectory (read through its columns) or any sequence of
     ShipState; obstacle_track is a sequence of (x, y) points or an (n, 2)
-    array. Each distance is math.hypot of the coordinate differences, the
-    same value math.dist gives.
+    array. Each distance is math.hypot of the coordinate differences (as
+    math.dist); the minimum is the relative polyline's distance to (0, 0).
     """
     if len(own_traj) != len(obstacle_track):
         raise LengthMismatch(
@@ -260,9 +261,9 @@ def min_separation(own_traj: Trajectory | Sequence[ShipState],
     else:
         own_xy = np.array([[s.x_m for s in own_traj], [s.y_m for s in own_traj]],
                           dtype=np.float64)
-    track_xy = np.asarray(obstacle_track, dtype=np.float64).T
-    series = list(map(math.hypot, *(own_xy - track_xy).tolist()))
-    return series, min(series)
+    relative = own_xy - np.asarray(obstacle_track, dtype=np.float64).T
+    return (list(map(math.hypot, *relative.tolist())),
+            _polyline_gap(relative, [((0.0, 0.0), 0.0)]))
 
 
 @dataclass(frozen=True)
@@ -337,10 +338,8 @@ def plan_dynamic(scenario: "Scenario", cells: Optional[CellSet] = None) -> PlanR
                 _DynamicState(engagement, virtual, virtual_done, classified))
 
     result = execute_cells(scenario, step, _DynamicState(), statics)
-    if result.trajectory:
-        track = np.column_stack(mover.position_at(np.array(result.sample_times_s)))
-        result.separation_m, result.min_separation_m = min_separation(result.trajectory, track)
-    else:
-        result.min_separation_m = math.dist((scenario.start_x_m, scenario.start_y_m),
-                                            mover.position_at(0.0))
+    own = result.trajectory or [ShipState(x_m=scenario.start_x_m, y_m=scenario.start_y_m)]
+    track = np.column_stack(mover.position_at(np.array(result.sample_times_s or [0.0])))
+    series, result.min_separation_m = min_separation(own, track)
+    result.separation_m = series if result.trajectory else []
     return result

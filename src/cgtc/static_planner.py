@@ -229,24 +229,39 @@ def clearance(point: Point, obstacles: list[Obstacle]) -> float:
     return min(math.dist(point, o.center) - o.radius_m for o in obstacles)
 
 
-def min_clearance(points: np.ndarray, obstacles: list[Obstacle]) -> float:
-    """min(clearance(p, obstacles) for p in points) for an (n, 2) point array.
+def _segment_gap(a: Point, b: Point, center: Point, radius: float) -> float:
+    """Signed gap from the segment a-b to a disc, at the clamped projection of its center."""
+    ax, ay = a
+    ox, oy = center
+    dx, dy = b[0] - ax, b[1] - ay
+    seg_sq = dx * dx + dy * dy
+    t = max(0.0, min(1.0, ((ox - ax) * dx + (oy - ay) * dy) / seg_sq)) if seg_sq else 0.0
+    return math.hypot(ax + t * dx - ox, ay + t * dy - oy) - radius
 
-    Screens every point against each disc with numpy hypot, then
-    re-measures with clearance() only the points whose screened value is
-    within 1e-6 * (1 + |min| + largest radius) of the screened minimum.
-    That margin exceeds the few-ulp difference between np.hypot and
-    math.dist, so the true minimizer is always re-measured and the result
-    equals the point-by-point minimum exactly.
+
+def _polyline_gap(xy: np.ndarray, discs: list[tuple[Point, float]]) -> float:
+    """Minimum of _segment_gap over the segments of a (2, n) polyline (one
+    sample is a zero-length segment) and the (center, radius) discs.
+
+    A numpy screen bounds each pair from below: a segment's squared distance
+    to a center is at least its nearer end's less its squared length. The
+    pairs bounded within a margin, far above rounding, of the lowest point
+    gap are re-measured with _segment_gap, so the result is exact.
     """
-    x, y = points.T
-    screened = np.full(len(points), np.inf)
-    for o in obstacles:
-        np.minimum(screened, np.hypot(x - o.center[0], y - o.center[1]) - o.radius_m,
-                   out=screened)
-    lowest = screened.min()
-    near = screened <= lowest + 1e-6 * (1.0 + abs(lowest) + max(o.radius_m for o in obstacles))
-    return min(clearance(p, obstacles) for p in map(tuple, points[near].tolist()))
+    if xy.shape[1] == 1:
+        xy = np.repeat(xy, 2, axis=1)
+    seg_sq = (np.diff(xy) ** 2).sum(axis=0)
+    sqs = [(xy[0] - cx) ** 2 + (xy[1] - cy) ** 2 for (cx, cy), _ in discs]
+    lowest = min(math.sqrt(sq.min()) - r for sq, (_, r) in zip(sqs, discs))
+    cutoff = lowest + 1e-6 * (1 + abs(lowest) + max(r for _, r in discs) + np.abs(xy).max())
+    return min(_segment_gap(xy[:, i].tolist(), xy[:, i + 1].tolist(), center, r)
+               for sq, (center, r) in zip(sqs, discs) if cutoff + r >= 0.0
+               for i in np.flatnonzero(np.minimum(sq[:-1], sq[1:]) - seg_sq <= (cutoff + r) ** 2))
+
+
+def min_clearance(points: np.ndarray, obstacles: list[Obstacle]) -> float:
+    """Clearance of the straight path through an (n, 2) point array (_polyline_gap)."""
+    return _polyline_gap(points.T, [(o.center, o.radius_m) for o in obstacles])
 
 
 def check_endpoints(scenario: "Scenario", obstacles: list[Obstacle]) -> None:
@@ -278,10 +293,8 @@ def execute_cells(scenario: "Scenario", step: Step[State], state: State,
     advances to the cell's end node. Stops within the reach tolerance of
     the destination, or with reached=False when the step budget runs out.
     The path length sums the sample-to-sample distances in sample order.
-    Clearance is measured against obstacles (None when there are none), at
-    the start point if no cell ran, by min_clearance: one numpy screen of
-    every sample against every disc, then an exact clearance() re-check of
-    the samples near the minimum.
+    Clearance (None without obstacles) is min_clearance of the path through
+    the samples, or of the start point if no cell ran.
     """
     start_xy = (scenario.start_x_m, scenario.start_y_m)
     dest = (scenario.dest_x_m, scenario.dest_y_m)
@@ -310,14 +323,9 @@ def execute_cells(scenario: "Scenario", step: Step[State], state: State,
         pose = advance_pose(pose, cell, idx)
         nodes.append(pose)
 
-    if blocks:
-        trajectory = Trajectory(np.concatenate(blocks, axis=1))
-        times = np.concatenate(time_blocks).tolist()
-        xy = trajectory.columns[:2]
-    else:
-        trajectory = Trajectory(np.empty((7, 0)))
-        times = []
-        xy = np.array([[start_xy[0]], [start_xy[1]]], dtype=np.float64)
+    trajectory = Trajectory(np.concatenate([np.empty((7, 0)), *blocks], axis=1))
+    times = np.concatenate([np.empty(0), *time_blocks]).tolist()
+    xy = trajectory.columns[:2] if blocks else np.array([start_xy], dtype=np.float64).T
     path_length = 0.0
     for d in map(math.hypot, *np.diff(xy).tolist()):
         path_length += d

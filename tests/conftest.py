@@ -2,6 +2,7 @@ import pytest
 
 from cgtc.cells import build_cell_set
 from cgtc.ship import ShipParams
+from cgtc.static_planner import _segment_gap
 
 # Published rudder-vs-heading table used by the correlation and fit tests.
 RUDDER_HEADING_TABLE = [
@@ -35,3 +36,13 @@ def cells_factor6(params):
 def cells600(params):
     """Cell set at the 600 m experiment radius."""
     return build_cell_set(params, 600.0, 5.0)
+
+
+def segment_minimum(points, discs):
+    """Reference for the polyline measures: _segment_gap, one pair at a time.
+
+    The minimum over each segment between consecutive (x, y) points (one
+    point is a zero-length segment) and each (center, radius) disc.
+    """
+    ends = list(zip(points, points[1:])) or [(points[0], points[0])]
+    return min(_segment_gap(a, b, center, r) for a, b in ends for center, r in discs)

@@ -5,6 +5,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgtc import dynamic_planner as dynamic_mod
 from cgtc.cells import cell_library
@@ -30,6 +32,7 @@ from cgtc.grid import CompassAngle, GridNode
 from cgtc.scenario import Scenario, load_scenario
 from cgtc.ship import ShipState
 from cgtc.static_planner import Obstacle
+from conftest import segment_minimum
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -201,6 +204,29 @@ class TestMinSeparation:
         t_star = (2000.0 * vo + 2000.0 * vs) / (vo**2 + vs**2)
         cpa = math.hypot(vo * t_star - 2000.0, 2000.0 - vs * t_star)
         assert abs(mn - cpa) <= (vs + vo) * dt
+        # both tracks are straight, so the segment minimum is the closed form
+        assert mn == pytest.approx(cpa, rel=1e-12)
+
+    def test_chord_through_the_domain_between_clear_samples(self):
+        """Own ship runs north and the mover west, 10 s apart: both samples
+        are 70.7 m off, but the straight runs between them meet at the same
+        instant, so the separation along the segment is zero."""
+        own = [ShipState(x_m=0.0, y_m=0.0), ShipState(x_m=0.0, y_m=100.0)]
+        track = [(50.0, 50.0), (-50.0, 50.0)]
+        series, mn = min_separation(own, track)
+        required = 60.0
+        assert min(series) == math.hypot(50.0, 50.0) > required
+        assert mn == 0.0 < required
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(*[st.floats(-5000.0, 5000.0)] * 4), min_size=1, max_size=40))
+    def test_minimum_is_the_segment_minimum(self, rows):
+        own = [ShipState(x_m=x, y_m=y) for x, y, _, _ in rows]
+        track = [(x, y) for _, _, x, y in rows]
+        series, mn = min_separation(own, track)
+        relative = [(s.x_m - tx, s.y_m - ty) for s, (tx, ty) in zip(own, track)]
+        assert mn.hex() == segment_minimum(relative, [((0.0, 0.0), 0.0)]).hex()
+        assert mn <= min(series) + 16 * math.ulp(max(max(map(abs, r)) for r in rows))
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -299,7 +325,11 @@ class TestPlanDynamic:
         sc = load_scenario(SCENARIO_DIR / "dynamic_sit1_own_first.json")
         res = plan_dynamic(sc)
         assert len(res.separation_m) == len(res.trajectory) == len(res.sample_times_s)
-        assert res.min_separation_m == min(res.separation_m)
+        mover = sc.obstacles[0]
+        relative = [(s.x_m - mover.position_at(t)[0], s.y_m - mover.position_at(t)[1])
+                    for s, t in zip(res.trajectory, res.sample_times_s)]
+        assert res.min_separation_m == segment_minimum(relative, [((0.0, 0.0), 0.0)])
+        assert res.min_separation_m <= min(res.separation_m)
 
     @pytest.mark.parametrize("name", ["dynamic_sit1_own_first",
                                       "dynamic_sit2_obstacle_first",

@@ -26,6 +26,7 @@ from cgtc.harness import compare_planners, run_batch, run_scenario, scenario_is_
 from cgtc.scenario import Scenario, load_scenario, scenario_from_dict
 from cgtc.ship import ShipParams, online_generate, simulate_turn, trimmed_state
 from cgtc.static_planner import Obstacle, PlanResult, plan_static
+from conftest import segment_minimum
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -432,7 +433,9 @@ class TestLazyTrajectory:
         expected = [math.dist((s.x_m, s.y_m), mover.position_at(t))
                     for s, t in zip(result.trajectory, result.sample_times_s, strict=True)]
         assert array("d", result.separation_m).tobytes() == array("d", expected).tobytes()
-        assert result.min_separation_m == min(expected)
+        relative = [(s.x_m - mover.position_at(t)[0], s.y_m - mover.position_at(t)[1])
+                    for s, t in zip(result.trajectory, result.sample_times_s)]
+        assert result.min_separation_m == segment_minimum(relative, [((0.0, 0.0), 0.0)])
 
 
 class TestComparePlanners:
@@ -619,6 +622,29 @@ class TestCliExitCodes:
         report = json.loads((tmp_path / "fit" / "relation.json").read_text())
         assert report["pearson_r"] == pytest.approx(0.9957, abs=0.0005)
         assert report["samples"] == 12
+
+    def test_fit_relation_reports_the_degrees_its_rows_determine(self, tmp_path):
+        # 5 rows fit the cubic and every degree up to 4, not 5
+        from conftest import RUDDER_HEADING_TABLE
+        csv = tmp_path / "rel.csv"
+        csv.write_text("".join(f"{d},{t}\n" for d, t in RUDDER_HEADING_TABLE[::2][:5]))
+        rc = cli_main(["fit-relation", str(csv), "--out-dir", str(tmp_path / "fit")])
+        assert rc == 0
+        report = json.loads((tmp_path / "fit" / "relation.json").read_text())
+        assert report["samples"] == 5
+        assert list(report["residual_stddev_by_degree"]) == ["1", "2", "3", "4"]
+
+    def test_fit_relation_header_after_a_comment(self, tmp_path):
+        from conftest import RUDDER_HEADING_TABLE
+        rows = "".join(f"{d},{t}\n" for d, t in RUDDER_HEADING_TABLE)
+        csv = tmp_path / "rel.csv"
+        csv.write_text("# note\n\nrudder_deg,heading_deg\n" + rows)
+        assert cli_main(["fit-relation", str(csv), "--out-dir", str(tmp_path / "fit")]) == 0
+        report = json.loads((tmp_path / "fit" / "relation.json").read_text())
+        assert report["samples"] == 12
+        # only that first line may be a header
+        csv.write_text("# note\nrudder_deg,heading_deg\nrudder_deg,heading_deg\n" + rows)
+        assert cli_main(["fit-relation", str(csv), "--out-dir", str(tmp_path / "bad")]) == 2
 
     def test_batch(self, tmp_path):
         src = tmp_path / "scenarios"

@@ -23,6 +23,7 @@ from cgtc.errors import (
 )
 from cgtc.grid import (CompassAngle, GridNode, bearing_deg, compass_bearing,
                        signed_degrees, wrap_degrees)
+from cgtc.harness import scenario_is_safe
 from cgtc.scenario import Scenario, load_scenario, mirror_scenario
 from cgtc.ship import ShipParams
 from cgtc.static_planner import (
@@ -38,6 +39,7 @@ from cgtc.static_planner import (
     select_heading_static,
     tangent_angles,
 )
+from conftest import segment_minimum
 
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -449,11 +451,32 @@ def clouds_and_discs(draw):
            Obstacle(center=(10000.0, 0.0), radius_m=1265.3361734019675)]))
 @example(([(0.0, 0.0), (0.0, 1.0)], [Obstacle(center=(0.0, 5.0), radius_m=2.0),
                                      Obstacle(center=(0.0, -4.0), radius_m=2.0)]))
-def test_min_clearance_equals_pointwise_minimum(case):
+def test_min_clearance_equals_segment_minimum(case):
+    """The numpy screen finds the segment-by-segment minimum exactly, and it
+    is never above the point-by-point minimum by more than rounding."""
     points, obstacles = case
-    expected = min(clearance(p, obstacles) for p in points)
+    expected = segment_minimum(points, [(o.center, o.radius_m) for o in obstacles])
     got = min_clearance(np.array(points, dtype=np.float64), obstacles)
     assert got.hex() == expected.hex()
+    scale = max(max(map(abs, p)) for p in [*points, *(o.center for o in obstacles)])
+    slack = 16 * math.ulp(scale + max(o.radius_m for o in obstacles))
+    assert got <= min(clearance(p, obstacles) for p in points) + slack
+
+
+@pytest.mark.parametrize("planner", [plan_static, grid_baseline_plan])
+def test_chord_through_a_disc_between_clear_samples(planner):
+    """A 1 m disc 2.5 m ahead of the start sits between the first two
+    samples, 3.85 m apart: both clear it by 0.44 m, but the straight run
+    between them passes 0.5 m inside it, so the plan is unsafe."""
+    disc = Obstacle(center=(0.5, 2.5), radius_m=1.0)
+    sc = Scenario(mode="static", ship=ShipParams(), start_x_m=0.0, start_y_m=0.0,
+                  start_heading_deg=0.0, dest_x_m=0.0, dest_y_m=3000.0,
+                  circle_radius_m=600.0, obstacles=[disc])
+    result = planner(sc)
+    assert result.reached
+    assert min(clearance((s.x_m, s.y_m), [disc]) for s in result.trajectory) > 0.0
+    assert result.min_clearance_m == -0.5
+    assert not scenario_is_safe(sc, result)
 
 
 @pytest.mark.parametrize("bad", [{"center": (math.nan, 0.0)}, {"center": (0.0, math.inf)},

@@ -4,12 +4,14 @@ Plans the replan scenes of seeds 1-2 (plan_static, or plan_dynamic for a
 dynamic scene) and the first 60 compare scenes of seed 1 (plan_static and
 grid_baseline_plan), with scenes from perfbench/gen.py. Each line reads
 
-    <family>-<seed>-<index> <planner> <sha256>
+    <family>-<seed>-<index> <planner> <sha256> <min_clearance_m> <min_separation_m>
 
-where the hash covers every PlanResult field (float bits, not reprs), the
-trajectory's column bytes and every node's position, heading, cell and
-depth. A plan that raises prints its error class and message instead of
-the hash. Run it on two checkouts and diff the outputs; the first differing
+where the hash covers every other PlanResult field (float bits, not
+reprs), the trajectory's column bytes and every node's position, heading,
+cell and depth, and the two minima follow as float.hex() ("-" for None).
+So a change to how the minima are measured shows as moved minima beside
+unchanged hashes. A plan that raises prints its error class and message
+instead. Run it on two checkouts and diff the outputs; the first differing
 line names the first plan that moved:
 
     PYTHONPATH=src python tools/plan_digest.py > after.txt
@@ -55,10 +57,11 @@ def digest(result: PlanResult) -> str:
     for series in (result.sample_times_s, result.rudder_commands,
                    result.heading_changes_deg, result.separation_m):
         _floats(h, series)
-    for value in (result.path_length_m, result.min_clearance_m, result.min_separation_m):
-        h.update(b"-" if value is None else struct.pack("<d", value))
+    h.update(struct.pack("<d", result.path_length_m))
     h.update(repr((result.steering_count, result.reached)).encode())
-    return h.hexdigest()
+    minima = ("-" if value is None else value.hex()
+              for value in (result.min_clearance_m, result.min_separation_m))
+    return " ".join((h.hexdigest(), *minima))
 
 
 def _line(label: str, name: str, plan, scenario) -> str:
