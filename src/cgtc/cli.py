@@ -25,7 +25,7 @@ from pathlib import Path
 from .cells import (DEFAULT_DT_S, DEFAULT_RESOLUTION_DEG, build_cell_set,
                     check_radius, check_resolution, check_rollout_dt)
 from .errors import CGTCError, ScenarioError
-from .harness import (TRAJECTORY_COLUMNS, compare_planners, remove_artifacts, run_batch,
+from .harness import (TRAJECTORY_COLUMNS, artifacts, compare_planners, run_batch,
                       run_scenario, scenario_is_safe, write_csv)
 from .relation import RelationSample, fit_poly, pearson
 from .scenario import load_scenario
@@ -41,34 +41,26 @@ TURN_ROW = "%.3f" + ",%.4f" * (len(TRAJECTORY_COLUMNS) - 1)
 def _cmd_gen_cells(args) -> int:
     params = ShipParams()
     radius = 6.0 * params.length_m if args.radius is None else args.radius
-    try:
-        check_resolution(args.resolution)
-        check_radius(params, radius)
-        check_rollout_dt(params, radius, args.dt)
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    # the files are named by each cell's achieved change, so an earlier set's
-    # cells are found by pattern
-    try:
+    # each cell file is named by its achieved change, so they are owned by pattern
+    with artifacts(out, ("index.csv", "cell_*.csv")) as put:
+        try:
+            check_resolution(args.resolution)
+            check_radius(params, radius)
+            check_rollout_dt(params, radius, args.dt)
+        except ValueError as exc:
+            print(f"input error: {exc}", file=sys.stderr)
+            return 2
+        out.mkdir(parents=True, exist_ok=True)
         cells = build_cell_set(params, radius, args.resolution, dt=args.dt)
-    except CGTCError:
-        remove_artifacts(out, ["index.csv", *(p.name for p in out.glob("cell_*.csv"))])
-        raise
-    written = set()
-    for cell in cells.cells:
-        tag = f"{cell.heading_change_deg:+07.2f}".replace("+", "p").replace("-", "m")
-        name = f"cell_{tag}.csv"
-        written.add(name)
-        x, y, heading, u, v, _, rudder = cell.samples.columns.tolist()
-        write_csv(out / name, CELL_COLUMNS, CELL_ROW,
-                  zip(cell.sample_times_s, x, y, heading, u, v, rudder))
-    write_csv(out / "index.csv", INDEX_COLUMNS, INDEX_ROW,
-              ((c.heading_change_deg, c.delta0_deg, c.duration_s, c.arc_length_m)
-               for c in cells.cells))
-    remove_artifacts(out, [p.name for p in out.glob("cell_*.csv") if p.name not in written])
+        for cell in cells.cells:
+            tag = f"{cell.heading_change_deg:+07.2f}".replace("+", "p").replace("-", "m")
+            x, y, heading, u, v, _, rudder = cell.samples.columns.tolist()
+            write_csv(put(f"cell_{tag}.csv"), CELL_COLUMNS, CELL_ROW,
+                      zip(cell.sample_times_s, x, y, heading, u, v, rudder))
+        write_csv(put("index.csv"), INDEX_COLUMNS, INDEX_ROW,
+                  ((c.heading_change_deg, c.delta0_deg, c.duration_s, c.arc_length_m)
+                   for c in cells.cells))
     print(f"wrote {len(cells.cells)} cells to {out}")
     return 0
 
@@ -99,27 +91,28 @@ def _read_relation_csv(path: str) -> list[RelationSample]:
 
 
 def _cmd_fit_relation(args) -> int:
-    try:
-        rows = _read_relation_csv(args.csv)
-        r = pearson([s.rudder_deg for s in rows], [s.heading_change_deg for s in rows])
-        rel, resid = fit_poly(rows, 3)
-        by_degree = {deg: fit_poly(rows, deg)[1] for deg in range(1, min(5, len(rows) - 1) + 1)}
-    except (ValueError, CGTCError) as exc:
-        # the fit fails only on its input: too few rows, a constant column
-        # or a non-monotone cubic
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    report = {
-        "samples": len(rows),
-        "pearson_r": r,
-        "cubic": {"a": rel.a, "b": rel.b, "c": rel.c, "d": rel.d},
-        "domain_deg": [rel.domain_lo_deg, rel.domain_hi_deg],
-        "residual_stddev_deg": resid,
-        "residual_stddev_by_degree": by_degree,
-    }
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "relation.json").write_text(json.dumps(report, indent=2) + "\n")
+    with artifacts(out, ("relation.json",)) as put:
+        try:
+            rows = _read_relation_csv(args.csv)
+            r = pearson([s.rudder_deg for s in rows], [s.heading_change_deg for s in rows])
+            rel, resid = fit_poly(rows, 3)
+            by_degree = {d: fit_poly(rows, d)[1] for d in range(1, min(5, len(rows) - 1) + 1)}
+        except (ValueError, CGTCError) as exc:
+            # the fit fails only on its input: too few rows, a constant column
+            # or a non-monotone cubic
+            print(f"input error: {exc}", file=sys.stderr)
+            return 2
+        report = {
+            "samples": len(rows),
+            "pearson_r": r,
+            "cubic": {"a": rel.a, "b": rel.b, "c": rel.c, "d": rel.d},
+            "domain_deg": [rel.domain_lo_deg, rel.domain_hi_deg],
+            "residual_stddev_deg": resid,
+            "residual_stddev_by_degree": by_degree,
+        }
+        out.mkdir(parents=True, exist_ok=True)
+        put("relation.json").write_text(json.dumps(report, indent=2) + "\n")
     print(f"r={r:.4f} residual={resid:.4f} deg  ->  {out / 'relation.json'}")
     return 0
 
@@ -133,21 +126,18 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    scenario = load_scenario(args.scenario)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
+    with artifacts(out, ("comparison.json",)) as put:
+        scenario = load_scenario(args.scenario)
+        out.mkdir(parents=True, exist_ok=True)
         report = compare_planners(scenario)
-    except CGTCError:
-        remove_artifacts(out, ("comparison.json",))
-        raise
-    payload = {
-        "circle": asdict(report.circle) if report.circle else report.circle_error,
-        "grid": asdict(report.grid) if report.grid else report.grid_error,
-        "length_ratio": report.length_ratio,
-        "steering_ratio": report.steering_ratio,
-    }
-    (out / "comparison.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        payload = {
+            "circle": asdict(report.circle) if report.circle else report.circle_error,
+            "grid": asdict(report.grid) if report.grid else report.grid_error,
+            "length_ratio": report.length_ratio,
+            "steering_ratio": report.steering_ratio,
+        }
+        put("comparison.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(json.dumps(payload, indent=2, sort_keys=True))
     both_ok = all(side is not None and side.reached and side.safe
                   for side in (report.circle, report.grid))
@@ -168,24 +158,25 @@ def _cmd_batch(args) -> int:
 def _cmd_turn_test(args) -> int:
     params = ShipParams()
     runs = {}
-    try:
-        check_dt(params, args.dt)
-        for name, rudder in (("starboard", params.rudder_limit_stbd_deg),
-                             ("port", params.rudder_limit_port_deg)):
-            states = simulate_turn(params, rudder, args.duration, args.dt)
-            runs[name] = (rudder, states, fitted_turn_radius(states))
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    report = {}
-    for name, (rudder, states, radius) in runs.items():
-        write_csv(out / f"turn_{name}.csv", TRAJECTORY_COLUMNS, TURN_ROW,
-                  ((i * args.dt, s.x_m, s.y_m, s.heading_deg, s.u_mps, s.v_mps,
-                    s.yaw_rate_degps, s.rudder_deg) for i, s in enumerate(states)))
-        report[name] = {"rudder_deg": rudder, "fitted_radius_m": radius}
-    (out / "turn_report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    with artifacts(out, ("turn_starboard.csv", "turn_port.csv", "turn_report.json")) as put:
+        try:
+            check_dt(params, args.dt)
+            for name, rudder in (("starboard", params.rudder_limit_stbd_deg),
+                                 ("port", params.rudder_limit_port_deg)):
+                states = simulate_turn(params, rudder, args.duration, args.dt)
+                runs[name] = (rudder, states, fitted_turn_radius(states))
+        except ValueError as exc:
+            print(f"input error: {exc}", file=sys.stderr)
+            return 2
+        out.mkdir(parents=True, exist_ok=True)
+        report = {}
+        for name, (rudder, states, radius) in runs.items():
+            write_csv(put(f"turn_{name}.csv"), TRAJECTORY_COLUMNS, TURN_ROW,
+                      ((i * args.dt, s.x_m, s.y_m, s.heading_deg, s.u_mps, s.v_mps,
+                        s.yaw_rate_degps, s.rudder_deg) for i, s in enumerate(states)))
+            report[name] = {"rudder_deg": rudder, "fitted_radius_m": radius}
+        put("turn_report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 

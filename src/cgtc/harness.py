@@ -9,6 +9,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -91,16 +92,28 @@ def write_csv(path: Path, columns, row_format: str, rows) -> None:
     path.write_text("\n".join([",".join(columns), *map(row_format.__mod__, rows)]) + "\n")
 
 
-def remove_artifacts(out: Path, names) -> None:
-    """Unlink the named files from out where an earlier run left them.
+@contextmanager
+def artifacts(out: Path, owned):
+    """Yield put(name) -> out / name for the files a command writes into out.
 
-    A command calls this for the artifacts it owns but does not write this
-    time, so an out dir never shows an earlier run's file beside this run's
-    error or beside files that no longer belong with it.
+    owned names the files the command may write there, or glob patterns of
+    them. However the block ends, return or raise included, each owned file
+    in out that put did not name is unlinked; other files stay.
     """
-    if out.is_dir():
-        for name in names:
-            (out / name).unlink(missing_ok=True)
+    written = set()
+
+    def put(name: str) -> Path:
+        written.add(name)
+        return out / name
+
+    try:
+        yield put
+    finally:
+        if out.is_dir():
+            for name in owned:
+                for path in list(out.glob(name)) if "*" in name else [out / name]:
+                    if path.name not in written:
+                        path.unlink(missing_ok=True)
 
 
 def scenario_is_safe(scenario: Scenario, result: PlanResult) -> bool:
@@ -118,47 +131,38 @@ def scenario_is_safe(scenario: Scenario, result: PlanResult) -> bool:
 def run_scenario(path: str | Path, out_dir: str | Path) -> tuple[Scenario, PlanResult]:
     """Load, plan, and write artifacts. Raises ScenarioError on bad input.
 
-    Of RUN_ARTIFACTS, a plan that raises leaves none in out_dir, and a plan
-    without a separation series leaves no separation.csv.
+    Writes through artifacts(out_dir, RUN_ARTIFACTS): a run that raises
+    leaves none of them in out_dir, and a plan without a separation series
+    leaves no separation.csv.
     """
-    scenario = load_scenario(path)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    with artifacts(out, RUN_ARTIFACTS) as put:
+        scenario = load_scenario(path)
+        out.mkdir(parents=True, exist_ok=True)
+        result = (plan_dynamic if scenario.mode == "dynamic" else plan_static)(scenario)
+        times = result.sample_times_s
+        write_csv(put("trajectory.csv"), TRAJECTORY_COLUMNS, TRAJECTORY_ROW,
+                  zip(times, *result.trajectory.columns.tolist()))
+        commands = result.rudder_commands
+        write_csv(put("commands.csv"), COMMAND_COLUMNS, COMMAND_ROW,
+                  zip(range(len(commands)), commands, result.heading_changes_deg))
+        if result.separation_m:
+            write_csv(put("separation.csv"), SEPARATION_COLUMNS, SEPARATION_ROW,
+                      zip(times, result.separation_m))
 
-    try:
-        if scenario.mode == "dynamic":
-            result = plan_dynamic(scenario)
-        else:
-            result = plan_static(scenario)
-    except CGTCError:
-        remove_artifacts(out, RUN_ARTIFACTS)
-        raise
-
-    times = result.sample_times_s
-    write_csv(out / "trajectory.csv", TRAJECTORY_COLUMNS, TRAJECTORY_ROW,
-              zip(times, *result.trajectory.columns.tolist()))
-    commands = result.rudder_commands
-    write_csv(out / "commands.csv", COMMAND_COLUMNS, COMMAND_ROW,
-              zip(range(len(commands)), commands, result.heading_changes_deg))
-    if result.separation_m:
-        write_csv(out / "separation.csv", SEPARATION_COLUMNS, SEPARATION_ROW,
-                  zip(times, result.separation_m))
-    else:
-        (out / "separation.csv").unlink(missing_ok=True)
-
-    metrics = {
-        "scenario": scenario.name,
-        "mode": scenario.mode,
-        "reached": result.reached,
-        "safe": scenario_is_safe(scenario, result),
-        "steps": len(result.rudder_commands),
-        "duration_s": result.sample_times_s[-1] if result.sample_times_s else 0.0,
-        "path_length_m": result.path_length_m,
-        "steering_count": result.steering_count,
-        "min_clearance_m": result.min_clearance_m,
-        "min_separation_m": result.min_separation_m,
-    }
-    (out / "metrics.json").write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n")
+        metrics = {
+            "scenario": scenario.name,
+            "mode": scenario.mode,
+            "reached": result.reached,
+            "safe": scenario_is_safe(scenario, result),
+            "steps": len(result.rudder_commands),
+            "duration_s": result.sample_times_s[-1] if result.sample_times_s else 0.0,
+            "path_length_m": result.path_length_m,
+            "steering_count": result.steering_count,
+            "min_clearance_m": result.min_clearance_m,
+            "min_separation_m": result.min_separation_m,
+        }
+        put("metrics.json").write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n")
     return scenario, result
 
 
@@ -173,25 +177,25 @@ def run_batch(scenario_dir: str | Path, out_dir: str | Path) -> dict[str, dict]:
     """
     scenario_dir = Path(scenario_dir)
     out_dir = Path(out_dir)
-    paths = sorted(scenario_dir.glob("*.json")) if scenario_dir.is_dir() else []
-    if not paths:
-        raise ValidationError(f"{scenario_dir}: not a directory of *.json scenario files")
     summary = {}
-    for path in paths:
-        try:
-            scenario, result = run_scenario(path, out_dir / path.stem)
-        except ScenarioError:
-            remove_artifacts(out_dir, ("summary.json",))
-            raise
-        except CGTCError as exc:
-            summary[path.stem] = {"reached": False, "safe": False,
-                                  "error": f"{type(exc).__name__}: {exc}"}
-            continue
-        summary[path.stem] = {
-            "reached": result.reached,
-            "safe": scenario_is_safe(scenario, result),
-            "path_length_m": result.path_length_m,
-            "steering_count": result.steering_count,
-        }
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    with artifacts(out_dir, ("summary.json",)) as put:
+        paths = sorted(scenario_dir.glob("*.json")) if scenario_dir.is_dir() else []
+        if not paths:
+            raise ValidationError(f"{scenario_dir}: not a directory of *.json scenario files")
+        for path in paths:
+            try:
+                scenario, result = run_scenario(path, out_dir / path.stem)
+            except ScenarioError:
+                raise
+            except CGTCError as exc:
+                summary[path.stem] = {"reached": False, "safe": False,
+                                      "error": f"{type(exc).__name__}: {exc}"}
+                continue
+            summary[path.stem] = {
+                "reached": result.reached,
+                "safe": scenario_is_safe(scenario, result),
+                "path_length_m": result.path_length_m,
+                "steering_count": result.steering_count,
+            }
+        put("summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary

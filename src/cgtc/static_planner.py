@@ -26,7 +26,7 @@ from .errors import (
 )
 from .grid import (CompassAngle, GridNode, advance_pose, bearing_deg, compass_bearing,
                    signed_degrees, wrap_degrees)
-from .ship import Trajectory
+from .ship import MAX_RUN_STEPS, Trajectory
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -291,7 +291,8 @@ def execute_cells(scenario: "Scenario", step: Step[State], state: State,
     pose, keeps its sample columns and times (consecutive cells share their
     joint sample; the arrays are joined once, after the last cell) and
     advances to the cell's end node. Stops within the reach tolerance of
-    the destination, or with reached=False when the step budget runs out.
+    the destination, or with reached=False when the step budget runs out or
+    the next cell would take the path past MAX_RUN_STEPS samples.
     The path length sums the sample-to-sample distances in sample order.
     Clearance (None without obstacles) is min_clearance of the path through
     the samples, or of the start point if no cell ran.
@@ -307,16 +308,20 @@ def execute_cells(scenario: "Scenario", step: Step[State], state: State,
     commands: list[float] = []
     changes: list[float] = []
     t = 0.0
+    samples = 0
     for _ in range(scenario.max_steps):
         if math.dist(pose.position, dest) < reach_tol:
             break
         cell, idx, command, state = step(pose, t, state)
+        joint = 1 if blocks else 0
+        samples += len(cell.sample_times_s) - joint
+        if samples > MAX_RUN_STEPS:
+            break
         commands.append(command)
         changes.append(cell.heading_change_deg)
 
         world = transform_cell(cell, pose.position[0], pose.position[1],
                                pose.heading.degrees)
-        joint = 1 if blocks else 0
         blocks.append(world.columns[:, joint:])
         time_blocks.append(t + cell._times[joint:])
         t += cell.duration_s

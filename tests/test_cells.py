@@ -19,6 +19,7 @@ from cgtc.cells import (
     CellSet,
     TrajectoryCell,
     _check_target,
+    _count_steerings,
     _heading_changes,
     _lane_cells,
     _roll_until_crossing,
@@ -335,6 +336,25 @@ def test_timed_out_sample_lane_names_its_target(params, monkeypatch):
     assert str(err.value) == f"target -15.0 deg: {message}"
 
 
+@pytest.mark.parametrize("limit_s", [78.0, 80.0, 90.0])
+def test_lockstep_time_out_matches_the_scalar_rollout(params, monkeypatch, limit_s):
+    # a 600 m cell takes 77.9 s straight ahead and 98.1 s at full starboard
+    # rudder, so a shorter time limit times out only the harder turns
+    monkeypatch.setattr(cells_mod, "_time_limit", lambda p, radius_m: limit_s)
+    lanes = [0.0, 1e-6, -1e-6, *(k / 4.0 for k in range(-140, 141, 7))]
+    expected = []
+    for delta0 in lanes:
+        try:
+            expected.append(_roll_until_crossing(params, delta0, 600.0, 0.5).heading_change_deg)
+        except NonConvergence:
+            expected.append(None)
+    assert None in expected and any(hc is not None for hc in expected)
+    got = _heading_changes(params, lanes, 600.0, 0.5).tolist()
+    assert [None if math.isnan(hc) else hc for hc in got] == expected
+    assert [c is None for c in _lane_cells(params, lanes, 600.0, 0.5)] == \
+        [hc is None for hc in expected]
+
+
 def test_exhausted_budget_returns_the_best_probe(params, monkeypatch):
     monkeypatch.setattr(cells_mod, "_MAX_BISECTIONS", 10)
     real = cells_mod._roll_until_crossing
@@ -554,6 +574,16 @@ def test_hand_built_double_steering_fails_rule2(params, cells_factor6):
     report = validate_rules(cell, params)
     assert not report.rule2_ok
     assert report.steering_count == 2
+
+
+@pytest.mark.parametrize("series, steerings", [
+    ([0.0, 5.0, 10.0, 10.0, 5.0, 0.0], 1),
+    ([0.0, -5.0, -10.0, -5.0, 0.0, 0.0, 4.0, 8.0, 0.0], 2),   # two runs
+    ([0.0, 5.0, 10.0, 6.0, 3.0, 7.0, 10.0, 4.0, 0.0], 2),     # a second crest in one run
+    ([0.0, -5.0, -10.0, -6.0, -8.0, -3.0, -9.0, 0.0], 3),
+])
+def test_count_steerings(series, steerings):
+    assert _count_steerings(series) == steerings
 
 
 def test_hand_built_short_cell_fails_rule3(params, cells_factor6):

@@ -18,6 +18,7 @@ from cgtc import cells as cells_mod
 from cgtc import cli as cli_mod
 from cgtc import harness as harness_mod
 from cgtc import ship as ship_mod
+from cgtc import static_planner as static_planner_mod
 from cgtc.cells import build_cell_set
 from cgtc.cli import main as cli_main
 from cgtc.dynamic_planner import plan_dynamic
@@ -603,6 +604,7 @@ class TestCliExitCodes:
         b"1,2\n",                                                # LengthMismatch
         b"".join(b"%d,5\n" % d for d in range(8)),              # ZeroVariance
         b"".join(b"%d,%d\n" % (d, d - d ** 3) for d in range(-4, 5)),  # MonotonicityViolation
+        b"".join(b"%d,%d\n" % (d, d) for d in range(8)) + b"1,2,3\n",  # three columns
     ])
     def test_fit_relation_bad_input_exit_two(self, tmp_path, capsys, content):
         csv = tmp_path / "rel.csv"
@@ -818,6 +820,52 @@ class TestCliExitCodes:
         assert capsys.readouterr().err.startswith("planning error: Unreachable:")
         assert [p.name for p in out.iterdir()] == ["notes.txt"]
 
+    @pytest.mark.parametrize("command", ["plan", "compare", "gen-cells", "batch",
+                                         "fit-relation", "turn-test"])
+    def test_input_error_leaves_no_earlier_artifacts(self, tmp_path, capsys, command):
+        # a successful run, then one that exits 2 on its input into the same
+        # out dir: only the file that no command owns stays
+        from conftest import RUDDER_HEADING_TABLE
+        bad = tmp_path / "bad.json"
+        bad.write_text("{nope")
+        scenarios = tmp_path / "scenarios"
+        scenarios.mkdir()
+        (scenarios / "a.json").write_text((SCENARIO_DIR / "free_bearing37.json").read_text())
+        table, one_row = tmp_path / "table.csv", tmp_path / "one_row.csv"
+        table.write_text("".join(f"{d},{t}\n" for d, t in RUDDER_HEADING_TABLE))
+        one_row.write_text("1,2\n")
+        scenario = str(SCENARIO_DIR / "fig25_analog.json")
+        ok, failing = {
+            "plan": (["plan", scenario], ["plan", str(bad)]),
+            "compare": (["compare", scenario], ["compare", str(bad)]),
+            "gen-cells": (["gen-cells", "--resolution", "15"], ["gen-cells", "--resolution", "7"]),
+            "batch": (["batch", str(scenarios)], ["batch", str(tmp_path / "missing")]),
+            "fit-relation": (["fit-relation", str(table)], ["fit-relation", str(one_row)]),
+            "turn-test": (["turn-test"], ["turn-test", "--duration", "10"]),
+        }[command]
+        out = ["--out-dir", str(tmp_path / "out")]
+        assert cli_main([*ok, *out]) == 0
+        written = sorted(p.name for p in (tmp_path / "out").iterdir())
+        (tmp_path / "out" / "notes.txt").write_text("not an artifact\n")
+        capsys.readouterr()
+        assert cli_main([*failing, *out]) == 2
+        assert capsys.readouterr().err.startswith("input error:")
+        # a batch owns its summary, not the subdirectories of its files
+        kept = ["a", "notes.txt"] if command == "batch" else ["notes.txt"]
+        assert written and sorted(p.name for p in (tmp_path / "out").iterdir()) == kept
+
+    def test_batch_input_error_leaves_no_earlier_files_of_that_scenario(self, tmp_path, capsys):
+        src, out = tmp_path / "scenarios", tmp_path / "out"
+        src.mkdir()
+        for name in ("a", "b"):
+            (src / f"{name}.json").write_text((SCENARIO_DIR / "free_bearing37.json").read_text())
+        assert cli_main(["batch", str(src), "--out-dir", str(out)]) == 0
+        (src / "b.json").write_text("{nope")
+        assert cli_main(["batch", str(src), "--out-dir", str(out)]) == 2
+        assert sorted(p.name for p in out.iterdir()) == ["a", "b"]
+        assert (out / "a" / "metrics.json").exists()
+        assert list((out / "b").iterdir()) == []
+
     def test_compare_success_writes_report(self, tmp_path, capsys):
         rc = cli_main(["compare", str(SCENARIO_DIR / "fig25_analog.json"),
                        "--out-dir", str(tmp_path)])
@@ -906,6 +954,31 @@ class TestReachTolerance:
         assert len(result.rudder_commands) == cells_run
         assert math.dist(result.nodes[-1].position, (0.0, 6300.0)) == pytest.approx(short_m,
                                                                                    abs=1e-6)
+
+
+class TestSampleBudget:
+    """A plan stops before a cell that would take it past MAX_RUN_STEPS samples."""
+
+    FREE = TestReachTolerance.FREE
+
+    def test_plan_stops_unreached_before_the_cell_past_the_budget(self, monkeypatch):
+        sc = scenario_from_dict(self.FREE)
+        two, three = (plan_static(scenario_from_dict({**self.FREE, "sim": {"max_steps": k}}))
+                      for k in (2, 3))
+        budget = len(three.trajectory)  # the samples of the first three cells
+        for limit, expected in ((budget, three), (budget - 1, two)):
+            monkeypatch.setattr(static_planner_mod, "MAX_RUN_STEPS", limit)
+            result = plan_static(sc)
+            assert not result.reached and len(result.trajectory) <= limit
+            assert result == expected
+
+    def test_cli_plan_past_the_budget_exits_one(self, tmp_path, capsys, monkeypatch):
+        scenario = tmp_path / "free.json"
+        scenario.write_text(json.dumps(self.FREE))
+        monkeypatch.setattr(static_planner_mod, "MAX_RUN_STEPS", 1000)
+        assert cli_main(["plan", str(scenario), "--out-dir", str(tmp_path / "out")]) == 1
+        metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+        assert metrics["reached"] is False and metrics["steps"] < 10
 
 
 class TestCellLibraryReuse:

@@ -270,6 +270,14 @@ def test_params_validation():
         ShipParams(turn_gain=-0.126)
 
 
+@pytest.mark.parametrize("bad, message", [({"turn_lag_s": 0.0}, "time constants"),
+                                          ({"speed_recovery_s": -4.0}, "time constants"),
+                                          ({"kick_gain": -0.1}, "kick_gain")])
+def test_params_reject_out_of_range(bad, message):
+    with pytest.raises(ValueError, match=message):
+        ShipParams(**bad)
+
+
 def test_params_reject_non_finite():
     for f in fields(ShipParams):
         for value in (math.nan, math.inf, -math.inf):

@@ -487,6 +487,14 @@ def test_obstacle_rejects_non_finite(bad):
         Obstacle(**{"center": (0.0, 0.0), "radius_m": 100.0, **bad})
 
 
+@pytest.mark.parametrize("bad, message", [({"radius_m": 0.0}, "radius must be positive"),
+                                          ({"radius_m": -100.0}, "radius must be positive"),
+                                          ({"speed_mps": -1.0}, "speed must be non-negative")])
+def test_obstacle_rejects_out_of_range(bad, message):
+    with pytest.raises(ValueError, match=message):
+        Obstacle(**{"center": (0.0, 0.0), "radius_m": 100.0, **bad})
+
+
 def scenario_fields(sc):
     return {f.name: getattr(sc, f.name) for f in dataclasses.fields(Scenario)}
 
