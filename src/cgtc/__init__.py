@@ -11,10 +11,8 @@ from .cells import (
     validate_rules,
 )
 from .grid import (
-    CompassAngle,
     GridNode,
     compass_bearing,
-    expand_node,
     polar_to_world,
     ship_domain_radius,
 )
@@ -49,7 +47,6 @@ from .static_planner import (
     is_bypassed,
     plan_static,
     select_heading_free,
-    select_heading_static,
     tangent_angles,
 )
 
@@ -58,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CellSet",
     "Classification",
-    "CompassAngle",
     "CubicRelation",
     "Encounter",
     "EncounterClass",
@@ -78,7 +74,6 @@ __all__ = [
     "classify_encounter",
     "compare_planners",
     "compass_bearing",
-    "expand_node",
     "fit_poly",
     "generate_cell",
     "grid_baseline_plan",
@@ -96,7 +91,6 @@ __all__ = [
     "run_batch",
     "run_scenario",
     "select_heading_free",
-    "select_heading_static",
     "ship_domain_radius",
     "simulate_turn",
     "step",

@@ -178,11 +178,10 @@ def grid_baseline_plan(scenario: "Scenario", cells: Optional[CellSet] = None) ->
         target = waypoints[wp_i]
         if math.dist(pose.position, target) == 0.0:
             target = dest
-        bearing = compass_bearing(pose.position, target)
-        desired = round(bearing.degrees / 45.0) * 45.0
-        change = signed_degrees(desired - pose.heading.degrees)
+        desired = round(compass_bearing(pose.position, target) / 45.0) * 45.0
+        change = signed_degrees(desired - pose.heading_deg)
         change = max(-MAX_HEADING_CHANGE_DEG, min(MAX_HEADING_CHANGE_DEG, change))
         cell = _tracking_cell(cells, change)
-        return cell, cells.nearest_index(cell.heading_change_deg), cell.delta0_deg, wp_i
+        return cell, cell.delta0_deg, wp_i
 
     return execute_cells(scenario, step, 1 if len(waypoints) > 1 else 0, obstacles)

@@ -118,7 +118,7 @@ def _cell(columns: np.ndarray, times: list[float], delta0: float,
         delta0_deg=delta0,
         heading_change_deg=heading_change,
         end_offset=offset,
-        central_angle_deg=compass_bearing((0.0, 0.0), offset).degrees,
+        central_angle_deg=compass_bearing((0.0, 0.0), offset),
         arc_length_m=arc,
         duration_s=times[-1],
         radius_m=radius_m,
@@ -186,9 +186,6 @@ class CellSet:
             k = round(x)
         half = len(self.cells) // 2
         return max(-half, min(half, k)) + half
-
-    def nearest_cell(self, heading_change_deg: float) -> TrajectoryCell:
-        return self.cells[self.nearest_index(heading_change_deg)]
 
     def held_cell(self, heading_change_deg: float) -> TrajectoryCell | None:
         """The set's cell for a heading change, or None when the set holds none.

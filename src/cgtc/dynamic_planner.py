@@ -29,7 +29,6 @@ from .errors import (
     ValidationError,
 )
 from .grid import GridNode, compass_bearing, polar_to_world
-from .ship import ShipState, Trajectory
 from .static_planner import (
     Engagement,
     HeadingDecision,
@@ -103,14 +102,14 @@ class VirtualObstacle:
 
 def heading_intersection(own: GridNode, obstacle: Obstacle) -> Point:
     """Forward intersection M of the own-heading ray and the obstacle course ray."""
-    hc = math.radians(own.heading.degrees)
+    hc = math.radians(own.heading_deg)
     ho = math.radians(obstacle.course_deg)
     dcx, dcy = math.sin(hc), math.cos(hc)
     dox, doy = math.sin(ho), math.cos(ho)
     cross = dcx * doy - dcy * dox
     if abs(cross) < _PARALLEL_EPS:
         raise ParallelCourses(
-            f"own heading {own.heading.degrees:.2f} parallel to course {obstacle.course_deg:.2f}"
+            f"own heading {own.heading_deg:.2f} parallel to course {obstacle.course_deg:.2f}"
         )
     rx = obstacle.center[0] - own.position[0]
     ry = obstacle.center[1] - own.position[1]
@@ -185,7 +184,7 @@ def separation_at_critical(enc: Encounter, virtual_radius_m: float) -> float:
     l_s = math.sqrt(l_s_sq)
     if enc.R_m > l_s:
         return -math.inf
-    ang = (compass_bearing(c, enc.meeting_point).degrees
+    ang = (compass_bearing(c, enc.meeting_point)
            + math.degrees(math.asin(virtual_radius_m / cm))
            + math.degrees(math.asin(enc.R_m / l_s)))
     cx = polar_to_world(c, l_s, ang)
@@ -243,24 +242,20 @@ def _with_avoid_radius(enc: Encounter, r_x: float) -> VirtualObstacle:
                            avoid_radius_m=avoid)
 
 
-def min_separation(own_traj: Trajectory | Sequence[ShipState],
+def min_separation(own_xy: np.ndarray,
                    obstacle_track: Sequence[Point] | np.ndarray) -> tuple[list[float], float]:
     """Own/obstacle distances at each sample, and their minimum between samples.
 
-    own_traj is a Trajectory (read through its columns) or any sequence of
-    ShipState; obstacle_track is a sequence of (x, y) points or an (n, 2)
-    array. Each distance is math.hypot of the coordinate differences (as
-    math.dist); the minimum is the relative polyline's distance to (0, 0).
+    own_xy is the own track as a (2, n) array of x and y rows (a
+    Trajectory's columns[:2]); obstacle_track is a sequence of (x, y) points
+    or an (n, 2) array. Each distance is math.hypot of the coordinate
+    differences (as math.dist); the minimum is the relative polyline's
+    distance to (0, 0).
     """
-    if len(own_traj) != len(obstacle_track):
+    if own_xy.shape[1] != len(obstacle_track):
         raise LengthMismatch(
-            f"{len(own_traj)} own samples vs {len(obstacle_track)} obstacle samples"
+            f"{own_xy.shape[1]} own samples vs {len(obstacle_track)} obstacle samples"
         )
-    if isinstance(own_traj, Trajectory):
-        own_xy = own_traj.columns[:2]
-    else:
-        own_xy = np.array([[s.x_m for s in own_traj], [s.y_m for s in own_traj]],
-                          dtype=np.float64)
     relative = own_xy - np.asarray(obstacle_track, dtype=np.float64).T
     return (list(map(math.hypot, *relative.tolist())),
             _polyline_gap(relative, [((0.0, 0.0), 0.0)]))
@@ -313,8 +308,8 @@ def plan_dynamic(scenario: "Scenario", cells: Optional[CellSet] = None) -> PlanR
         # disc stays fixed at that meeting point (a virtual placed on an
         # already-turned heading ray would clear its own tangent cone
         # immediately) and is dropped only via bypass.
-        if not state.virtual_done and virtual is None and pose.heading.degrees != classified:
-            classified = pose.heading.degrees
+        if not state.virtual_done and virtual is None and pose.heading_deg != classified:
+            classified = pose.heading_deg
             try:
                 enc = make_encounter(pose, scenario.ship.steady_speed_mps,
                                      replace(mover, center=mover.position_at(t)),
@@ -338,7 +333,8 @@ def plan_dynamic(scenario: "Scenario", cells: Optional[CellSet] = None) -> PlanR
                 _DynamicState(engagement, virtual, virtual_done, classified))
 
     result = execute_cells(scenario, step, _DynamicState(), statics)
-    own = result.trajectory or [ShipState(x_m=scenario.start_x_m, y_m=scenario.start_y_m)]
+    own = (result.trajectory.columns[:2] if result.trajectory
+           else np.array([[scenario.start_x_m], [scenario.start_y_m]], dtype=np.float64))
     track = np.column_stack(mover.position_at(np.array(result.sample_times_s or [0.0])))
     series, result.min_separation_m = min_separation(own, track)
     result.separation_m = series if result.trajectory else []

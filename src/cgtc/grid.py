@@ -1,20 +1,21 @@
-"""Circle-grid geometry: compass angles, polar/world transforms, node expansion.
+"""Circle-grid geometry: headings, polar/world transforms, node advance.
 
 Conventions used everywhere in this package: world x is east, world y is
-north, compass angles are degrees in [0, 360) measured clockwise from north.
-A bearing of 0 points along +y, a bearing of 90 along +x.
+north, compass angles are degrees measured clockwise from north and wrapped
+by wrap_degrees, into [0, 360]. A bearing of 0 points along +y, a bearing
+of 90 along +x.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import CoincidentPoints, FactorOutOfRange
 
 if TYPE_CHECKING:
-    from .cells import CellSet, TrajectoryCell
+    from .cells import TrajectoryCell
     from .ship import ShipParams
 
 Point = tuple[float, float]
@@ -24,7 +25,12 @@ DOMAIN_FACTOR_MAX = 8.0
 
 
 def wrap_degrees(deg: float) -> float:
-    """Normalize an angle in degrees to [0, 360)."""
+    """Fold an angle in degrees into [0, 360].
+
+    The result lies in [0, 360) except at the edge: a negative angle within
+    rounding of zero, such as -1e-17, gives exactly 360.0, which wraps once
+    more to 0.0.
+    """
     return deg % 360.0
 
 
@@ -37,61 +43,29 @@ def signed_degrees(deg: float) -> float:
 
 
 @dataclass(frozen=True)
-class CompassAngle:
-    """Compass angle in degrees, normalized to [0, 360) on construction."""
-
-    degrees: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "degrees", wrap_degrees(float(self.degrees)))
-
-    def __float__(self) -> float:
-        return self.degrees
-
-    def plus(self, delta_deg: float) -> "CompassAngle":
-        return CompassAngle(self.degrees + delta_deg)
-
-    def diff_from(self, other: "CompassAngle | float") -> float:
-        """Signed difference self - other in (-180, 180]."""
-        return signed_degrees(self.degrees - float(other))
-
-
-@dataclass
 class GridNode:
-    """Node of the circle-grid search tree.
-
-    Each node is the center of the next search circle; its children lie on
-    that circle's arc. The root has no parent and depth 0.
-    """
+    """A pose of the circle grid: the center of the next search circle and
+    the compass heading there, a wrapped float of degrees (wrap_degrees)."""
 
     position: Point
-    heading: CompassAngle
-    parent: Optional["GridNode"] = field(default=None, repr=False)
-    cell_used: Optional[int] = None
-    depth: int = 0
+    heading_deg: float
 
 
-def polar_to_world(center: Point, radius_m: float, alpha: "CompassAngle | float") -> Point:
+def polar_to_world(center: Point, radius_m: float, alpha: float) -> Point:
     """Locate a point at distance radius_m from center along compass bearing alpha."""
     if radius_m < 0:
         raise ValueError(f"radius must be non-negative, got {radius_m}")
-    a = math.radians(float(alpha))
+    a = math.radians(alpha)
     return (center[0] + radius_m * math.sin(a), center[1] + radius_m * math.cos(a))
 
 
-def bearing_deg(origin: Point, target: Point) -> float:
-    """Four-quadrant compass bearing of target from origin, in degrees as
-    atan2 gives them: wrap_degrees of it is compass_bearing's degrees."""
+def compass_bearing(origin: Point, target: Point) -> float:
+    """Four-quadrant compass bearing of target as seen from origin, wrapped."""
     dx = target[0] - origin[0]
     dy = target[1] - origin[1]
     if dx == 0.0 and dy == 0.0:
         raise CoincidentPoints(f"bearing undefined between coincident points {origin}")
-    return math.degrees(math.atan2(dx, dy))
-
-
-def compass_bearing(origin: Point, target: Point) -> CompassAngle:
-    """Four-quadrant compass bearing of target as seen from origin."""
-    return CompassAngle(bearing_deg(origin, target))
+    return wrap_degrees(math.degrees(math.atan2(dx, dy)))
 
 
 def rotate_offset(offset: Point, heading_deg: float) -> Point:
@@ -102,25 +76,15 @@ def rotate_offset(offset: Point, heading_deg: float) -> Point:
     return (ex * ch + ey * sh, -ex * sh + ey * ch)
 
 
-def advance_pose(pose: GridNode, cell: "TrajectoryCell", cell_index: int) -> GridNode:
-    """Child node reached by executing a cell from a pose.
+def advance_pose(pose: GridNode, cell: "TrajectoryCell") -> GridNode:
+    """The pose reached by executing a cell from a pose.
 
-    Child position is the cell end offset rotated into the pose's frame;
-    child heading adds the cell's heading change.
+    Its position is the cell end offset rotated into the pose's frame; its
+    heading is wrap_degrees of the pose's heading plus the cell's change.
     """
-    off = rotate_offset(cell.end_offset, pose.heading.degrees)
-    return GridNode(
-        position=(pose.position[0] + off[0], pose.position[1] + off[1]),
-        heading=pose.heading.plus(cell.heading_change_deg),
-        parent=pose,
-        cell_used=cell_index,
-        depth=pose.depth + 1,
-    )
-
-
-def expand_node(node: GridNode, cells: "CellSet") -> list[GridNode]:
-    """Produce one child per trajectory cell, each on the circle about node."""
-    return [advance_pose(node, c, i) for i, c in enumerate(cells.cells)]
+    off = rotate_offset(cell.end_offset, pose.heading_deg)
+    return GridNode((pose.position[0] + off[0], pose.position[1] + off[1]),
+                    wrap_degrees(pose.heading_deg + cell.heading_change_deg))
 
 
 def ship_domain_radius(params: "ShipParams", factor: float) -> float:

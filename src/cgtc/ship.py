@@ -78,7 +78,11 @@ class ShipParams:
 
 @dataclass(frozen=True)
 class ShipState:
-    """Planar pose, body velocities, yaw rate, and actual rudder angle."""
+    """Planar pose, body velocities, yaw rate, and actual rudder angle.
+
+    heading_deg is wrapped once on construction (grid.wrap_degrees), into
+    [0, 360].
+    """
 
     x_m: float = 0.0
     y_m: float = 0.0

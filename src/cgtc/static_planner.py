@@ -24,8 +24,7 @@ from .errors import (
     StartInsideObstacle,
     ValidationError,
 )
-from .grid import (CompassAngle, GridNode, advance_pose, bearing_deg, compass_bearing,
-                   signed_degrees, wrap_degrees)
+from .grid import GridNode, advance_pose, compass_bearing, signed_degrees, wrap_degrees
 from .ship import MAX_RUN_STEPS, Trajectory
 
 if TYPE_CHECKING:
@@ -101,16 +100,25 @@ class PlanResult:
     min_separation_m: Optional[float] = None
 
 
-def tangent_angles(current: Point, obstacle: Obstacle) -> tuple[CompassAngle, CompassAngle]:
-    """Bearings of the two tangent points of an obstacle disc, left first."""
+def _cone(current: Point, obstacle: Obstacle) -> Optional[tuple[float, float]]:
+    """Compass bearing of an obstacle disc's center and the half-angle of its
+    tangent cone, both in degrees; None from inside the disc."""
     d = math.dist(current, obstacle.center)
     if d <= obstacle.radius_m:
+        return None
+    return (compass_bearing(current, obstacle.center),
+            math.degrees(math.asin(obstacle.radius_m / d)))
+
+
+def tangent_angles(current: Point, obstacle: Obstacle) -> tuple[float, float]:
+    """Compass bearings of the two tangent points of an obstacle disc, left first."""
+    cone = _cone(current, obstacle)
+    if cone is None:
         raise InsideObstacle(
             f"point {current} is inside obstacle at {obstacle.center} (r={obstacle.radius_m})"
         )
-    center_bearing = compass_bearing(current, obstacle.center)
-    half_deg = math.degrees(math.asin(obstacle.radius_m / d))
-    return center_bearing.plus(-half_deg), center_bearing.plus(half_deg)
+    center_bearing, half_deg = cone
+    return wrap_degrees(center_bearing - half_deg), wrap_degrees(center_bearing + half_deg)
 
 
 def is_bypassed(pose: GridNode, obstacle: Obstacle, destination: Point) -> bool:
@@ -118,24 +126,21 @@ def is_bypassed(pose: GridNode, obstacle: Obstacle, destination: Point) -> bool:
 
     Either the destination bearing clears the obstacle's tangent cone, or
     the obstacle center sits more than 90 degrees off the current heading
-    (abeam or astern). The bearings are compass_bearing's degrees, on
-    floats: each is wrapped once, as a CompassAngle wraps it.
+    (abeam or astern).
     """
-    d = math.dist(pose.position, obstacle.center)
-    if d <= obstacle.radius_m:
+    cone = _cone(pose.position, obstacle)
+    if cone is None:
         return False
-    center_bearing = wrap_degrees(bearing_deg(pose.position, obstacle.center))
-    rel = abs(signed_degrees(center_bearing - pose.heading.degrees))
-    if rel > 90.0:
+    center_bearing, half_deg = cone
+    if abs(signed_degrees(center_bearing - pose.heading_deg)) > 90.0:
         return True
-    dest_bearing = wrap_degrees(bearing_deg(pose.position, destination))
-    half_deg = math.degrees(math.asin(obstacle.radius_m / d))
+    dest_bearing = compass_bearing(pose.position, destination)
     return abs(signed_degrees(dest_bearing - center_bearing)) >= half_deg
 
 
-def _aim(pose: GridNode, bearing: CompassAngle, side: int = 0) -> HeadingDecision:
-    """Pursue a bearing, clamping the turn to ±MAX_HEADING_CHANGE_DEG."""
-    diff = bearing.diff_from(pose.heading)
+def _aim(pose: GridNode, bearing: float, side: int = 0) -> HeadingDecision:
+    """Pursue a compass bearing, clamping the turn to ±MAX_HEADING_CHANGE_DEG."""
+    diff = signed_degrees(bearing - pose.heading_deg)
     return HeadingDecision(max(-MAX_HEADING_CHANGE_DEG, min(MAX_HEADING_CHANGE_DEG, diff)),
                            side)
 
@@ -179,8 +184,8 @@ def decide_heading(pose: GridNode, destination: Point,
 
     dest_bearing = compass_bearing(pose.position, destination)
     tangents = [tangent_angles(pose.position, o) for _, o in blocking]
-    left_diffs = [left.diff_from(dest_bearing) for left, _ in tangents]
-    right_diffs = [right.diff_from(dest_bearing) for _, right in tangents]
+    left_diffs = [signed_degrees(left - dest_bearing) for left, _ in tangents]
+    right_diffs = [signed_degrees(right - dest_bearing) for _, right in tangents]
     ids = frozenset(oid for oid, _ in blocking)
     fresh = engagement.side is None or not (ids & engagement.ids)
     if fresh:
@@ -192,7 +197,7 @@ def decide_heading(pose: GridNode, destination: Point,
     else:
         side = engagement.side
         chosen_diff = max(right_diffs) if side > 0 else min(left_diffs)
-    decision = _aim(pose, dest_bearing.plus(chosen_diff), side)
+    decision = _aim(pose, wrap_degrees(dest_bearing + chosen_diff), side)
     engagement = Engagement(side, ids)
     # While tracking, only ever turn further away from the obstacle: hold
     # the heading when it already clears the committed-side tangent (the
@@ -205,15 +210,8 @@ def decide_heading(pose: GridNode, destination: Point,
     return HeadingDecision(held, side), engagement
 
 
-def select_heading_static(pose: GridNode, destination: Point,
-                          obstacles: list[Obstacle]) -> HeadingDecision:
-    """decide_heading with no avoidance episode in progress."""
-    return decide_heading(pose, destination, list(enumerate(obstacles)), Engagement())[0]
-
-
-def pick_cell(decision: HeadingDecision,
-              cells: CellSet) -> tuple[TrajectoryCell, int, float]:
-    """Cell to execute for a decision, its index and its rudder command.
+def pick_cell(decision: HeadingDecision, cells: CellSet) -> tuple[TrajectoryCell, float]:
+    """Cell to execute for a decision and its rudder command.
 
     Plain pursuit rounds to the nearest cell; a tangent-bearing decision
     rounds away from the obstacle (CellSet.nearest_index), never toward it.
@@ -221,7 +219,7 @@ def pick_cell(decision: HeadingDecision,
     still cut inside the tangent line.
     """
     idx = cells.nearest_index(decision.heading_change_deg, decision.avoid_side)
-    return cells.cells[idx], idx, cells.command_for(decision.heading_change_deg)
+    return cells.cells[idx], cells.command_for(decision.heading_change_deg)
 
 
 def clearance(point: Point, obstacles: list[Obstacle]) -> float:
@@ -275,10 +273,10 @@ def check_endpoints(scenario: "Scenario", obstacles: list[Obstacle]) -> None:
             raise DestinationInsideObstacle(f"destination {dest} inside obstacle at {o.center}")
 
 
-# step(pose, t, state) -> (cell, cell index, rudder command, next state);
-# a planner's step mutates nothing, so it may be re-run on any input
+# step(pose, t, state) -> (cell, rudder command, next state); a planner's
+# step mutates nothing, so it may be re-run on any input
 State = TypeVar("State")
-Step = Callable[[GridNode, float, State], tuple[TrajectoryCell, int, float, State]]
+Step = Callable[[GridNode, float, State], tuple[TrajectoryCell, float, State]]
 
 
 def execute_cells(scenario: "Scenario", step: Step[State], state: State,
@@ -301,7 +299,7 @@ def execute_cells(scenario: "Scenario", step: Step[State], state: State,
     dest = (scenario.dest_x_m, scenario.dest_y_m)
     reach_tol = scenario.reach_tolerance_m
 
-    pose = GridNode(position=start_xy, heading=CompassAngle(scenario.start_heading_deg))
+    pose = GridNode(start_xy, wrap_degrees(scenario.start_heading_deg))
     nodes = [pose]
     blocks: list[np.ndarray] = []      # each cell's (7, k) sample columns
     time_blocks: list[np.ndarray] = []
@@ -312,7 +310,7 @@ def execute_cells(scenario: "Scenario", step: Step[State], state: State,
     for _ in range(scenario.max_steps):
         if math.dist(pose.position, dest) < reach_tol:
             break
-        cell, idx, command, state = step(pose, t, state)
+        cell, command, state = step(pose, t, state)
         joint = 1 if blocks else 0
         samples += len(cell.sample_times_s) - joint
         if samples > MAX_RUN_STEPS:
@@ -320,12 +318,11 @@ def execute_cells(scenario: "Scenario", step: Step[State], state: State,
         commands.append(command)
         changes.append(cell.heading_change_deg)
 
-        world = transform_cell(cell, pose.position[0], pose.position[1],
-                               pose.heading.degrees)
+        world = transform_cell(cell, pose.position[0], pose.position[1], pose.heading_deg)
         blocks.append(world.columns[:, joint:])
         time_blocks.append(t + cell._times[joint:])
         t += cell.duration_s
-        pose = advance_pose(pose, cell, idx)
+        pose = advance_pose(pose, cell)
         nodes.append(pose)
 
     trajectory = Trajectory(np.concatenate([np.empty((7, 0)), *blocks], axis=1))

@@ -21,7 +21,7 @@ from cgtc.dynamic_planner import (
     separation_at_critical,
     virtual_obstacle_radius,
 )
-from cgtc.grid import CompassAngle, GridNode, compass_bearing, polar_to_world
+from cgtc.grid import GridNode, compass_bearing, polar_to_world, signed_degrees, wrap_degrees
 from cgtc.harness import compare_planners
 from cgtc.relation import RelationSample, fit_poly, pearson
 from cgtc.scenario import Scenario, load_scenario
@@ -82,9 +82,8 @@ def test_c3_rule_conformance(params):
         assert report.rule2_ok, (cell.heading_change_deg, report)
         assert report.rule3_ok, (cell.heading_change_deg, report)
     u0 = params.steady_speed_mps
-    for a, b in ((cells.nearest_cell(40.0), cells.nearest_cell(-25.0)),
-                 (cells.nearest_cell(-90.0), cells.nearest_cell(90.0)),
-                 (cells.nearest_cell(5.0), cells.nearest_cell(0.0))):
+    for changes in ((40.0, -25.0), (-90.0, 90.0), (5.0, 0.0)):
+        a, b = (cells.cells[cells.nearest_index(change)] for change in changes)
         end = a.samples[-1]
         placed = transform_cell(b, a.end_offset[0], a.end_offset[1],
                                 a.heading_change_deg)
@@ -152,8 +151,7 @@ def test_c7_dynamic_situations():
     res = plan_dynamic(sc)
     assert res.reached
     assert res.min_separation_m > 1500.0
-    own0 = GridNode(position=(sc.start_x_m, sc.start_y_m),
-                    heading=CompassAngle(sc.start_heading_deg))
+    own0 = GridNode(position=(sc.start_x_m, sc.start_y_m), heading_deg=sc.start_heading_deg)
     meeting = heading_intersection(own0, sc.obstacles[0])
     first_steer = next(i for i, c in enumerate(res.rudder_commands) if abs(c) >= 1.0)
     assert res.nodes[first_steer].position[1] < meeting[1]
@@ -165,7 +163,7 @@ def test_c8_speed_bound_sharpness():
     # own north at 10 m/s from origin; obstacle east-bound through (−1700, 2000)
     vs = 10.0
     sep = 600.0 + 900.0
-    own0 = GridNode(position=(0.0, 0.0), heading=CompassAngle(0.0))
+    own0 = GridNode(position=(0.0, 0.0), heading_deg=0.0)
 
     def min_sep(vo, dt=0.05, horizon=900.0):
         best = math.inf
@@ -193,7 +191,7 @@ def test_c8_speed_bound_sharpness():
 @criterion("criterion 9: virtual radius active and matching a 1 m dense scan, 20 encounters")
 def test_c9_virtual_radius_activeness():
     rng = random.Random(17)
-    own0 = GridNode(position=(0.0, 0.0), heading=CompassAngle(0.0))
+    own0 = GridNode(position=(0.0, 0.0), heading_deg=0.0)
     checked = 0
     while checked < 20:
         vs = rng.uniform(8.0, 12.0)
@@ -247,15 +245,15 @@ def test_c10_geometry_oracles():
         a = np.radians(-180.0 + 0.01 * np.arange(36001))
         bearing = np.degrees(np.arctan2(cx + r * np.sin(a) - px,
                                         cy + r * np.cos(a) - py)) % 360.0
-        diff = (bearing - center_bearing.degrees) % 360.0
+        diff = (bearing - center_bearing) % 360.0
         diff = np.where(diff > 180.0, diff - 360.0, diff)
         lo, hi = min(0.0, float(diff.min())), max(0.0, float(diff.max()))
-        assert abs(left.diff_from(center_bearing.plus(lo))) < 0.02
-        assert abs(right.diff_from(center_bearing.plus(hi))) < 0.02
+        assert abs(signed_degrees(left - wrap_degrees(center_bearing + lo))) < 0.02
+        assert abs(signed_degrees(right - wrap_degrees(center_bearing + hi))) < 0.02
 
     for _ in range(500):
         c = (rng.uniform(-1e4, 1e4), rng.uniform(-1e4, 1e4))
         radius = rng.uniform(1e-2, 1e5)
         alpha = rng.uniform(0.0, 360.0)
         p = polar_to_world(c, radius, alpha)
-        assert abs(compass_bearing(c, p).diff_from(alpha)) < 1e-9
+        assert abs(signed_degrees(compass_bearing(c, p) - alpha)) < 1e-9

@@ -43,7 +43,7 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_straight_cell(params, cells_factor6):
-    cell = cells_factor6.nearest_cell(0.0)
+    cell = cells_factor6.cells[cells_factor6.nearest_index(0.0)]
     r = cells_factor6.radius_m
     assert cell.delta0_deg == 0.0
     assert cell.heading_change_deg == 0.0
@@ -54,8 +54,8 @@ def test_straight_cell(params, cells_factor6):
 
 
 def test_port_needs_more_rudder_than_starboard(cells_factor6):
-    stbd = cells_factor6.nearest_cell(90.0)
-    port = cells_factor6.nearest_cell(-90.0)
+    stbd = cells_factor6.cells[cells_factor6.nearest_index(90.0)]
+    port = cells_factor6.cells[cells_factor6.nearest_index(-90.0)]
     assert abs(port.delta0_deg) > abs(stbd.delta0_deg)
 
 
@@ -372,7 +372,8 @@ def test_exhausted_budget_returns_the_best_probe(params, monkeypatch):
     assert cell.delta0_deg == rolled[9] != rolled[-1]
     assert round(abs(cell.heading_change_deg - 45.0), 3) == 0.042
     assert cell == _roll_until_crossing(params, cell.delta0_deg, 600.0, 0.5).cell()
-    assert build_cell_set(params, 600.0, 15.0).nearest_cell(45.0) == cell
+    fifteen_deg = build_cell_set(params, 600.0, 15.0)
+    assert fifteen_deg.cells[fifteen_deg.nearest_index(45.0)] == cell
 
 
 def test_set_errors_name_their_target(params, monkeypatch):
@@ -433,8 +434,8 @@ def test_central_angle_bounded_by_heading_change(cells_factor6):
 
 
 def test_splice_continuity(params, cells_factor6):
-    a = cells_factor6.nearest_cell(45.0)
-    b = cells_factor6.nearest_cell(-30.0)
+    a = cells_factor6.cells[cells_factor6.nearest_index(45.0)]
+    b = cells_factor6.cells[cells_factor6.nearest_index(-30.0)]
     end = a.samples[-1]
     placed = transform_cell(b, a.end_offset[0], a.end_offset[1], a.heading_change_deg)
     u0 = params.steady_speed_mps
@@ -559,7 +560,7 @@ def test_target_tolerance(cells600):
 
 
 def test_hand_built_double_steering_fails_rule2(params, cells_factor6):
-    base = cells_factor6.nearest_cell(30.0)
+    base = cells_factor6.cells[cells_factor6.nearest_index(30.0)]
     # splice a second plateau into the tail; the last sample keeps zero rudder
     doctored = base.samples.columns.copy()
     doctored[6, -20:] = 10.0
@@ -587,7 +588,7 @@ def test_count_steerings(series, steerings):
 
 
 def test_hand_built_short_cell_fails_rule3(params, cells_factor6):
-    base = cells_factor6.nearest_cell(0.0)
+    base = cells_factor6.cells[cells_factor6.nearest_index(0.0)]
     cell = TrajectoryCell(samples=Trajectory(base.samples.columns.copy()),
                           sample_times_s=base.sample_times_s,
                           delta0_deg=base.delta0_deg,

@@ -1,4 +1,4 @@
-"""Compass geometry and circle-grid node expansion tests."""
+"""Compass geometry and circle-grid node advance tests."""
 
 import math
 import random
@@ -8,10 +8,9 @@ import pytest
 from cgtc.cells import transform_cell
 from cgtc.errors import CoincidentPoints, FactorOutOfRange
 from cgtc.grid import (
-    CompassAngle,
     GridNode,
+    advance_pose,
     compass_bearing,
-    expand_node,
     polar_to_world,
     rotate_offset,
     ship_domain_radius,
@@ -20,15 +19,17 @@ from cgtc.grid import (
 )
 
 
-class TestCompassAngle:
+class TestHeadings:
+    """Headings are floats of degrees, wrapped by wrap_degrees."""
+
     def test_normalization(self):
-        assert CompassAngle(370.0).degrees == pytest.approx(10.0)
-        assert CompassAngle(-10.0).degrees == pytest.approx(350.0)
-        assert CompassAngle(360.0).degrees == 0.0
+        assert wrap_degrees(370.0) == pytest.approx(10.0)
+        assert wrap_degrees(-10.0) == pytest.approx(350.0)
+        assert wrap_degrees(360.0) == 0.0
 
     def test_signed_difference_range(self):
-        assert CompassAngle(10.0).diff_from(CompassAngle(350.0)) == pytest.approx(20.0)
-        assert CompassAngle(350.0).diff_from(CompassAngle(10.0)) == pytest.approx(-20.0)
+        assert signed_degrees(10.0 - 350.0) == pytest.approx(20.0)
+        assert signed_degrees(350.0 - 10.0) == pytest.approx(-20.0)
         assert signed_degrees(180.0) == 180.0
         assert signed_degrees(-180.0) == 180.0
         rng = random.Random(3)
@@ -39,6 +40,23 @@ class TestCompassAngle:
     def test_wrap(self):
         for deg in (-720.5, -1.0, 0.0, 359.999, 1080.25):
             assert 0.0 <= wrap_degrees(deg) < 360.0
+        # the edge of the range: a negative angle within rounding of zero
+        # wraps to 360.0 itself, and only a second wrap gives 0.0
+        assert wrap_degrees(-1e-17) == 360.0
+        assert wrap_degrees(wrap_degrees(-1e-17)) == 0.0
+
+    def test_advance_pose_wraps_the_sum_once(self, cells_factor6):
+        """advance_pose's heading is wrap_degrees(h + change) bit for bit,
+        also for a sum just below 0, which stays at 360.0."""
+        for heading in (0.0, 0.5, 37.25, 314.0, 359.99999999999994):
+            node = GridNode(position=(512.0, -88.0), heading_deg=heading)
+            for cell in cells_factor6.cells:
+                expected = wrap_degrees(heading + cell.heading_change_deg)
+                assert advance_pose(node, cell).heading_deg.hex() == expected.hex()
+        port = cells_factor6.cells[0]
+        below = GridNode(position=(0.0, 0.0), heading_deg=-port.heading_change_deg - 1e-14)
+        assert below.heading_deg + port.heading_change_deg < 0.0
+        assert advance_pose(below, port).heading_deg == 360.0
 
 
 class TestPolarToWorld:
@@ -62,8 +80,8 @@ class TestPolarToWorld:
 
 class TestCompassBearing:
     def test_cardinal_and_diagonal(self):
-        assert compass_bearing((0, 0), (0, 5)).degrees == pytest.approx(0.0)
-        assert compass_bearing((0, 0), (100, 100)).degrees == pytest.approx(45.0)
+        assert compass_bearing((0, 0), (0, 5)) == pytest.approx(0.0)
+        assert compass_bearing((0, 0), (100, 100)) == pytest.approx(45.0)
 
     def test_round_trip_third_quadrant(self):
         target = (-3.0, -4.0)
@@ -83,53 +101,55 @@ class TestCompassBearing:
             r = rng.uniform(1e-3, 1e5)
             alpha = rng.uniform(0.0, 360.0)
             p = polar_to_world(c, r, alpha)
-            assert abs(compass_bearing(c, p).diff_from(alpha)) < 1e-9
+            assert abs(signed_degrees(compass_bearing(c, p) - alpha)) < 1e-9
+
+
+def children(node, cells):
+    """The node's children: advance_pose by each cell of the set, in order."""
+    return [advance_pose(node, cell) for cell in cells.cells]
 
 
 class TestExpandNode:
     def test_straight_cell_child(self, cells_factor6):
-        node = GridNode(position=(0.0, 0.0), heading=CompassAngle(0.0))
-        children = expand_node(node, cells_factor6)
-        straight = children[cells_factor6.nearest_index(0.0)]
+        node = GridNode(position=(0.0, 0.0), heading_deg=0.0)
+        straight = children(node, cells_factor6)[cells_factor6.nearest_index(0.0)]
         assert straight.position[0] == pytest.approx(0.0, abs=1e-6)
         assert straight.position[1] == pytest.approx(cells_factor6.radius_m, rel=1e-6)
-        assert straight.heading.degrees == pytest.approx(0.0, abs=1e-9)
-        assert straight.depth == 1 and straight.parent is node
+        assert straight.heading_deg == pytest.approx(0.0, abs=1e-9)
 
     def test_rotated_node_straight_child(self, cells_factor6):
-        node = GridNode(position=(0.0, 0.0), heading=CompassAngle(90.0))
-        child = expand_node(node, cells_factor6)[cells_factor6.nearest_index(0.0)]
+        node = GridNode(position=(0.0, 0.0), heading_deg=90.0)
+        child = children(node, cells_factor6)[cells_factor6.nearest_index(0.0)]
         assert child.position[0] == pytest.approx(cells_factor6.radius_m, rel=1e-6)
         assert child.position[1] == pytest.approx(0.0, abs=1e-6)
 
     def test_children_on_circle(self, cells_factor6):
-        node = GridNode(position=(120.0, -40.0), heading=CompassAngle(203.0))
+        node = GridNode(position=(120.0, -40.0), heading_deg=203.0)
         r = cells_factor6.radius_m
-        for child in expand_node(node, cells_factor6):
+        for child in children(node, cells_factor6):
             d = math.dist(child.position, node.position)
             assert 0.995 * r <= d <= 1.005 * r
 
     def test_rotation_equivariance(self, cells_factor6):
-        base = GridNode(position=(0.0, 0.0), heading=CompassAngle(0.0))
-        turned = GridNode(position=(0.0, 0.0), heading=CompassAngle(73.0))
-        kids0 = expand_node(base, cells_factor6)
-        kids1 = expand_node(turned, cells_factor6)
+        base = GridNode(position=(0.0, 0.0), heading_deg=0.0)
+        turned = GridNode(position=(0.0, 0.0), heading_deg=73.0)
+        kids0 = children(base, cells_factor6)
+        kids1 = children(turned, cells_factor6)
         for k0, k1 in zip(kids0, kids1):
             expect = rotate_offset(k0.position, 73.0)
             assert k1.position[0] == pytest.approx(expect[0], abs=1e-9)
             assert k1.position[1] == pytest.approx(expect[1], abs=1e-9)
-            assert abs(k1.heading.diff_from(k0.heading.plus(73.0))) < 1e-9
+            assert abs(signed_degrees(k1.heading_deg - (k0.heading_deg + 73.0))) < 1e-9
 
     def test_resimulated_cell_lands_on_child(self, cells_factor6):
-        node = GridNode(position=(512.0, -88.0), heading=CompassAngle(314.0))
+        node = GridNode(position=(512.0, -88.0), heading_deg=314.0)
         for idx in (0, cells_factor6.nearest_index(0.0), len(cells_factor6.cells) - 1):
             cell = cells_factor6.cells[idx]
-            child = expand_node(node, cells_factor6)[idx]
-            world = transform_cell(cell, node.position[0], node.position[1],
-                                   node.heading.degrees)
+            child = advance_pose(node, cell)
+            world = transform_cell(cell, node.position[0], node.position[1], node.heading_deg)
             assert world[-1].x_m == pytest.approx(child.position[0], abs=1e-6)
             assert world[-1].y_m == pytest.approx(child.position[1], abs=1e-6)
-            assert abs(CompassAngle(world[-1].heading_deg).diff_from(child.heading)) < 1e-6
+            assert abs(signed_degrees(world[-1].heading_deg - child.heading_deg)) < 1e-6
 
 
 class TestShipDomainRadius:

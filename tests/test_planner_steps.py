@@ -22,7 +22,7 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 @pytest.fixture
 def recorded_steps(monkeypatch):
-    """(step, (pose, t, state), (cell, index, command, next state)) per call."""
+    """(step, (pose, t, state), (cell, command, next state)) per call."""
     calls = []
     real = static_mod.execute_cells
 
@@ -40,9 +40,10 @@ def recorded_steps(monkeypatch):
 
 def assert_steps_replay(calls):
     assert calls
-    for step, args, (_, index, command, state) in reversed(calls):
-        _, index2, command2, state2 = step(*args)
-        assert (index2, command2.hex(), state2) == (index, command.hex(), state)
+    for step, args, (cell, command, state) in reversed(calls):
+        cell2, command2, state2 = step(*args)
+        assert cell2 is cell
+        assert (command2.hex(), state2) == (command.hex(), state)
 
 
 def test_static_and_baseline_steps_are_pure(recorded_steps):
@@ -57,7 +58,7 @@ def test_static_and_baseline_steps_are_pure(recorded_steps):
 
 def test_dynamic_step_is_pure_as_the_virtual_disc_comes_and_goes(recorded_steps):
     dynamic_mod.plan_dynamic(load_scenario(SCENARIO_DIR / "dynamic_sit3_must_steer.json"))
-    states = [result[3] for _, _, result in recorded_steps]
+    states = [result[2] for _, _, result in recorded_steps]
     assert any(s.virtual is not None for s in states)
     assert states[-1].virtual is None and states[-1].virtual_done
     assert_steps_replay(recorded_steps)

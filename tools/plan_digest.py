@@ -7,14 +7,20 @@ grid_baseline_plan), with scenes from perfbench/gen.py. Each line reads
     <family>-<seed>-<index> <planner> <sha256> <min_clearance_m> <min_separation_m>
 
 where the hash covers every other PlanResult field (float bits, not
-reprs), the trajectory's column bytes and every node's position, heading,
-cell and depth, and the two minima follow as float.hex() ("-" for None).
-So a change to how the minima are measured shows as moved minima beside
-unchanged hashes. A plan that raises prints its error class and message
-instead. Run it on two checkouts and diff the outputs; the first differing
-line names the first plan that moved:
+reprs), the trajectory's column bytes, the node count and every node's
+(x, y, heading_deg), and the two minima follow as float.hex() ("-" for
+None). So a change to how the minima are measured shows as moved minima
+beside unchanged hashes. A plan that raises prints its error class and
+message instead. Run it on two checkouts and diff the outputs; the first
+differing line names the first plan that moved:
 
     PYTHONPATH=src python tools/plan_digest.py > after.txt
+
+A checkout whose GridNode still holds a CompassAngle (`node.heading`) has
+no `heading_deg`: there, run a copy of this script that reads
+`node.heading.degrees` in its place. Its lines compare with this script's.
+Earlier versions of this script also hashed each node's cell index and
+depth, so their lines do not.
 """
 
 from __future__ import annotations
@@ -49,9 +55,9 @@ def _floats(h, values) -> None:
 
 def digest(result: PlanResult) -> str:
     h = hashlib.sha256()
+    h.update(struct.pack("<q", len(result.nodes)))
     for node in result.nodes:
-        _floats(h, (*node.position, node.heading.degrees))
-        h.update(repr((node.cell_used, node.depth)).encode())
+        _floats(h, (*node.position, node.heading_deg))
     h.update(repr(result.trajectory.columns.shape).encode())
     h.update(np.ascontiguousarray(result.trajectory.columns).tobytes())
     for series in (result.sample_times_s, result.rudder_commands,
