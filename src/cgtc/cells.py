@@ -33,12 +33,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import NonConvergence, Unreachable
-from .grid import compass_bearing, wrap_degrees
+from .grid import GridNode, compass_bearing, wrap_degrees
 from .relation import CubicRelation, RelationSample, fit_poly, invert_relation
 from .ship import ShipParams, Trajectory, check_dt, step_floats
 
@@ -881,23 +881,29 @@ def _count_steerings(rudder_series: list[float]) -> int:
     return count
 
 
-def transform_cell(cell: TrajectoryCell, origin_x: float, origin_y: float,
-                   origin_heading_deg: float) -> Trajectory:
-    """Place a ship-frame cell at a world pose (rotate by heading, translate).
+def transform_cell(cells: Sequence[TrajectoryCell], poses: Sequence[GridNode]) -> Trajectory:
+    """Place ship-frame cells end to end, each at its world pose (rotate by
+    the pose's heading, translate to its position).
 
-    The placement runs on the cell's sample columns as whole-array
-    expressions with the per-sample arithmetic in the same order, so every
-    sample is bit-equal to placing the samples one at a time. The heading
-    is wrapped twice, as ShipState wraps a wrapped sum once more: a sum just
-    below zero wraps to 360.0, and only then to 0.0.
+    Each cell after the first leaves out its first sample, the joint it
+    shares with the cell before; no cells give an empty Trajectory. The
+    placement runs on the joined sample columns as whole-array expressions:
+    each pose's position, heading, cosine and sine (math.cos and math.sin,
+    once per pose) are repeated over its cell's samples, and the per-sample
+    arithmetic keeps its order, so every sample is bit-equal to placing the
+    samples one at a time. The heading is wrapped twice, as ShipState wraps
+    a wrapped sum once more: a sum just below zero wraps to 360.0, and only
+    then to 0.0.
     """
-    h = math.radians(origin_heading_deg)
-    ch, sh = math.cos(h), math.sin(h)
-    local = cell.samples.columns
-    x, y, heading = local[_X], local[_Y], local[_HDG]
-    world = np.empty_like(local)
-    world[_X] = origin_x + (x * ch + y * sh)
-    world[_Y] = origin_y + (-x * sh + y * ch)
-    world[_HDG] = wrap_degrees(wrap_degrees(heading + origin_heading_deg))
-    world[_U:] = local[_U:]
+    if not cells:
+        return Trajectory(np.empty((7, 0)))
+    pieces = [cells[0].samples.columns, *(cell.samples.columns[:, 1:] for cell in cells[1:])]
+    world = np.concatenate(pieces, axis=1)
+    per_pose = np.array([(*pose.position, pose.heading_deg,
+                          math.cos(math.radians(pose.heading_deg)),
+                          math.sin(math.radians(pose.heading_deg))) for pose in poses]).T
+    ox, oy, heading, ch, sh = np.repeat(per_pose, [p.shape[1] for p in pieces], axis=1)
+    x, y = world[_X], world[_Y]
+    world[_X], world[_Y] = ox + (x * ch + y * sh), oy + (-x * sh + y * ch)
+    world[_HDG] = wrap_degrees(wrap_degrees(world[_HDG] + heading))
     return Trajectory(world)

@@ -35,6 +35,7 @@ from .static_planner import (
     Obstacle,
     PlanResult,
     _polyline_gap,
+    _separation_series,
     check_endpoints,
     decide_heading,
     execute_cells,
@@ -50,6 +51,8 @@ Point = tuple[float, float]
 _PARALLEL_EPS = 1e-12
 # bisection stops once the virtual-radius bracket is this narrow (m)
 _VIRTUAL_RADIUS_TOL_M = 0.1
+# a zero-radius disc at (0, 0): an own-minus-mover track's gap to it is the separation
+_ORIGIN = [((0.0, 0.0), 0.0)]
 
 
 class EncounterClass(Enum):
@@ -257,8 +260,7 @@ def min_separation(own_xy: np.ndarray,
             f"{own_xy.shape[1]} own samples vs {len(obstacle_track)} obstacle samples"
         )
     relative = own_xy - np.asarray(obstacle_track, dtype=np.float64).T
-    return (list(map(math.hypot, *relative.tolist())),
-            _polyline_gap(relative, [((0.0, 0.0), 0.0)]))
+    return _separation_series(relative), _polyline_gap(relative, _ORIGIN)
 
 
 @dataclass(frozen=True)
@@ -282,9 +284,11 @@ def plan_dynamic(scenario: "Scenario", cells: Optional[CellSet] = None) -> PlanR
     strategy and stage 2 starts once it reports bypassed, dropping it for
     good and driving home. Static obstacles participate in every decision
     throughout. Each step is a pure function of a frozen _DynamicState,
-    which execute_cells threads. The separation to the moving obstacle is
-    recorded at every trajectory sample; when no cell runs, only its
-    minimum is measured, at the start point, and the series stays empty.
+    which execute_cells threads. The plan measures the minimum separation
+    to the moving obstacle (min_separation's) and keeps the own-minus-mover
+    track, from which PlanResult.separation_m gives the distance at every
+    sample on first read; when no cell runs, only the minimum is measured,
+    at the start point, and the series stays empty.
     """
     movers = [o for o in scenario.obstacles if o.moving]
     if len(movers) != 1:
@@ -335,7 +339,8 @@ def plan_dynamic(scenario: "Scenario", cells: Optional[CellSet] = None) -> PlanR
     result = execute_cells(scenario, step, _DynamicState(), statics)
     own = (result.trajectory.columns[:2] if result.trajectory
            else np.array([[scenario.start_x_m], [scenario.start_y_m]], dtype=np.float64))
-    track = np.column_stack(mover.position_at(np.array(result.sample_times_s or [0.0])))
-    series, result.min_separation_m = min_separation(own, track)
-    result.separation_m = series if result.trajectory else []
+    relative = own - np.array(mover.position_at(np.array(result.sample_times_s or [0.0])))
+    result.min_separation_m = _polyline_gap(relative, _ORIGIN)
+    if result.trajectory:
+        result.relative_track = relative
     return result

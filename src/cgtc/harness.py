@@ -166,6 +166,26 @@ def run_scenario(path: str | Path, out_dir: str | Path) -> tuple[Scenario, PlanR
     return scenario, result
 
 
+def _remove_unrun(out_dir: Path, run: set[str]) -> None:
+    """Empty the subdirectory of each scenario that out_dir's earlier
+    summary.json lists and that is not in run, through the artifacts rule
+    for RUN_ARTIFACTS, then remove it if nothing else is left in it.
+
+    Nothing is removed when no earlier summary is there or it does not parse.
+    """
+    try:
+        earlier = json.loads((out_dir / "summary.json").read_text())
+    except (OSError, ValueError):
+        return
+    unrun = earlier.keys() - run if isinstance(earlier, dict) else ()
+    for sub in out_dir.iterdir():
+        if sub.name in unrun and sub.is_dir():
+            with artifacts(sub, RUN_ARTIFACTS):
+                pass
+            if not any(sub.iterdir()):
+                sub.rmdir()
+
+
 def run_batch(scenario_dir: str | Path, out_dir: str | Path) -> dict[str, dict]:
     """Run every *.json scenario in a directory into per-scenario subfolders.
 
@@ -174,6 +194,9 @@ def run_batch(scenario_dir: str | Path, out_dir: str | Path) -> dict[str, dict]:
     summary is written once every file has been run. An input error (a
     ScenarioError) stops the batch and leaves no summary.json. Raises
     ValidationError unless scenario_dir is a directory holding *.json files.
+    Before the first run, the subdirectories of the scenarios that an
+    earlier summary.json in out_dir lists and this batch does not run lose
+    their run artifacts (_remove_unrun).
     """
     scenario_dir = Path(scenario_dir)
     out_dir = Path(out_dir)
@@ -182,6 +205,7 @@ def run_batch(scenario_dir: str | Path, out_dir: str | Path) -> dict[str, dict]:
         paths = sorted(scenario_dir.glob("*.json")) if scenario_dir.is_dir() else []
         if not paths:
             raise ValidationError(f"{scenario_dir}: not a directory of *.json scenario files")
+        _remove_unrun(out_dir, {path.stem for path in paths})
         for path in paths:
             try:
                 scenario, result = run_scenario(path, out_dir / path.stem)

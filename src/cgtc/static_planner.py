@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Optional, TypeVar
 
 import numpy as np
@@ -85,8 +86,16 @@ class HeadingDecision:
     avoid_side: int = 0
 
 
+def _separation_series(relative: np.ndarray) -> list[float]:
+    """math.hypot of each sample of a (2, n) own-minus-mover track (as math.dist)."""
+    return list(map(math.hypot, *relative.tolist()))
+
+
 @dataclass
 class PlanResult:
+    """A plan. A dynamic plan that ran a cell keeps its own-minus-mover
+    track, from which separation_m is computed on first read."""
+
     nodes: list[GridNode]
     trajectory: Trajectory
     sample_times_s: list[float]
@@ -96,46 +105,52 @@ class PlanResult:
     steering_count: int
     reached: bool
     min_clearance_m: Optional[float] = None
-    separation_m: list[float] = field(default_factory=list)
     min_separation_m: Optional[float] = None
+    relative_track: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def separation_m(self) -> list[float]:
+        """Distance to the mover at each sample; empty without a relative track."""
+        return [] if self.relative_track is None else _separation_series(self.relative_track)
 
 
-def _cone(current: Point, obstacle: Obstacle) -> Optional[tuple[float, float]]:
-    """Compass bearing of an obstacle disc's center and the half-angle of its
-    tangent cone, both in degrees; None from inside the disc."""
+def _screen(current: Point, obstacle: Obstacle, heading_deg: Optional[float] = None,
+            dest_bearing: Optional[float] = None) -> Optional[tuple[float, float]]:
+    """Compass bearings of the two tangent points of an obstacle disc, left
+    first, or None when the obstacle is bypassed.
+
+    It is bypassed, at a heading and with a destination bearing (no test
+    without them), when its center sits more than 90 degrees off the
+    heading (abeam or astern) or the destination bearing clears its tangent
+    cone. Raises InsideObstacle from inside the disc.
+    """
     d = math.dist(current, obstacle.center)
     if d <= obstacle.radius_m:
+        raise InsideObstacle(
+            f"point {current} is inside obstacle at {obstacle.center} (r={obstacle.radius_m})"
+        )
+    center_bearing = compass_bearing(current, obstacle.center)
+    half_deg = math.degrees(math.asin(obstacle.radius_m / d))
+    if dest_bearing is not None and (
+            abs(signed_degrees(center_bearing - heading_deg)) > 90.0
+            or abs(signed_degrees(dest_bearing - center_bearing)) >= half_deg):
         return None
-    return (compass_bearing(current, obstacle.center),
-            math.degrees(math.asin(obstacle.radius_m / d)))
+    return wrap_degrees(center_bearing - half_deg), wrap_degrees(center_bearing + half_deg)
 
 
 def tangent_angles(current: Point, obstacle: Obstacle) -> tuple[float, float]:
     """Compass bearings of the two tangent points of an obstacle disc, left first."""
-    cone = _cone(current, obstacle)
-    if cone is None:
-        raise InsideObstacle(
-            f"point {current} is inside obstacle at {obstacle.center} (r={obstacle.radius_m})"
-        )
-    center_bearing, half_deg = cone
-    return wrap_degrees(center_bearing - half_deg), wrap_degrees(center_bearing + half_deg)
+    return _screen(current, obstacle)
 
 
 def is_bypassed(pose: GridNode, obstacle: Obstacle, destination: Point) -> bool:
-    """True when the obstacle no longer needs to be tracked.
-
-    Either the destination bearing clears the obstacle's tangent cone, or
-    the obstacle center sits more than 90 degrees off the current heading
-    (abeam or astern).
-    """
-    cone = _cone(pose.position, obstacle)
-    if cone is None:
-        return False
-    center_bearing, half_deg = cone
-    if abs(signed_degrees(center_bearing - pose.heading_deg)) > 90.0:
-        return True
+    """True when the obstacle no longer needs to be tracked (_screen), False
+    from inside the disc."""
     dest_bearing = compass_bearing(pose.position, destination)
-    return abs(signed_degrees(dest_bearing - center_bearing)) >= half_deg
+    try:
+        return _screen(pose.position, obstacle, pose.heading_deg, dest_bearing) is None
+    except InsideObstacle:
+        return False
 
 
 def _aim(pose: GridNode, bearing: float, side: int = 0) -> HeadingDecision:
@@ -168,25 +183,31 @@ def decide_heading(pose: GridNode, destination: Point,
                    engagement: Engagement) -> tuple[HeadingDecision, Engagement]:
     """One decision, and the next node's Engagement, by extreme tangency.
 
-    Takes the tangent bearings of every tracked obstacle still blocking the
-    destination bearing (the free-water rule when none does). A fresh
-    episode pursues whichever of the port-most and starboard-most deviates
-    less from the destination bearing (ties go starboard); an episode in
-    progress pursues its committed side's tangent envelope, so
-    re-evaluation does not flip-flop across the obstacle. tracked pairs a
-    stable identifier with each obstacle so an episode survives obstacles
-    dropping out (and the dynamic planner's virtual obstacle being
-    refreshed under the same identifier). engagement is only read.
+    Screens each tracked obstacle once (_screen, which raises InsideObstacle
+    for the first that holds the pose) and takes the tangent bearings of
+    every one still blocking the destination bearing (the free-water rule
+    when none does). A fresh episode pursues whichever of the port-most and
+    starboard-most deviates less from the destination bearing (ties go
+    starboard); an episode in progress pursues its committed side's tangent
+    envelope, so re-evaluation does not flip-flop across the obstacle.
+    tracked pairs a stable identifier with each obstacle so an episode
+    survives obstacles dropping out (and the dynamic planner's virtual
+    obstacle being refreshed under the same identifier). engagement is only
+    read.
     """
-    blocking = [(oid, o) for oid, o in tracked if not is_bypassed(pose, o, destination)]
-    if not blocking:
-        return select_heading_free(pose, destination), Engagement()
-
     dest_bearing = compass_bearing(pose.position, destination)
-    tangents = [tangent_angles(pose.position, o) for _, o in blocking]
+    blocking, tangents = [], []   # each still blocking obstacle's id and tangent pair
+    for oid, o in tracked:
+        pair = _screen(pose.position, o, pose.heading_deg, dest_bearing)
+        if pair is not None:
+            blocking.append(oid)
+            tangents.append(pair)
+    if not tangents:
+        return _aim(pose, dest_bearing), Engagement()
+
     left_diffs = [signed_degrees(left - dest_bearing) for left, _ in tangents]
     right_diffs = [signed_degrees(right - dest_bearing) for _, right in tangents]
-    ids = frozenset(oid for oid, _ in blocking)
+    ids = frozenset(blocking)
     fresh = engagement.side is None or not (ids & engagement.ids)
     if fresh:
         port_most = min(left_diffs + right_diffs)
@@ -285,12 +306,13 @@ def execute_cells(scenario: "Scenario", step: Step[State], state: State,
 
     From the start pose, asks step for the cell to run at each node (t is
     the plan time at that node), threading the state: state is the start
-    node's, and each step returns the next node's. Places the cell at the
-    pose, keeps its sample columns and times (consecutive cells share their
-    joint sample; the arrays are joined once, after the last cell) and
-    advances to the cell's end node. Stops within the reach tolerance of
-    the destination, or with reached=False when the step budget runs out or
-    the next cell would take the path past MAX_RUN_STEPS samples.
+    node's, and each step returns the next node's. Keeps each cell, its
+    start time and its command, and advances to the cell's end node. After
+    the last cell, one transform_cell call places every cell at its node
+    (consecutive cells share their joint sample), and the times are joined
+    once. Stops within the reach tolerance of the destination, or with
+    reached=False when the step budget runs out or the next cell would take
+    the path past MAX_RUN_STEPS samples.
     The path length sums the sample-to-sample distances in sample order.
     Clearance (None without obstacles) is min_clearance of the path through
     the samples, or of the start point if no cell ran.
@@ -301,33 +323,30 @@ def execute_cells(scenario: "Scenario", step: Step[State], state: State,
 
     pose = GridNode(start_xy, wrap_degrees(scenario.start_heading_deg))
     nodes = [pose]
-    blocks: list[np.ndarray] = []      # each cell's (7, k) sample columns
-    time_blocks: list[np.ndarray] = []
+    run: list[TrajectoryCell] = []
+    starts: list[float] = []   # plan time at each cell's start
     commands: list[float] = []
-    changes: list[float] = []
     t = 0.0
     samples = 0
     for _ in range(scenario.max_steps):
         if math.dist(pose.position, dest) < reach_tol:
             break
         cell, command, state = step(pose, t, state)
-        joint = 1 if blocks else 0
-        samples += len(cell.sample_times_s) - joint
+        samples += len(cell.sample_times_s) - (1 if run else 0)
         if samples > MAX_RUN_STEPS:
             break
+        run.append(cell)
+        starts.append(t)
         commands.append(command)
-        changes.append(cell.heading_change_deg)
-
-        world = transform_cell(cell, pose.position[0], pose.position[1], pose.heading_deg)
-        blocks.append(world.columns[:, joint:])
-        time_blocks.append(t + cell._times[joint:])
         t += cell.duration_s
         pose = advance_pose(pose, cell)
         nodes.append(pose)
 
-    trajectory = Trajectory(np.concatenate([np.empty((7, 0)), *blocks], axis=1))
-    times = np.concatenate([np.empty(0), *time_blocks]).tolist()
-    xy = trajectory.columns[:2] if blocks else np.array([start_xy], dtype=np.float64).T
+    trajectory = transform_cell(run, nodes[:-1])
+    local_times = [c._times[1:] if i else c._times for i, c in enumerate(run)]
+    times = (np.repeat(starts, [len(lt) for lt in local_times])
+             + np.concatenate([np.empty(0), *local_times])).tolist()
+    xy = trajectory.columns[:2] if run else np.array([start_xy], dtype=np.float64).T
     path_length = 0.0
     for d in map(math.hypot, *np.diff(xy).tolist()):
         path_length += d
@@ -339,7 +358,7 @@ def execute_cells(scenario: "Scenario", step: Step[State], state: State,
         trajectory=trajectory,
         sample_times_s=times,
         rudder_commands=commands,
-        heading_changes_deg=changes,
+        heading_changes_deg=[c.heading_change_deg for c in run],
         path_length_m=path_length,
         steering_count=sum(1 for c in commands if abs(c) >= STEERING_THRESHOLD_DEG),
         reached=math.dist(pose.position, dest) < reach_tol,

@@ -85,8 +85,7 @@ def test_c3_rule_conformance(params):
     for changes in ((40.0, -25.0), (-90.0, 90.0), (5.0, 0.0)):
         a, b = (cells.cells[cells.nearest_index(change)] for change in changes)
         end = a.samples[-1]
-        placed = transform_cell(b, a.end_offset[0], a.end_offset[1],
-                                a.heading_change_deg)
+        placed = transform_cell([b], [GridNode(a.end_offset, a.heading_change_deg)])
         jump = (placed[0].heading_deg - end.heading_deg) % 360.0
         assert min(jump, 360.0 - jump) < 0.2
         assert abs(placed[0].u_mps - end.u_mps) < 0.001 * u0

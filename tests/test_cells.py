@@ -33,7 +33,7 @@ from cgtc.cells import (
     validate_rules,
 )
 from cgtc.errors import NonConvergence, Unreachable
-from cgtc.grid import wrap_degrees
+from cgtc.grid import GridNode, wrap_degrees
 from cgtc.relation import RelationSample, fit_poly, pearson
 from cgtc.scenario import load_scenario
 from cgtc.ship import ShipParams, ShipState, Trajectory, step, trimmed_state
@@ -437,7 +437,7 @@ def test_splice_continuity(params, cells_factor6):
     a = cells_factor6.cells[cells_factor6.nearest_index(45.0)]
     b = cells_factor6.cells[cells_factor6.nearest_index(-30.0)]
     end = a.samples[-1]
-    placed = transform_cell(b, a.end_offset[0], a.end_offset[1], a.heading_change_deg)
+    placed = transform_cell([b], [GridNode(a.end_offset, a.heading_change_deg)])
     u0 = params.steady_speed_mps
     assert abs(end.u_mps - placed[0].u_mps) <= 0.001 * u0
     heading_jump = (placed[0].heading_deg - end.heading_deg) % 360.0
@@ -505,9 +505,41 @@ def test_transform_cell_matches_scalar_placement(origin_x, origin_y, heading, pi
                                                  odd_hull):
     cells = _placement_sets()[odd_hull].cells
     cell = cells[pick % len(cells)]
-    placed = transform_cell(cell, origin_x, origin_y, heading)
+    placed = transform_cell([cell], [GridNode((origin_x, origin_y), heading)])
     expected = _transform_cell_scalar(cell, origin_x, origin_y, heading)
     assert _state_bytes(placed) == _state_bytes(expected)
+
+
+poses = st.tuples(finite | st.floats(-1e4, 1e4), finite | st.floats(-1e4, 1e4),
+                  finite | edge_headings)
+
+
+@settings(max_examples=100, deadline=None)
+@given(picks=st.lists(st.integers(0, 36), min_size=1, max_size=6),
+       at=st.lists(poses, min_size=6, max_size=6), odd_hull=st.booleans())
+@example(picks=[18, 0, 36], at=[(0.0, -0.0, -1e-13)] + [(1e3, -2e3, 90.0)] * 5,
+         odd_hull=False)
+@example(picks=[18, 3, 33, 0, 36, 7], at=[(-0.0, 0.0, -1e-20), (5.0, 7.0, 359.99999999999994),
+                                         (0.0, 0.0, -720.0), (1e6, -1e6, 360.0),
+                                         (0.0, 0.0, -1e-13), (3.0, 4.0, 720.0)],
+         odd_hull=True)
+def test_sequence_placement_joins_the_one_cell_placements(picks, at, odd_hull):
+    """Cells placed end to end equal each cell placed alone by the scalar
+    reference, every later cell without its first sample, bit for bit."""
+    cells = _placement_sets()[odd_hull].cells
+    run = [cells[pick % len(cells)] for pick in picks]
+    nodes = [GridNode((x, y), heading) for x, y, heading in at[:len(run)]]
+    placed = transform_cell(run, nodes)
+    expected = [state for i, (cell, node) in enumerate(zip(run, nodes))
+                for state in _transform_cell_scalar(cell, *node.position,
+                                                    node.heading_deg)[1 if i else 0:]]
+    # the columns as placed, before a ShipState would wrap a heading once more
+    assert placed.columns.tobytes() == array("d", [getattr(s, f.name) for f in fields(ShipState)
+                                                   for s in expected]).tobytes()
+
+
+def test_no_cells_place_to_an_empty_trajectory():
+    assert transform_cell([], []).columns.shape == (7, 0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -521,7 +553,7 @@ def test_transform_cell_matches_scalar_placement(origin_x, origin_y, heading, pi
 def test_placed_columns_are_the_states(origin_x, origin_y, heading, pick, odd_hull):
     cells = _placement_sets()[odd_hull].cells
     cell = cells[pick % len(cells)]
-    placed = transform_cell(cell, origin_x, origin_y, heading)
+    placed = transform_cell([cell], [GridNode((origin_x, origin_y), heading)])
     assert "_states" not in vars(placed) and not placed.columns.flags.writeable
     assert len(placed) == placed.columns.shape[1] == len(cell.samples)
 
@@ -532,7 +564,7 @@ def test_placed_columns_are_the_states(origin_x, origin_y, heading, pick, odd_hu
     assert [placed[i] for i in range(len(placed))] == states
     assert placed[-1] is states[-1] and placed[1:3] == states[1:3]
 
-    assert placed == transform_cell(cell, origin_x, origin_y, heading)
+    assert placed == transform_cell([cell], [GridNode((origin_x, origin_y), heading)])
     assert placed == states and placed != states[:-1] and placed != tuple(states)
     other = placed.columns.copy()
     other[3, -1] += 1.0  # u of the last sample
@@ -544,7 +576,7 @@ def test_cached_columns_leave_identity_unchanged():
     twin = build_cell_set(ODD_HULL, 520.0, 15.0)
     before = (hash(fresh), repr(fresh), [(hash(c), repr(c)) for c in fresh.cells])
     for cell in fresh.cells:
-        transform_cell(cell, 10.0, -20.0, 33.0)
+        transform_cell([cell], [GridNode((10.0, -20.0), 33.0)])
         cell._times, cell.samples[0]  # fill the times and states caches
         assert "_times" in vars(cell) and "_states" in vars(cell.samples)
     assert (hash(fresh), repr(fresh), [(hash(c), repr(c)) for c in fresh.cells]) == before

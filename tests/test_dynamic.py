@@ -2,6 +2,8 @@
 
 import math
 import random
+from array import array
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -345,6 +347,23 @@ class TestPlanDynamic:
         expected = [math.dist((s.x_m, s.y_m), mover.position_at(t))
                     for s, t in zip(res.trajectory, res.sample_times_s)]
         assert [d.hex() for d in res.separation_m] == [d.hex() for d in expected]
+
+    def test_separation_read_lazily_is_min_separation_series(self):
+        """separation_m, computed on first read, has the bits of min_separation's
+        series; a plan that runs no cell has none."""
+        sc = load_scenario(SCENARIO_DIR / "dynamic_sit3_must_steer.json")
+        res = plan_dynamic(sc)
+        assert "separation_m" not in vars(res)
+        mover = sc.obstacles[0]
+        track = np.column_stack(mover.position_at(np.array(res.sample_times_s)))
+        series, minimum = min_separation(res.trajectory.columns[:2], track)
+        assert array("d", res.separation_m).tobytes() == array("d", series).tobytes()
+        assert res.min_separation_m == minimum and res.separation_m is res.separation_m
+
+        still = replace(sc, dest_x_m=sc.start_x_m, dest_y_m=sc.start_y_m + 100.0)
+        res = plan_dynamic(still)
+        assert not res.trajectory and res.min_separation_m is not None
+        assert res.separation_m == []
 
     def test_multiple_movers_rejected(self, params):
         sc = Scenario(mode="dynamic", ship=params, start_x_m=0.0, start_y_m=0.0,

@@ -146,7 +146,7 @@ class TestExpandNode:
         for idx in (0, cells_factor6.nearest_index(0.0), len(cells_factor6.cells) - 1):
             cell = cells_factor6.cells[idx]
             child = advance_pose(node, cell)
-            world = transform_cell(cell, node.position[0], node.position[1], node.heading_deg)
+            world = transform_cell([cell], [node])
             assert world[-1].x_m == pytest.approx(child.position[0], abs=1e-6)
             assert world[-1].y_m == pytest.approx(child.position[1], abs=1e-6)
             assert abs(signed_degrees(world[-1].heading_deg - child.heading_deg)) < 1e-6

@@ -866,6 +866,33 @@ class TestCliExitCodes:
         assert (out / "a" / "metrics.json").exists()
         assert list((out / "b").iterdir()) == []
 
+    def test_batch_removes_the_runs_of_scenarios_gone_from_the_dir(self, tmp_path):
+        src, out = tmp_path / "scenarios", tmp_path / "out"
+        src.mkdir()
+        for name in ("a", "b", "c"):
+            (src / f"{name}.json").write_text((SCENARIO_DIR / "free_bearing37.json").read_text())
+        assert cli_main(["batch", str(src), "--out-dir", str(out)]) == 0
+        (out / "c" / "notes.txt").write_text("not an artifact\n")
+        (out / "d").mkdir()  # no summary names it
+        (out / "d" / "metrics.json").write_text("{}\n")
+        (src / "b.json").unlink()
+        (src / "c.json").unlink()
+        assert cli_main(["batch", str(src), "--out-dir", str(out)]) == 0
+        assert list(json.loads((out / "summary.json").read_text())) == ["a"]
+        assert sorted(p.name for p in out.iterdir()) == ["a", "c", "d", "summary.json"]
+        assert [p.name for p in (out / "c").iterdir()] == ["notes.txt"]
+        assert [p.name for p in (out / "d").iterdir()] == ["metrics.json"]
+
+    def test_batch_keeps_runs_beside_an_unreadable_summary(self, tmp_path):
+        src, out = tmp_path / "scenarios", tmp_path / "out"
+        src.mkdir()
+        (src / "a.json").write_text((SCENARIO_DIR / "free_bearing37.json").read_text())
+        (out / "b").mkdir(parents=True)
+        (out / "b" / "metrics.json").write_text("{}\n")
+        (out / "summary.json").write_text('{"b": ')
+        assert cli_main(["batch", str(src), "--out-dir", str(out)]) == 0
+        assert (out / "b" / "metrics.json").exists()
+
     def test_compare_success_writes_report(self, tmp_path, capsys):
         rc = cli_main(["compare", str(SCENARIO_DIR / "fig25_analog.json"),
                        "--out-dir", str(tmp_path)])

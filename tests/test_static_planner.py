@@ -138,13 +138,13 @@ class TestSelectHeadingStatic:
 
     def test_each_obstacle_screened_once_per_decision(self, monkeypatch):
         screened = []
-        real_bypassed = static_mod.is_bypassed
+        real_screen = static_mod._screen
 
-        def counting(pose, obstacle, destination):
+        def counting(current, obstacle, *args):
             screened.append(obstacle)
-            return real_bypassed(pose, obstacle, destination)
+            return real_screen(current, obstacle, *args)
 
-        monkeypatch.setattr(static_mod, "is_bypassed", counting)
+        monkeypatch.setattr(static_mod, "_screen", counting)
         obstacles = [Obstacle(center=(-500.0, 1700.0), radius_m=650.0),
                      Obstacle(center=(450.0, 2300.0), radius_m=700.0),
                      Obstacle(center=(3000.0, -2000.0), radius_m=300.0)]  # astern
@@ -156,6 +156,16 @@ class TestSelectHeadingStatic:
             assert screened == obstacles
             screened.clear()
         assert engagement.ids == frozenset({0, 1})
+
+    def test_pose_inside_second_disc_names_it(self):
+        """The first tracked disc holding the pose raises, with its own center
+        and radius, though the first disc blocks and is screened before it."""
+        ahead = Obstacle(center=(0.0, 2000.0), radius_m=500.0)
+        around = Obstacle(center=(30.0, -40.0), radius_m=100.0)
+        pose = GridNode(position=(0.0, 0.0), heading_deg=0.0)
+        with pytest.raises(InsideObstacle) as err:
+            decide_heading(pose, (0.0, 5000.0), [(0, ahead), (1, around)], Engagement())
+        assert str(err.value) == "point (0.0, 0.0) is inside obstacle at (30.0, -40.0) (r=100.0)"
 
 
 class TestIsBypassed:
