@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,6 +78,10 @@ _RUDDER_EPS_DEG = 1e-9
 # by _heading_changes), in ShipState field order.
 _X, _Y, _HDG, _U, _V, _R, _RUD = range(7)
 
+# The artifact text of a sample's state columns, u, v, yaw rate and rudder:
+# transform_cell leaves them as the cell has them (TrajectoryCell._state_text).
+STATE_ROW = ",".join(["%.6f"] * 4)
+
 
 @dataclass(frozen=True)
 class TrajectoryCell:
@@ -106,6 +110,16 @@ class TrajectoryCell:
         are unchanged.
         """
         return np.array(self.sample_times_s, dtype=np.float64)
+
+    @cached_property
+    def _state_text(self) -> list[str]:
+        """STATE_ROW of each sample's (u, v, yaw rate, rudder).
+
+        Placing the cell leaves these columns unchanged, so every plan that
+        runs the cell writes this text; it is formatted once, on first read,
+        and cached as _times is.
+        """
+        return list(map(STATE_ROW.__mod__, zip(*self.samples.columns[_U:].tolist())))
 
 
 def _cell(columns: np.ndarray, times: list[float], delta0: float,
@@ -881,12 +895,21 @@ def _count_steerings(rudder_series: list[float]) -> int:
     return count
 
 
+def joined(cells: Sequence[TrajectoryCell]) -> Iterator[tuple[TrajectoryCell, int]]:
+    """Each of a run of cells placed end to end, with the index of its first
+    sample in the run: the first cell is whole, and each later cell leaves
+    out its first sample, the joint it shares with the cell before.
+
+    The one joint rule for a run's samples, its times and its state text.
+    """
+    return ((cell, 1 if i else 0) for i, cell in enumerate(cells))
+
+
 def transform_cell(cells: Sequence[TrajectoryCell], poses: Sequence[GridNode]) -> Trajectory:
     """Place ship-frame cells end to end, each at its world pose (rotate by
     the pose's heading, translate to its position).
 
-    Each cell after the first leaves out its first sample, the joint it
-    shares with the cell before; no cells give an empty Trajectory. The
+    The cells join by joined's rule; no cells give an empty Trajectory. The
     placement runs on the joined sample columns as whole-array expressions:
     each pose's position, heading, cosine and sine (math.cos and math.sin,
     once per pose) are repeated over its cell's samples, and the per-sample
@@ -897,7 +920,7 @@ def transform_cell(cells: Sequence[TrajectoryCell], poses: Sequence[GridNode]) -
     """
     if not cells:
         return Trajectory(np.empty((7, 0)))
-    pieces = [cells[0].samples.columns, *(cell.samples.columns[:, 1:] for cell in cells[1:])]
+    pieces = [cell.samples.columns[:, first:] for cell, first in joined(cells)]
     world = np.concatenate(pieces, axis=1)
     per_pose = np.array([(*pose.position, pose.heading_deg,
                           math.cos(math.radians(pose.heading_deg)),

@@ -11,10 +11,12 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
 from .baseline import grid_baseline_plan
+from .cells import STATE_ROW, joined
 from .dynamic_planner import plan_dynamic
 from .errors import CGTCError, ScenarioError, ValidationError
 from .scenario import Scenario, load_scenario
@@ -22,7 +24,10 @@ from .static_planner import PlanResult, plan_static
 
 TRAJECTORY_COLUMNS = ("t_s", "x_m", "y_m", "heading_deg", "u_mps", "v_mps",
                       "yaw_rate_degps", "rudder_deg")
-TRAJECTORY_ROW = ",".join(["%.6f"] * len(TRAJECTORY_COLUMNS))
+# t_s, x_m, y_m, heading_deg: what a plan places; the state columns after
+# them are the cells' own, as cells.STATE_ROW formats them
+POSE_ROW = ",".join(["%.6f"] * 4)
+TRAJECTORY_ROW = POSE_ROW + "," + STATE_ROW
 COMMAND_COLUMNS = ("step", "delta0_deg", "heading_change_deg")
 COMMAND_ROW = "%d,%.6f,%.6f"
 SEPARATION_COLUMNS = ("t_s", "distance_m")
@@ -96,15 +101,20 @@ def write_csv(path: Path, columns, row_format: str, rows) -> None:
 def artifacts(out: Path, owned):
     """Yield put(name) -> out / name for the files a command writes into out.
 
-    owned names the files the command may write there, or glob patterns of
-    them. However the block ends, return or raise included, each owned file
-    in out that put did not name is unlinked; other files stay.
+    put unlinks any file already at out / name, so the command writes a new
+    file there instead of truncating the old one: a hard link to the old
+    file keeps its bytes, and a symlink there is replaced, not written
+    through. owned names the files the command may write there, or glob
+    patterns of them. However the block ends, return or raise included, each
+    owned file in out that put did not name is unlinked; other files stay.
     """
     written = set()
 
     def put(name: str) -> Path:
         written.add(name)
-        return out / name
+        path = out / name
+        path.unlink(missing_ok=True)
+        return path
 
     try:
         yield put
@@ -128,6 +138,29 @@ def scenario_is_safe(scenario: Scenario, result: PlanResult) -> bool:
     return True
 
 
+def write_plan(put, result: PlanResult) -> None:
+    """Write a plan's CSV artifacts to the paths put(name) gives.
+
+    trajectory.csv has TRAJECTORY_ROW of each sample: POSE_ROW of its time
+    and pose, then the STATE_ROW text that its cell caches (cells.joined
+    gives each sample's cell), so a cell's state columns are formatted once
+    for every plan that runs it. commands.csv has COMMAND_ROW of each step,
+    and separation.csv, written only for a plan with a separation series,
+    SEPARATION_ROW of each sample.
+    """
+    times = result.sample_times_s
+    states = chain.from_iterable(cell._state_text[first:]
+                                 for cell, first in joined(result.executed_cells))
+    write_csv(put("trajectory.csv"), TRAJECTORY_COLUMNS, POSE_ROW + ",%s",
+              zip(times, *result.trajectory.columns[:3].tolist(), states, strict=True))
+    commands = result.rudder_commands
+    write_csv(put("commands.csv"), COMMAND_COLUMNS, COMMAND_ROW,
+              zip(range(len(commands)), commands, result.heading_changes_deg))
+    if result.separation_m:
+        write_csv(put("separation.csv"), SEPARATION_COLUMNS, SEPARATION_ROW,
+                  zip(times, result.separation_m, strict=True))
+
+
 def run_scenario(path: str | Path, out_dir: str | Path) -> tuple[Scenario, PlanResult]:
     """Load, plan, and write artifacts. Raises ScenarioError on bad input.
 
@@ -140,15 +173,7 @@ def run_scenario(path: str | Path, out_dir: str | Path) -> tuple[Scenario, PlanR
         scenario = load_scenario(path)
         out.mkdir(parents=True, exist_ok=True)
         result = (plan_dynamic if scenario.mode == "dynamic" else plan_static)(scenario)
-        times = result.sample_times_s
-        write_csv(put("trajectory.csv"), TRAJECTORY_COLUMNS, TRAJECTORY_ROW,
-                  zip(times, *result.trajectory.columns.tolist()))
-        commands = result.rudder_commands
-        write_csv(put("commands.csv"), COMMAND_COLUMNS, COMMAND_ROW,
-                  zip(range(len(commands)), commands, result.heading_changes_deg))
-        if result.separation_m:
-            write_csv(put("separation.csv"), SEPARATION_COLUMNS, SEPARATION_ROW,
-                      zip(times, result.separation_m))
+        write_plan(put, result)
 
         metrics = {
             "scenario": scenario.name,
@@ -206,6 +231,8 @@ def run_batch(scenario_dir: str | Path, out_dir: str | Path) -> dict[str, dict]:
         if not paths:
             raise ValidationError(f"{scenario_dir}: not a directory of *.json scenario files")
         _remove_unrun(out_dir, {path.stem for path in paths})
+        # name the summary now, so an unusable summary path fails before any plan
+        summary_path = put("summary.json")
         for path in paths:
             try:
                 scenario, result = run_scenario(path, out_dir / path.stem)
@@ -221,5 +248,5 @@ def run_batch(scenario_dir: str | Path, out_dir: str | Path) -> dict[str, dict]:
                 "path_length_m": result.path_length_m,
                 "steering_count": result.steering_count,
             }
-        put("summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary

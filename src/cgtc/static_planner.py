@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, Optional, TypeVar
 
 import numpy as np
 
-from .cells import (MAX_HEADING_CHANGE_DEG, CellSet, TrajectoryCell, cell_library,
+from .cells import (MAX_HEADING_CHANGE_DEG, CellSet, TrajectoryCell, cell_library, joined,
                     transform_cell)
 from .errors import (
     DestinationInsideObstacle,
@@ -93,8 +93,10 @@ def _separation_series(relative: np.ndarray) -> list[float]:
 
 @dataclass
 class PlanResult:
-    """A plan. A dynamic plan that ran a cell keeps its own-minus-mover
-    track, from which separation_m is computed on first read."""
+    """A plan. It keeps the cells it ran, in order, whose samples the
+    trajectory places end to end (cells.joined). A dynamic plan that ran a
+    cell keeps its own-minus-mover track, from which separation_m is
+    computed on first read."""
 
     nodes: list[GridNode]
     trajectory: Trajectory
@@ -107,6 +109,8 @@ class PlanResult:
     min_clearance_m: Optional[float] = None
     min_separation_m: Optional[float] = None
     relative_track: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    executed_cells: list[TrajectoryCell] = field(default_factory=list, repr=False,
+                                                 compare=False)
 
     @cached_property
     def separation_m(self) -> list[float]:
@@ -343,7 +347,7 @@ def execute_cells(scenario: "Scenario", step: Step[State], state: State,
         nodes.append(pose)
 
     trajectory = transform_cell(run, nodes[:-1])
-    local_times = [c._times[1:] if i else c._times for i, c in enumerate(run)]
+    local_times = [cell._times[first:] for cell, first in joined(run)]
     times = (np.repeat(starts, [len(lt) for lt in local_times])
              + np.concatenate([np.empty(0), *local_times])).tolist()
     xy = trajectory.columns[:2] if run else np.array([start_xy], dtype=np.float64).T
@@ -363,6 +367,7 @@ def execute_cells(scenario: "Scenario", step: Step[State], state: State,
         steering_count=sum(1 for c in commands if abs(c) >= STEERING_THRESHOLD_DEG),
         reached=math.dist(pose.position, dest) < reach_tol,
         min_clearance_m=min_clear,
+        executed_cells=run,
     )
 
 

@@ -866,6 +866,35 @@ class TestCliExitCodes:
         assert (out / "a" / "metrics.json").exists()
         assert list((out / "b").iterdir()) == []
 
+    def test_batch_fails_on_an_unusable_summary_path_before_any_plan(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "summary.json").mkdir(parents=True)
+        assert cli_main(["batch", str(SCENARIO_DIR), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("input error:")
+        assert [p.name for p in out.iterdir()] == ["summary.json"]
+        assert (out / "summary.json").is_dir()
+
+    def test_rerun_replaces_its_files_and_writes_through_no_link(self, tmp_path, capsys):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        first, second = SCENARIO_DIR / "fig25_analog.json", SCENARIO_DIR / "free_bearing37.json"
+        assert cli_main(["plan", str(first), "--out-dir", str(out)]) == 0
+        old = (out / "trajectory.csv").read_bytes()
+        os.link(out / "trajectory.csv", tmp_path / "hard_link.csv")
+        outside = tmp_path / "outside.csv"
+        outside.write_text("not the plan's\n")
+        (out / "commands.csv").unlink()
+        (out / "commands.csv").symlink_to(outside)
+        assert cli_main(["plan", str(second), "--out-dir", str(out)]) == 0
+        assert cli_main(["plan", str(second), "--out-dir", str(fresh)]) == 0
+        assert (tmp_path / "hard_link.csv").read_bytes() == old
+        assert outside.read_text() == "not the plan's\n"
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in fresh.iterdir())
+        for p in fresh.iterdir():
+            written = out / p.name
+            assert written.is_file() and not written.is_symlink()
+            assert written.read_bytes() == p.read_bytes()
+        assert (out / "trajectory.csv").read_bytes() != old
+
     def test_batch_removes_the_runs_of_scenarios_gone_from_the_dir(self, tmp_path):
         src, out = tmp_path / "scenarios", tmp_path / "out"
         src.mkdir()

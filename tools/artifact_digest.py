@@ -5,6 +5,8 @@ dir, and prints `<command> <file> <sha256>` for every file each leaves
 there (paths relative to its out dir), then `<command> exit <code>`:
 
     batch                 on scenarios/
+    batch-again           on scenarios/ once more, into batch's out dir, so
+                          every file it writes replaces one already there
     compare:<name>        on each non-dynamic scenario in scenarios/
     gen-cells:5, :2       the default hull's cells at 5 and 2 deg
     turn-test             the default turning circles
@@ -45,6 +47,7 @@ def _run(label: str, argv: list[str], out: Path):
 
 def artifact_lines(tmp: Path):
     yield from _run("batch", ["batch", str(SCENARIOS)], tmp / "batch")
+    yield from _run("batch-again", ["batch", str(SCENARIOS)], tmp / "batch")
     for path in sorted(SCENARIOS.glob("*.json")):
         if load_scenario(path).mode != "dynamic":
             yield from _run(f"compare:{path.stem}", ["compare", str(path)],
