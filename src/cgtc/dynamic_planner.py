@@ -250,7 +250,7 @@ def min_separation(own_xy: np.ndarray,
     """Own/obstacle distances at each sample, and their minimum between samples.
 
     own_xy is the own track as a (2, n) array of x and y rows (a
-    Trajectory's columns[:2]); obstacle_track is a sequence of (x, y) points
+    Trajectory's xy); obstacle_track is a sequence of (x, y) points
     or an (n, 2) array. Each distance is math.hypot of the coordinate
     differences (as math.dist); the minimum is the relative polyline's
     distance to (0, 0).
@@ -337,10 +337,11 @@ def plan_dynamic(scenario: "Scenario", cells: Optional[CellSet] = None) -> PlanR
                 _DynamicState(engagement, virtual, virtual_done, classified))
 
     result = execute_cells(scenario, step, _DynamicState(), statics)
-    own = (result.trajectory.columns[:2] if result.trajectory
-           else np.array([[scenario.start_x_m], [scenario.start_y_m]], dtype=np.float64))
-    relative = own - np.array(mover.position_at(np.array(result.sample_times_s or [0.0])))
-    result.min_separation_m = _polyline_gap(relative, _ORIGIN)
-    if result.trajectory:
+    if result.executed_cells:
+        relative = result.trajectory.xy - np.array(mover.position_at(result._times))
         result.relative_track = relative
+    else:  # the start point alone, at time 0
+        relative = (np.array([[scenario.start_x_m], [scenario.start_y_m]], dtype=np.float64)
+                    - np.array(mover.position_at(np.zeros(1))))
+    result.min_separation_m = _polyline_gap(relative, _ORIGIN)
     return result

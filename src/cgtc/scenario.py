@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields as dc_fields, replace
+from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 
 from .cells import (DEFAULT_DT_S, DEFAULT_RESOLUTION_DEG, check_radius,
@@ -194,17 +194,3 @@ def load_scenario(path: str | Path) -> Scenario:
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     return scenario_from_dict(data, name=path.stem)
-
-
-def mirror_scenario(scenario: Scenario) -> Scenario:
-    """Reflect a scenario about the north (y) axis; useful for symmetry checks."""
-    return replace(
-        scenario,
-        start_x_m=-scenario.start_x_m,
-        start_heading_deg=-scenario.start_heading_deg,
-        dest_x_m=-scenario.dest_x_m,
-        obstacles=[replace(o, center=(-o.center[0], o.center[1]),
-                           course_deg=-o.course_deg)
-                   for o in scenario.obstacles],
-        name=scenario.name + "-mirrored" if scenario.name else "",
-    )

@@ -18,7 +18,7 @@ concurrently.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -107,18 +107,43 @@ class Trajectory(Sequence):
     `columns`. A Trajectory equals another with equal column values, and
     equals a list as its list of states would. Its hash is taken from the
     values too, so -0.0 and 0.0 hash alike, as they compare.
+
+    `xy` is the x and y rows. A trajectory made by `placed` knows only
+    those rows until `columns` is first read; `xy` and len() never make it
+    compute the rest.
     """
 
     def __init__(self, columns: np.ndarray):
         columns.flags.writeable = False
         self.columns = columns
 
+    @classmethod
+    def placed(cls, xy: np.ndarray, fill: Callable[[], np.ndarray]) -> Trajectory:
+        """A trajectory of the (2, n) x and y rows xy, whose (7, n) columns
+        fill() returns on the first read of `columns`; fill is called once
+        and then dropped."""
+        trajectory = cls.__new__(cls)
+        xy.flags.writeable = False
+        trajectory.xy = xy
+        trajectory._fill = fill
+        return trajectory
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        columns = self.__dict__.pop("_fill")()
+        columns.flags.writeable = False
+        return columns
+
+    @cached_property
+    def xy(self) -> np.ndarray:
+        return self.columns[:2]
+
     @cached_property
     def _states(self) -> list[ShipState]:
         return list(map(ShipState, *self.columns.tolist()))
 
     def __len__(self) -> int:
-        return self.columns.shape[1]
+        return self.xy.shape[1]
 
     def __getitem__(self, index):
         return self._states[index]
@@ -138,6 +163,10 @@ class Trajectory(Sequence):
 
     def __repr__(self) -> str:
         return f"Trajectory(columns={self.columns!r})"
+
+    def __reduce__(self):
+        """Pickle and copy as Trajectory(columns): fill is a closure."""
+        return Trajectory, (self.columns,)
 
 
 def trimmed_state(params: ShipParams, x_m: float = 0.0, y_m: float = 0.0,
@@ -285,21 +314,6 @@ def simulate_turn(params: ShipParams, rudder_deg: float, duration_s: float,
     steady-radius fit is wanted; duration_s is online_generate's horizon_s.
     """
     return online_generate(trimmed_state(params), params, rudder_deg, duration_s, dt)
-
-
-def steady_turn_radius(params: ShipParams, rudder_deg: float) -> float:
-    """Analytic steady turning radius u_ss / omega_ss for a held rudder."""
-    cmd = clamp_rudder(params, rudder_deg)
-    if cmd == 0.0:
-        return math.inf
-    if cmd >= 0.0:
-        omega = params.turn_gain * cmd
-    else:
-        omega = params.turn_gain * cmd / params.asymmetry_factor
-    u_ss = params.steady_speed_mps * (
-        1.0 - params.speed_loss_gain * abs(cmd) / params.rudder_limit_stbd_deg
-    )
-    return abs(u_ss / math.radians(omega))
 
 
 def fitted_turn_radius(states: list[ShipState]) -> float:

@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING, Callable, Optional, TypeVar
 
 import numpy as np
 
-from .cells import (MAX_HEADING_CHANGE_DEG, CellSet, TrajectoryCell, cell_library, joined,
-                    transform_cell)
+from .cells import (MAX_HEADING_CHANGE_DEG, CellSet, TrajectoryCell, _hypot_columns,
+                    _path_lengths, cell_library, joined, transform_cell)
 from .errors import (
     DestinationInsideObstacle,
     InsideObstacle,
@@ -88,19 +88,19 @@ class HeadingDecision:
 
 def _separation_series(relative: np.ndarray) -> list[float]:
     """math.hypot of each sample of a (2, n) own-minus-mover track (as math.dist)."""
-    return list(map(math.hypot, *relative.tolist()))
+    return _hypot_columns(relative).tolist()
 
 
 @dataclass
 class PlanResult:
     """A plan. It keeps the cells it ran, in order, whose samples the
-    trajectory places end to end (cells.joined). A dynamic plan that ran a
-    cell keeps its own-minus-mover track, from which separation_m is
-    computed on first read."""
+    trajectory places end to end (cells.joined), and the plan time at each
+    cell's start, from which sample_times_s is computed on first read. A
+    dynamic plan that ran a cell keeps its own-minus-mover track, from which
+    separation_m is computed on first read."""
 
     nodes: list[GridNode]
     trajectory: Trajectory
-    sample_times_s: list[float]
     rudder_commands: list[float]
     heading_changes_deg: list[float]
     path_length_m: float
@@ -111,6 +111,20 @@ class PlanResult:
     relative_track: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     executed_cells: list[TrajectoryCell] = field(default_factory=list, repr=False,
                                                  compare=False)
+    cell_starts_s: list[float] = field(default_factory=list)
+
+    @cached_property
+    def _times(self) -> np.ndarray:
+        """sample_times_s as a float64 array: each cell's start time plus its
+        own sample times, joined by cells.joined."""
+        local = [cell._times[first:] for cell, first in joined(self.executed_cells)]
+        return (np.repeat(self.cell_starts_s, [len(times) for times in local])
+                + np.concatenate([np.empty(0), *local]))
+
+    @cached_property
+    def sample_times_s(self) -> list[float]:
+        """Plan time at each sample of the trajectory."""
+        return self._times.tolist()
 
     @cached_property
     def separation_m(self) -> list[float]:
@@ -313,13 +327,16 @@ def execute_cells(scenario: "Scenario", step: Step[State], state: State,
     node's, and each step returns the next node's. Keeps each cell, its
     start time and its command, and advances to the cell's end node. After
     the last cell, one transform_cell call places every cell at its node
-    (consecutive cells share their joint sample), and the times are joined
-    once. Stops within the reach tolerance of the destination, or with
-    reached=False when the step budget runs out or the next cell would take
-    the path past MAX_RUN_STEPS samples.
-    The path length sums the sample-to-sample distances in sample order.
-    Clearance (None without obstacles) is min_clearance of the path through
-    the samples, or of the start point if no cell ran.
+    (consecutive cells share their joint sample); the plan is measured from
+    the placed x and y alone, and the trajectory's other rows and the
+    sample times are computed on first read. Stops within the reach
+    tolerance of the destination, or with reached=False when the step
+    budget runs out or the next cell would take the path past MAX_RUN_STEPS
+    samples.
+    The path length adds the math.hypot of each sample-to-sample step, one
+    at a time in sample order (cells._path_lengths). Clearance (None without
+    obstacles) is min_clearance of the path through the samples, or of the
+    start point if no cell ran.
     """
     start_xy = (scenario.start_x_m, scenario.start_y_m)
     dest = (scenario.dest_x_m, scenario.dest_y_m)
@@ -347,27 +364,20 @@ def execute_cells(scenario: "Scenario", step: Step[State], state: State,
         nodes.append(pose)
 
     trajectory = transform_cell(run, nodes[:-1])
-    local_times = [cell._times[first:] for cell, first in joined(run)]
-    times = (np.repeat(starts, [len(lt) for lt in local_times])
-             + np.concatenate([np.empty(0), *local_times])).tolist()
-    xy = trajectory.columns[:2] if run else np.array([start_xy], dtype=np.float64).T
-    path_length = 0.0
-    for d in map(math.hypot, *np.diff(xy).tolist()):
-        path_length += d
-
+    xy = trajectory.xy if run else np.array([start_xy], dtype=np.float64).T
     min_clear = min_clearance(xy.T, obstacles) if obstacles else None
 
     return PlanResult(
         nodes=nodes,
         trajectory=trajectory,
-        sample_times_s=times,
         rudder_commands=commands,
         heading_changes_deg=[c.heading_change_deg for c in run],
-        path_length_m=path_length,
+        path_length_m=_path_lengths([xy])[0],
         steering_count=sum(1 for c in commands if abs(c) >= STEERING_THRESHOLD_DEG),
         reached=math.dist(pose.position, dest) < reach_tol,
         min_clearance_m=min_clear,
         executed_cells=run,
+        cell_starts_s=starts,
     )
 
 

@@ -1,8 +1,12 @@
+import math
+from dataclasses import replace
+
 import pytest
 
 from cgtc.cells import build_cell_set
-from cgtc.ship import ShipParams
-from cgtc.static_planner import _segment_gap
+from cgtc.scenario import Scenario
+from cgtc.ship import ShipParams, clamp_rudder
+from cgtc.static_planner import PlanResult, _segment_gap
 
 # Published rudder-vs-heading table used by the correlation and fit tests.
 RUDDER_HEADING_TABLE = [
@@ -46,3 +50,43 @@ def segment_minimum(points, discs):
     """
     ends = list(zip(points, points[1:])) or [(points[0], points[0])]
     return min(_segment_gap(a, b, center, r) for a, b in ends for center, r in discs)
+
+
+def steady_turn_radius(params: ShipParams, rudder_deg: float) -> float:
+    """Analytic steady turning radius u_ss / omega_ss for a held rudder."""
+    cmd = clamp_rudder(params, rudder_deg)
+    if cmd == 0.0:
+        return math.inf
+    if cmd >= 0.0:
+        omega = params.turn_gain * cmd
+    else:
+        omega = params.turn_gain * cmd / params.asymmetry_factor
+    u_ss = params.steady_speed_mps * (
+        1.0 - params.speed_loss_gain * abs(cmd) / params.rudder_limit_stbd_deg
+    )
+    return abs(u_ss / math.radians(omega))
+
+
+def mirror_scenario(scenario: Scenario) -> Scenario:
+    """Reflect a scenario about the north (y) axis; useful for symmetry checks."""
+    return replace(
+        scenario,
+        start_x_m=-scenario.start_x_m,
+        start_heading_deg=-scenario.start_heading_deg,
+        dest_x_m=-scenario.dest_x_m,
+        obstacles=[replace(o, center=(-o.center[0], o.center[1]),
+                           course_deg=-o.course_deg)
+                   for o in scenario.obstacles],
+        name=scenario.name + "-mirrored" if scenario.name else "",
+    )
+
+
+def sequential_path_length(result: PlanResult, start) -> float:
+    """Reference for PlanResult.path_length_m: math.hypot of each step
+    between consecutive samples (the start point alone when no cell ran),
+    added one at a time from 0.0 in sample order."""
+    points = [(s.x_m, s.y_m) for s in result.trajectory] or [start]
+    total = 0.0
+    for (ax, ay), (bx, by) in zip(points, points[1:]):
+        total += math.hypot(bx - ax, by - ay)
+    return total

@@ -1,7 +1,9 @@
 """Trajectory cell generation: rules, solving, splicing, relation fit."""
 
+import copy
 import functools
 import math
+import pickle
 import random
 import weakref
 from array import array
@@ -32,6 +34,7 @@ from cgtc.cells import (
     transform_cell,
     validate_rules,
 )
+from cgtc.dynamic_planner import plan_dynamic
 from cgtc.errors import NonConvergence, Unreachable
 from cgtc.grid import GridNode, wrap_degrees
 from cgtc.relation import RelationSample, fit_poly, pearson
@@ -534,12 +537,94 @@ def test_sequence_placement_joins_the_one_cell_placements(picks, at, odd_hull):
                 for state in _transform_cell_scalar(cell, *node.position,
                                                     node.heading_deg)[1 if i else 0:]]
     # the columns as placed, before a ShipState would wrap a heading once more
-    assert placed.columns.tobytes() == array("d", [getattr(s, f.name) for f in fields(ShipState)
-                                                   for s in expected]).tobytes()
+    expected_bytes = array("d", [getattr(s, f.name) for f in fields(ShipState)
+                                 for s in expected]).tobytes()
+    # x and y are placed at once, and read without filling the other rows
+    assert placed.xy.tobytes() == expected_bytes[:2 * 8 * len(expected)]
+    assert len(placed) == len(expected) and "columns" not in vars(placed)
+    assert placed.columns.tobytes() == expected_bytes
+    assert placed.xy.tobytes() == placed.columns[:2].tobytes()
+    assert not placed.columns.flags.writeable and not placed.xy.flags.writeable
 
 
 def test_no_cells_place_to_an_empty_trajectory():
     assert transform_cell([], []).columns.shape == (7, 0)
+
+
+def test_a_placed_trajectory_pickles_and_copies_as_its_columns():
+    cells = _placement_sets()[0].cells
+    placed = transform_cell(cells[3:6], [GridNode((1.0, 2.0), 30.0)] * 3)
+    for again in (pickle.loads(pickle.dumps(placed)), copy.deepcopy(placed)):
+        assert again.columns.tobytes() == placed.columns.tobytes()
+        assert not again.columns.flags.writeable and again == placed
+
+
+def _plan_with_reference(plan, name):
+    """A plan of a shipped scenario, with its cells placed one sample at a
+    time at its nodes and its sample times added one at a time: the eager
+    reference for the rows and times the plan computes on first read."""
+    result = plan(load_scenario(SCENARIO_DIR / name))
+    run = result.executed_cells
+    states = [state for i, (cell, node) in enumerate(zip(run, result.nodes))
+              for state in _transform_cell_scalar(cell, *node.position,
+                                                  node.heading_deg)[1 if i else 0:]]
+    columns = array("d", [getattr(s, f.name) for f in fields(ShipState) for s in states])
+    times = array("d", [start + t for i, (cell, start) in enumerate(zip(run, result.cell_starts_s))
+                        for t in cell.sample_times_s[1 if i else 0:]])
+    return result, columns.tobytes(), times.tobytes()
+
+
+@pytest.mark.parametrize("plan, name", [(plan_static, "fig25_analog.json"),
+                                        (plan_dynamic, "dynamic_sit3_must_steer.json"),
+                                        (grid_baseline_plan, "free_bearing37.json")])
+@pytest.mark.parametrize("order", ["columns_first", "times_first", "replaced"])
+def test_plan_rows_read_later_are_the_eager_placement(plan, name, order):
+    """A plan leaves its heading and state rows and its sample times to the
+    first read; read in either order, or on a dataclasses.replace copy, they
+    are the eager reference's bytes."""
+    result, columns, times = _plan_with_reference(plan, name)
+    assert "columns" not in vars(result.trajectory) and "sample_times_s" not in vars(result)
+    if order == "replaced":
+        first_times = array("d", result.sample_times_s).tobytes()
+        result = replace(result, min_clearance_m=-1.0)
+        assert "sample_times_s" not in vars(result) and first_times == times
+    if order == "columns_first":
+        assert result.trajectory.columns.tobytes() == columns
+    assert array("d", result.sample_times_s).tobytes() == times
+    assert result._times.tobytes() == times
+    assert result.trajectory.columns.tobytes() == columns
+    assert result.trajectory.xy.tobytes() == columns[:len(columns) * 2 // 7]
+
+
+_coordinate = finite | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                                        -2.225073858507201e-308, 1e-300, -1e-300, 1e300, -1e300,
+                                        2.0 ** 1023, 1.7976931348623157e308])
+_hypot_pairs = (st.tuples(_coordinate, _coordinate)
+                | st.builds(lambda x, ratio, swap: (x * ratio, x) if swap else (x, x * ratio),
+                            _coordinate, st.sampled_from([1e-20, -1e-20, 1e-10, 3e-8, 1.0]),
+                            st.booleans()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(_hypot_pairs, max_size=40))
+@example(pairs=[(3.0, 4.0), (0.0, -0.0), (-0.0, -0.0), (5e-324, -5e-324), (1e-310, 1e-300),
+                (1e300, -1e300), (1.0, 1e-20), (-1e-20, 1e300), (1.7976931348623157e308, 1.0)])
+def test_hypot_columns_is_math_hypot(pairs):
+    """cells._hypot_columns is math.hypot of each column, bit for bit, on
+    finite doubles: zeros of either sign, subnormals, 1e+-300, ratios of
+    1e-20 and maxima that take math.hypot's own path among them."""
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    got = cells_mod._hypot_columns(np.array([xs, ys], dtype=np.float64).reshape(2, -1))
+    assert got.tobytes() == array("d", map(math.hypot, xs, ys)).tobytes()
+
+
+def test_hypot_columns_by_blocks_is_math_hypot():
+    block = cells_mod._HYPOT_BLOCK
+    rng = np.random.default_rng(7)
+    v = rng.normal(size=(2, 2 * block + 5)) * 10.0 ** rng.uniform(-30.0, 30.0, (2, 2 * block + 5))
+    v[:, block - 1], v[:, block], v[:, -1] = (0.0, -0.0), (5e-324, 1e-310), (1e300, -1e300)
+    got = cells_mod._hypot_columns(v)
+    assert got.tobytes() == array("d", map(math.hypot, *v.tolist())).tobytes()
 
 
 @settings(max_examples=150, deadline=None)

@@ -973,7 +973,7 @@ class TestCliExitCodes:
 
 
 def _verdict_result(min_clearance_m=None, min_separation_m=None):
-    return PlanResult(nodes=[], trajectory=[], sample_times_s=[], rudder_commands=[],
+    return PlanResult(nodes=[], trajectory=[], rudder_commands=[],
                       heading_changes_deg=[], path_length_m=0.0, steering_count=0,
                       reached=True, min_clearance_m=min_clearance_m,
                       min_separation_m=min_separation_m)

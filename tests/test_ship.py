@@ -16,10 +16,10 @@ from cgtc.ship import (
     fitted_turn_radius,
     online_generate,
     simulate_turn,
-    steady_turn_radius,
     step,
     trimmed_state,
 )
+from conftest import steady_turn_radius
 
 
 def test_zero_rudder_straight_line(params):

@@ -23,7 +23,7 @@ from cgtc.errors import (
 )
 from cgtc.grid import GridNode, compass_bearing, signed_degrees, wrap_degrees
 from cgtc.harness import scenario_is_safe
-from cgtc.scenario import Scenario, load_scenario, mirror_scenario
+from cgtc.scenario import Scenario, load_scenario
 from cgtc.ship import ShipParams
 from cgtc.static_planner import (
     STEERING_THRESHOLD_DEG,
@@ -37,7 +37,7 @@ from cgtc.static_planner import (
     select_heading_free,
     tangent_angles,
 )
-from conftest import segment_minimum
+from conftest import mirror_scenario, segment_minimum, sequential_path_length
 
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -359,8 +359,27 @@ def test_executor_contract(planner, name):
     pts = [(s.x_m, s.y_m) for s in result.trajectory]
     length = sum(math.dist(a, b) for a, b in zip(pts, pts[1:]))
     assert result.path_length_m == pytest.approx(length, rel=1e-12)
+    assert result.path_length_m.hex() == sequential_path_length(result, pts[0]).hex()
     assert result.steering_count == sum(
         1 for c in result.rudder_commands if abs(c) >= STEERING_THRESHOLD_DEG)
+
+
+@pytest.mark.parametrize("planner", [plan_static, plan_dynamic, grid_baseline_plan])
+@pytest.mark.parametrize("dest_y_m, cells_run", [(100.0, 0), (700.0, 1), (2500.0, None)])
+def test_path_length_is_the_sequential_sum(planner, dest_y_m, cells_run):
+    """path_length_m is conftest.sequential_path_length's loop, bit for bit,
+    for a plan that runs no cell, one cell or several."""
+    static = Obstacle(center=(1500.0, 1200.0), radius_m=300.0)
+    mover = Obstacle(center=(-3000.0, 3000.0), radius_m=600.0,
+                     speed_mps=5.0, course_deg=90.0)
+    dynamic = planner is plan_dynamic
+    sc = Scenario(mode="dynamic" if dynamic else "static", ship=ShipParams(),
+                  start_x_m=10.0, start_y_m=-20.0, start_heading_deg=40.0,
+                  dest_x_m=10.0, dest_y_m=dest_y_m, circle_radius_m=600.0,
+                  obstacles=[static, mover] if dynamic else [static])
+    result = planner(sc)
+    assert cells_run is None or len(result.executed_cells) == cells_run
+    assert result.path_length_m.hex() == sequential_path_length(result, (10.0, -20.0)).hex()
 
 
 @pytest.mark.parametrize("planner", [plan_static, plan_dynamic, grid_baseline_plan])
