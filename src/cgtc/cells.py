@@ -82,91 +82,6 @@ _X, _Y, _HDG, _U, _V, _R, _RUD = range(7)
 # transform_cell leaves them as the cell has them (TrajectoryCell._state_text).
 STATE_ROW = ",".join(["%.6f"] * 4)
 
-_VELTKAMP = 134217729.0  # 2.0**27 + 1: splits a double into two 26-bit halves
-# _hypot_columns scales a column by 2**-e, e the exponent of its larger
-# coordinate; outside [smallest normal, 2**1023) it leaves the column to math.hypot
-_HYPOT_LO, _HYPOT_HI = 2.0 ** -1022, 2.0 ** 1023
-# _hypot_columns measures at most this many columns per pass: its numpy
-# calls ran at about 50 ns a column on blocks of 2k to 4k columns, and
-# at 2 to 4 times that on 200 (call overhead) or 64k (cache misses)
-_HYPOT_BLOCK = 4096
-
-
-def _compensated_add(csum: np.ndarray, frac: np.ndarray, term: np.ndarray,
-                     old: np.ndarray) -> None:
-    """vector_norm's `oldcsum = csum; csum += term; frac += (oldcsum - csum)
-    + term`, in place; old is the buffer that holds oldcsum."""
-    np.copyto(old, csum)
-    csum += term
-    old -= csum
-    old += term
-    frac += old
-
-
-def _hypot_columns(v: np.ndarray) -> np.ndarray:
-    """math.hypot of each column of a (2, n) array, bit for bit.
-
-    The arithmetic is CPython 3.11's vector_norm (Modules/mathmodule.c), as
-    whole-array expressions over the columns: scale both magnitudes by the
-    power of two that brings the larger into [0.5, 1), split each with
-    Veltkamp's constant, add the squares' parts to a compensated sum that
-    starts at 1.0, take the square root and correct it once by the
-    difference between the sum and its square. Products of both rows are
-    taken as one (2, n) expression, and the sums run in place in the C
-    code's order. A column whose larger magnitude is zero, subnormal, at
-    least 2**1023 or not finite goes to math.hypot itself. np.hypot is not
-    this algorithm and differs from it in the last bit. Arrays wider than
-    _HYPOT_BLOCK are measured by blocks.
-    """
-    n = v.shape[1]
-    if n > _HYPOT_BLOCK:
-        return np.concatenate([_hypot_columns(v[:, i:i + _HYPOT_BLOCK])
-                               for i in range(0, n, _HYPOT_BLOCK)])
-    a = np.abs(v)
-    m = np.maximum(a[0], a[1])
-    if not (m.min(initial=_HYPOT_LO) >= _HYPOT_LO and m.max(initial=0.0) < _HYPOT_HI):
-        other = ~((m >= _HYPOT_LO) & (m < _HYPOT_HI))
-        out = _hypot_columns(np.where(other, 1.0, v))
-        for i in np.flatnonzero(other).tolist():
-            out[i] = math.hypot(v[0, i], v[1, i])
-        return out
-    scale = np.ldexp(1.0, -np.frexp(m)[1])
-    x = a * scale
-    t = x * _VELTKAMP
-    hi = t - (t - x)
-    lo = x - hi
-    sq, cross, lo_sq = hi * hi, 2.0 * hi * lo, lo * lo
-    csum, old = np.ones(n), np.empty(n)
-    frac1, frac2, frac3 = np.zeros(n), np.zeros(n), np.zeros(n)
-    for i in (0, 1):
-        _compensated_add(csum, frac1, sq[i], old)
-        _compensated_add(csum, frac2, cross[i], old)
-        frac3 += lo_sq[i]
-    h = np.sqrt(csum - 1.0 + (frac1 + frac2 + frac3))
-    # the differential correction: take h * h, as three exact parts, from the sum
-    t = h * _VELTKAMP
-    hi = t - (t - h)
-    lo = h - hi
-    _compensated_add(csum, frac1, -hi * hi, old)
-    _compensated_add(csum, frac2, -2.0 * hi * lo, old)
-    _compensated_add(csum, frac3, -lo * lo, old)
-    x = csum - 1.0 + (frac1 + frac2 + frac3)
-    return (h + x / (2.0 * h)) / scale
-
-
-def _path_lengths(polylines: Sequence[np.ndarray]) -> list[float]:
-    """Length of each polyline given as a (2, n) array of columns: math.hypot
-    of each step (_hypot_columns), added one at a time from the first, left
-    to right, as a loop from 0.0 would; 0.0 for one column. One
-    _hypot_columns call measures every polyline's steps."""
-    steps = _hypot_columns(np.diff(np.concatenate([np.empty((2, 0)), *polylines], axis=1)))
-    lengths, at = [], 0
-    for xy in polylines:
-        n = xy.shape[1]
-        lengths.append(float(np.add.accumulate(steps[at:at + n - 1])[-1]) if n > 1 else 0.0)
-        at += n
-    return lengths
-
 
 @dataclass(frozen=True)
 class TrajectoryCell:
@@ -542,9 +457,7 @@ def _heading_changes(params: ShipParams, delta0s, radius_m: float, dt: float,
     max_t = _time_limit(params, radius_m)
     t_bound = 0.0  # no lane's elapsed time exceeds this
     # np.hypot may differ from math.hypot in the last bit, so it only
-    # preselects the lanes whose crossing math.hypot then decides.
-    # _hypot_columns would decide them all at once, but its 80 or so numpy
-    # calls a step would cost a cold build more than these few math.hypot calls.
+    # preselects the lanes whose crossing math.hypot then decides
     near = radius_m * (1.0 - 1e-9)
 
     while st.shape[1]:
@@ -613,9 +526,8 @@ def _lane_cells(params: ShipParams, delta0s: list[float], radius_m: float,
     Each cell equals _roll_until_crossing's bit for bit: the lanes give its
     states, times, end sample and heading change, and its arc length sums
     math.hypot of the sample-to-sample steps left to right, as the scalar
-    loop does (_path_lengths, one call for every cell). Every cell owns a
-    compact array; the recording is dropped before the arcs are measured.
-    A lane that did not cross in time gives None.
+    loop does. Every cell owns a compact array; the recording is dropped on
+    return. A lane that did not cross in time gives None.
     """
     record = _Recording(len(delta0s))
     heading_changes = _heading_changes(params, delta0s, radius_m, dt, record).tolist()
@@ -627,26 +539,22 @@ def _lane_cells(params: ShipParams, delta0s: list[float], radius_m: float,
     start = np.zeros(_RUD + 1)  # the trimmed state
     start[_U] = params.steady_speed_mps
 
-    crossed = []   # (lane, columns, times) of each lane that crossed
+    cells: list[TrajectoryCell | None] = []
     k1 = 0
-    for lane, (hc, n) in enumerate(zip(heading_changes, counts)):
+    for lane, (delta0, hc, n) in enumerate(zip(delta0s, heading_changes, counts)):
         k0, k1 = k1, k1 + n
-        if not math.isnan(hc):
-            columns = np.empty((_RUD + 1, n + 2))
-            columns[:, 0] = start
-            columns[:, 1:-1] = states[:, k0:k1]
-            columns[:, -1] = record.end[:, lane]
-            crossed.append((lane, columns,
-                            [0.0, *times[k0:k1].tolist(), float(record.end_t[lane])]))
-
-    # the recording goes before the arcs are measured, so that their working
-    # arrays do not add to its peak memory
-    del record, states, times, lanes, by_lane
-    cells: list[TrajectoryCell | None] = [None] * len(delta0s)
-    arcs = _path_lengths([columns[:_HDG] for _, columns, _ in crossed])
-    for (lane, columns, lane_times), arc in zip(crossed, arcs):
-        cells[lane] = _cell(columns, lane_times, delta0s[lane], heading_changes[lane], arc,
-                            radius_m)
+        if math.isnan(hc):
+            cells.append(None)
+            continue
+        columns = np.empty((_RUD + 1, n + 2))
+        columns[:, 0] = start
+        columns[:, 1:-1] = states[:, k0:k1]
+        columns[:, -1] = record.end[:, lane]
+        arc = 0.0
+        for d in map(math.hypot, *np.diff(columns[:2]).tolist()):
+            arc += d
+        cells.append(_cell(columns, [0.0, *times[k0:k1].tolist(), float(record.end_t[lane])],
+                           delta0, hc, arc, radius_m))
     return cells
 
 
@@ -1016,17 +924,20 @@ def transform_cell(cells: Sequence[TrajectoryCell], poses: Sequence[GridNode]) -
         return Trajectory(np.empty((7, 0)))
     pieces = [cell.samples.columns[:, first:] for cell, first in joined(cells)]
     counts = [p.shape[1] for p in pieces]
-    per_pose = np.array([(*pose.position, pose.heading_deg,
-                          math.cos(math.radians(pose.heading_deg)),
-                          math.sin(math.radians(pose.heading_deg))) for pose in poses]).T
-    ox, oy, heading, ch, sh = np.repeat(per_pose, counts, axis=1)
+    headings = [pose.heading_deg for pose in poses]
+    per_pose = np.array([(*pose.position, math.cos(math.radians(heading)),
+                          math.sin(math.radians(heading)))
+                         for pose, heading in zip(poses, headings)]).T
+    ox, oy, ch, sh = np.repeat(per_pose, counts, axis=1)
     x, y = np.concatenate([p[:_HDG] for p in pieces], axis=1)
     world = np.empty((_RUD + 1, sum(counts)))
     world[_X], world[_Y] = ox + (x * ch + y * sh), oy + (-x * sh + y * ch)
 
     def fill() -> np.ndarray:
+        # the per-sample headings are repeated here, so that an unread
+        # trajectory holds no more than its own columns
         np.concatenate([p[_HDG:] for p in pieces], axis=1, out=world[_HDG:])
-        world[_HDG] = wrap_degrees(wrap_degrees(world[_HDG] + heading))
+        world[_HDG] = wrap_degrees(wrap_degrees(world[_HDG] + np.repeat(headings, counts)))
         return world
 
     return Trajectory.placed(world[:_HDG], fill)

@@ -110,7 +110,8 @@ class Trajectory(Sequence):
 
     `xy` is the x and y rows. A trajectory made by `placed` knows only
     those rows until `columns` is first read; `xy` and len() never make it
-    compute the rest.
+    compute the rest, so a caller that reads only the path (a comparison of
+    planners, or a candidate plan it discards) never pays for the others.
     """
 
     def __init__(self, columns: np.ndarray):

@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING, Callable, Optional, TypeVar
 
 import numpy as np
 
-from .cells import (MAX_HEADING_CHANGE_DEG, CellSet, TrajectoryCell, _hypot_columns,
-                    _path_lengths, cell_library, joined, transform_cell)
+from .cells import (MAX_HEADING_CHANGE_DEG, CellSet, TrajectoryCell, cell_library, joined,
+                    transform_cell)
 from .errors import (
     DestinationInsideObstacle,
     InsideObstacle,
@@ -88,7 +88,7 @@ class HeadingDecision:
 
 def _separation_series(relative: np.ndarray) -> list[float]:
     """math.hypot of each sample of a (2, n) own-minus-mover track (as math.dist)."""
-    return _hypot_columns(relative).tolist()
+    return list(map(math.hypot, *relative.tolist()))
 
 
 @dataclass
@@ -333,10 +333,9 @@ def execute_cells(scenario: "Scenario", step: Step[State], state: State,
     tolerance of the destination, or with reached=False when the step
     budget runs out or the next cell would take the path past MAX_RUN_STEPS
     samples.
-    The path length adds the math.hypot of each sample-to-sample step, one
-    at a time in sample order (cells._path_lengths). Clearance (None without
-    obstacles) is min_clearance of the path through the samples, or of the
-    start point if no cell ran.
+    The path length sums the sample-to-sample distances in sample order.
+    Clearance (None without obstacles) is min_clearance of the path through
+    the samples, or of the start point if no cell ran.
     """
     start_xy = (scenario.start_x_m, scenario.start_y_m)
     dest = (scenario.dest_x_m, scenario.dest_y_m)
@@ -365,6 +364,10 @@ def execute_cells(scenario: "Scenario", step: Step[State], state: State,
 
     trajectory = transform_cell(run, nodes[:-1])
     xy = trajectory.xy if run else np.array([start_xy], dtype=np.float64).T
+    path_length = 0.0
+    for d in map(math.hypot, *np.diff(xy).tolist()):
+        path_length += d
+
     min_clear = min_clearance(xy.T, obstacles) if obstacles else None
 
     return PlanResult(
@@ -372,7 +375,7 @@ def execute_cells(scenario: "Scenario", step: Step[State], state: State,
         trajectory=trajectory,
         rudder_commands=commands,
         heading_changes_deg=[c.heading_change_deg for c in run],
-        path_length_m=_path_lengths([xy])[0],
+        path_length_m=path_length,
         steering_count=sum(1 for c in commands if abs(c) >= STEERING_THRESHOLD_DEG),
         reached=math.dist(pose.position, dest) < reach_tol,
         min_clearance_m=min_clear,

@@ -596,37 +596,6 @@ def test_plan_rows_read_later_are_the_eager_placement(plan, name, order):
     assert result.trajectory.xy.tobytes() == columns[:len(columns) * 2 // 7]
 
 
-_coordinate = finite | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
-                                        -2.225073858507201e-308, 1e-300, -1e-300, 1e300, -1e300,
-                                        2.0 ** 1023, 1.7976931348623157e308])
-_hypot_pairs = (st.tuples(_coordinate, _coordinate)
-                | st.builds(lambda x, ratio, swap: (x * ratio, x) if swap else (x, x * ratio),
-                            _coordinate, st.sampled_from([1e-20, -1e-20, 1e-10, 3e-8, 1.0]),
-                            st.booleans()))
-
-
-@settings(max_examples=300, deadline=None)
-@given(pairs=st.lists(_hypot_pairs, max_size=40))
-@example(pairs=[(3.0, 4.0), (0.0, -0.0), (-0.0, -0.0), (5e-324, -5e-324), (1e-310, 1e-300),
-                (1e300, -1e300), (1.0, 1e-20), (-1e-20, 1e300), (1.7976931348623157e308, 1.0)])
-def test_hypot_columns_is_math_hypot(pairs):
-    """cells._hypot_columns is math.hypot of each column, bit for bit, on
-    finite doubles: zeros of either sign, subnormals, 1e+-300, ratios of
-    1e-20 and maxima that take math.hypot's own path among them."""
-    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
-    got = cells_mod._hypot_columns(np.array([xs, ys], dtype=np.float64).reshape(2, -1))
-    assert got.tobytes() == array("d", map(math.hypot, xs, ys)).tobytes()
-
-
-def test_hypot_columns_by_blocks_is_math_hypot():
-    block = cells_mod._HYPOT_BLOCK
-    rng = np.random.default_rng(7)
-    v = rng.normal(size=(2, 2 * block + 5)) * 10.0 ** rng.uniform(-30.0, 30.0, (2, 2 * block + 5))
-    v[:, block - 1], v[:, block], v[:, -1] = (0.0, -0.0), (5e-324, 1e-310), (1e300, -1e300)
-    got = cells_mod._hypot_columns(v)
-    assert got.tobytes() == array("d", map(math.hypot, *v.tolist())).tobytes()
-
-
 @settings(max_examples=150, deadline=None)
 @given(origin_x=finite | st.floats(-1e4, 1e4), origin_y=finite | st.floats(-1e4, 1e4),
        heading=finite | edge_headings, pick=st.integers(0, 36),
