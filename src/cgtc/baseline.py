@@ -14,7 +14,7 @@ import math
 from typing import TYPE_CHECKING, Optional
 
 from .cells import MAX_HEADING_CHANGE_DEG, CellSet, TrajectoryCell, generate_cell
-from .errors import NoGridPath
+from .errors import GridTooLarge, NoGridPath
 from .grid import GridNode, compass_bearing, signed_degrees
 from .static_planner import (Obstacle, PlanResult, _segment_gap, execute_cells,
                              scenario_cells)
@@ -34,6 +34,11 @@ _TURN_DEG = [[abs(signed_degrees(math.degrees(math.atan2(d[0], d[1]))
 _NO_TURN = [0.0] * len(_DIRS)
 _STEP = [math.hypot(*d) for d in _DIRS]
 
+# The most nodes astar_grid_path's square grid may hold, as ship.MAX_RUN_STEPS
+# bounds a run: a leg of up to about 166 pitches. Searching every node of
+# such a grid takes a few seconds.
+MAX_GRID_NODES = 1_000_000
+
 
 def _segment_clear(a: Point, b: Point, obstacles: list[Obstacle]) -> bool:
     """True when the segment a-b keeps a positive gap to every disc."""
@@ -51,7 +56,10 @@ def astar_grid_path(start: Point, goal: Point, pitch_m: float,
     checked against the obstacle discs. Ties in f break toward the smaller
     heading change from the incoming direction. Each expanded node first
     screens the discs: only one whose centre lies within its radius plus a
-    diagonal step of the node can touch one of the node's edges.
+    diagonal step of the node can touch one of the node's edges. The grid
+    reaches three times the leg in pitches from the start in each direction
+    (at least 8); one of more than MAX_GRID_NODES nodes raises GridTooLarge
+    before the search.
     """
     goal_ij = (round((goal[0] - start[0]) / pitch_m),
                round((goal[1] - start[1]) / pitch_m))
@@ -61,6 +69,9 @@ def astar_grid_path(start: Point, goal: Point, pitch_m: float,
 
     span = math.dist((0, 0), goal_ij) + 0.5
     bound = int(max(8, 3 * span))
+    if (2 * bound + 1) ** 2 > MAX_GRID_NODES:
+        raise GridTooLarge(f"a grid of {(2 * bound + 1) ** 2} nodes from {start} to {goal} "
+                           f"at pitch {pitch_m}: at most {MAX_GRID_NODES} are searched")
 
     def heur(ij):
         return pitch_m * math.dist(ij, goal_ij)

@@ -82,6 +82,89 @@ _X, _Y, _HDG, _U, _V, _R, _RUD = range(7)
 # transform_cell leaves them as the cell has them (TrajectoryCell._state_text).
 STATE_ROW = ",".join(["%.6f"] * 4)
 
+# fixed_rows formats a value in int64 below this magnitude: there v * 1e6
+# rounds to an integer below 2**51, which float64 and int64 hold exactly.
+_FIXED_LIMIT = 2.0 ** 51 / 1e6
+# Rows that fixed_rows formats at a time, which bounds its scratch arrays.
+_FIXED_CHUNK = 1 << 14
+
+
+def _digit_words(count: int, *spec) -> np.ndarray:
+    """Word i, for i in range(count), as 4 ASCII bytes of a little-endian
+    uint32, one per spec entry: a character; None, a 0 byte; or (place,
+    shown), the digit of i at that place value, a 0 byte while i < shown.
+    fixed_rows drops every 0 byte, so a leading zero is left out this way."""
+    i = np.arange(count)
+    columns = [np.where(i >= byte[1], 48 + i // byte[0] % 10, 0) if isinstance(byte, tuple)
+               else np.full(count, ord(byte) if byte else 0) for byte in spec]
+    return np.stack(columns, axis=1).astype(np.uint8).view("<u4").ravel()
+
+
+# The digit groups of a value's 20-byte record in fixed_rows: integer part
+# ip = 10**8 * high + 10**4 * middle + low, fraction part 10**3 * a + b.
+_HIGH_DIGITS = _digit_words(100, None, None, (10, 10), (1, 1))
+_LEAD_DIGITS = _digit_words(10_000, (1000, 1000), (100, 100), (10, 10), (1, 1))
+_UNIT_DIGITS = _digit_words(10_000, (1000, 1000), (100, 100), (10, 10), (1, 0))
+_ALL_DIGITS = _digit_words(10_000, (1000, 0), (100, 0), (10, 0), (1, 0))
+_POINT_DIGITS = _digit_words(1000, ".", (100, 0), (10, 0), (1, 0))
+_LAST_DIGITS = _digit_words(1000, (100, 0), (10, 0), (1, 0), None)
+_MINUS = np.uint32(ord("-"))
+_COMMA, _NEWLINE = np.uint32(ord(",") << 24), np.uint32(ord("\n") << 24)
+
+
+def fixed_rows(columns: np.ndarray) -> list[str]:
+    """`",".join(["%.6f"] * k) % row` of each row of a (k, n) float64 block,
+    k >= 1, byte for byte.
+
+    Each value's digits come from q = np.rint(v * 1e6) in int64 arithmetic,
+    as a 20-byte record of digit words from lookup tables: the sign, two
+    bytes of the integer part's top two digits, its next eight digits, the
+    point and six decimals, and the separator, with leading zeros as 0
+    bytes, which are dropped. v * 1e6 is within |v * 1e6| * 2**-53 of the
+    exact product, so q is the exact product rounded unless it lies within
+    twice that of a tie. Such a near tie, a magnitude of _FIXED_LIMIT or
+    more and NaN or ±inf are formatted by `%`, with the whole row. The block
+    is formatted _FIXED_CHUNK rows at a time.
+    """
+    k, n = columns.shape
+    row_format = ",".join(["%.6f"] * k)
+    rows = []
+    for start in range(0, n, _FIXED_CHUNK):
+        v = columns[:, start:start + _FIXED_CHUNK].T.ravel()
+        ok = np.abs(v) < _FIXED_LIMIT
+        f = np.where(ok, v, 0.0) * 1e6
+        q = np.rint(f)
+        ok &= 0.5 - np.abs(f - q) > np.abs(f) * 2.0 ** -52
+        a = np.abs(q).astype(np.int64)
+        ip = a // 1_000_000
+        fp = (a - ip * 1_000_000).astype(np.int32)
+        ip = ip.astype(np.uint32)
+        high = ip // 100_000_000
+        rest = ip - high * 100_000_000
+        middle = rest // 10_000
+        low = rest - middle * 10_000
+        fa = fp // 1000
+
+        record = np.empty((len(v) // k, k, 5), dtype="<u4")
+        words = record.reshape(-1, 5)
+        words[:, 0] = _HIGH_DIGITS.take(high)
+        words[:, 0] |= np.signbit(v) * _MINUS
+        words[:, 1] = np.where(high > 0, _ALL_DIGITS.take(middle), _LEAD_DIGITS.take(middle))
+        words[:, 2] = np.where(ip >= 10_000, _ALL_DIGITS.take(low), _UNIT_DIGITS.take(low))
+        words[:, 3] = _POINT_DIGITS.take(fa)
+        words[:, 4] = _LAST_DIGITS.take(fp - fa * 1000)
+        words[:, 4] |= _COMMA
+        record[:, -1, 4] ^= _COMMA ^ _NEWLINE
+
+        chunk = record.tobytes().translate(None, b"\0").decode("ascii").split("\n")
+        chunk.pop()
+        if not ok.all():
+            block = columns[:, start:start + _FIXED_CHUNK]
+            for i in np.flatnonzero(~ok.reshape(-1, k).all(axis=1)).tolist():
+                chunk[i] = row_format % tuple(block[:, i].tolist())
+        rows += chunk
+    return rows
+
 
 @dataclass(frozen=True)
 class TrajectoryCell:
@@ -113,13 +196,14 @@ class TrajectoryCell:
 
     @cached_property
     def _state_text(self) -> list[str]:
-        """STATE_ROW of each sample's (u, v, yaw rate, rudder).
+        """STATE_ROW of each sample's (u, v, yaw rate, rudder), as fixed_rows
+        formats it.
 
         Placing the cell leaves these columns unchanged, so every plan that
         runs the cell writes this text; it is formatted once, on first read,
         and cached as _times is.
         """
-        return list(map(STATE_ROW.__mod__, zip(*self.samples.columns[_U:].tolist())))
+        return fixed_rows(self.samples.columns[_U:])
 
 
 def _cell(columns: np.ndarray, times: list[float], delta0: float,

@@ -78,6 +78,10 @@ class NoGridPath(CGTCError):
     """Grid baseline found no path between start and destination."""
 
 
+class GridTooLarge(CGTCError):
+    """Grid baseline's search grid holds more nodes than it may search."""
+
+
 class ScenarioError(CGTCError):
     """Base for scenario-file problems (CLI exit code 2)."""
 

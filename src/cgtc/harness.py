@@ -15,8 +15,10 @@ from itertools import chain
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .baseline import grid_baseline_plan
-from .cells import STATE_ROW, joined
+from .cells import STATE_ROW, fixed_rows, joined
 from .dynamic_planner import plan_dynamic
 from .errors import CGTCError, ScenarioError, ValidationError
 from .scenario import Scenario, load_scenario
@@ -94,7 +96,12 @@ def compare_planners(scenario: Scenario) -> ComparisonReport:
 
 def write_csv(path: Path, columns, row_format: str, rows) -> None:
     """Write a header of column names, then `row_format % row` for each row tuple."""
-    path.write_text("\n".join([",".join(columns), *map(row_format.__mod__, rows)]) + "\n")
+    write_lines(path, columns, map(row_format.__mod__, rows))
+
+
+def write_lines(path: Path, columns, lines) -> None:
+    """Write a header of column names, then each line of text."""
+    path.write_text("\n".join([",".join(columns), *lines]) + "\n")
 
 
 @contextmanager
@@ -146,19 +153,23 @@ def write_plan(put, result: PlanResult) -> None:
     gives each sample's cell), so a cell's state columns are formatted once
     for every plan that runs it. commands.csv has COMMAND_ROW of each step,
     and separation.csv, written only for a plan with a separation series,
-    SEPARATION_ROW of each sample.
+    SEPARATION_ROW of each sample. The six-decimal rows, pose, state and
+    separation, are formatted by cells.fixed_rows.
     """
-    times = result.sample_times_s
-    states = chain.from_iterable(cell._state_text[first:]
-                                 for cell, first in joined(result.executed_cells))
-    write_csv(put("trajectory.csv"), TRAJECTORY_COLUMNS, POSE_ROW + ",%s",
-              zip(times, *result.trajectory.columns[:3].tolist(), states, strict=True))
+    times = result._times
+    poses = fixed_rows(np.vstack([times, result.trajectory.columns[:3]]))
+    # each line is pose, ",", state, "\n": one join, not one per line
+    parts = [","] * (4 * len(poses))
+    parts[0::4], parts[3::4] = poses, ["\n"] * len(poses)
+    parts[2::4] = chain.from_iterable(cell._state_text[first:]
+                                      for cell, first in joined(result.executed_cells))
+    put("trajectory.csv").write_text(",".join(TRAJECTORY_COLUMNS) + "\n" + "".join(parts))
     commands = result.rudder_commands
     write_csv(put("commands.csv"), COMMAND_COLUMNS, COMMAND_ROW,
               zip(range(len(commands)), commands, result.heading_changes_deg))
     if result.separation_m:
-        write_csv(put("separation.csv"), SEPARATION_COLUMNS, SEPARATION_ROW,
-                  zip(times, result.separation_m, strict=True))
+        write_lines(put("separation.csv"), SEPARATION_COLUMNS,
+                    fixed_rows(np.array([times, result.separation_m])))
 
 
 def run_scenario(path: str | Path, out_dir: str | Path) -> tuple[Scenario, PlanResult]:

@@ -8,7 +8,6 @@ instead of silently falling back to defaults.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 
@@ -22,6 +21,11 @@ from .static_planner import Obstacle
 MODES = ("static", "dynamic", "free")
 
 _DEFAULT_MAX_STEPS = 64
+
+# Every number in a scenario, coordinates, radii and speeds among them, lies
+# within this magnitude, so the square of a difference of two stays far
+# below float overflow.
+MAX_MAGNITUDE = 1e9
 
 
 @dataclass
@@ -77,7 +81,9 @@ def _take_number(obj: dict, key: str, where: str, *, required: bool = True,
     val = obj[key]
     _require(isinstance(val, (int, float)) and not isinstance(val, bool),
              f"{where}.{key}: expected a number, got {val!r}")
-    _require(math.isfinite(val), f"{where}.{key}: expected a finite number, got {val!r}")
+    # one test for NaN, ±inf and an int too large for a float as well
+    _require(abs(val) <= MAX_MAGNITUDE, f"{where}.{key}: expected a finite number of "
+             f"magnitude at most {MAX_MAGNITUDE:g}, got {val!r}")
     return float(val)
 
 

@@ -18,6 +18,7 @@ concurrently.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -76,12 +77,12 @@ class ShipParams:
             raise ValueError("speed_loss_gain must be in [0, 1)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ShipState:
     """Planar pose, body velocities, yaw rate, and actual rudder angle.
 
     heading_deg is wrapped once on construction (grid.wrap_degrees), into
-    [0, 360].
+    [0, 360]. A Trajectory builds its states on each read and keeps none.
     """
 
     x_m: float = 0.0
@@ -92,8 +93,14 @@ class ShipState:
     yaw_rate_degps: float = 0.0
     rudder_deg: float = 0.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "heading_deg", wrap_degrees(self.heading_deg))
+    def __init__(self, x_m: float = 0.0, y_m: float = 0.0, heading_deg: float = 0.0,
+                 u_mps: float = 0.0, v_mps: float = 0.0, yaw_rate_degps: float = 0.0,
+                 rudder_deg: float = 0.0):
+        # the fields in one update, as the generated __init__ and a
+        # __post_init__ wrapping the heading would leave them
+        self.__dict__.update(x_m=x_m, y_m=y_m, heading_deg=wrap_degrees(heading_deg),
+                             u_mps=u_mps, v_mps=v_mps, yaw_rate_degps=yaw_rate_degps,
+                             rudder_deg=rudder_deg)
 
 
 class Trajectory(Sequence):
@@ -102,11 +109,12 @@ class Trajectory(Sequence):
     `columns` holds the samples field by field, one row per ShipState field
     in field order (x, y, heading, u, v, yaw rate, rudder); each heading
     must already be wrapped as ShipState stores it. The array is made
-    read-only, so it always agrees with the states, which are built once,
-    on first index or iteration; callers that need only numbers should read
-    `columns`. A Trajectory equals another with equal column values, and
-    equals a list as its list of states would. Its hash is taken from the
-    values too, so -0.0 and 0.0 hash alike, as they compare.
+    read-only, and the states are built from it on each index or iteration
+    and not kept: each is ShipState(*row) of its sample's column values, so
+    it always agrees with the array, and callers that need only numbers
+    should read `columns`. A Trajectory equals another with equal column
+    values, and equals a list as its list of states would. Its hash is taken
+    from the values too, so -0.0 and 0.0 hash alike, as they compare.
 
     `xy` is the x and y rows. A trajectory made by `placed` knows only
     those rows until `columns` is first read; `xy` and len() never make it
@@ -139,24 +147,22 @@ class Trajectory(Sequence):
     def xy(self) -> np.ndarray:
         return self.columns[:2]
 
-    @cached_property
-    def _states(self) -> list[ShipState]:
-        return list(map(ShipState, *self.columns.tolist()))
-
     def __len__(self) -> int:
         return self.xy.shape[1]
 
     def __getitem__(self, index):
-        return self._states[index]
+        if isinstance(index, slice):
+            return list(map(ShipState, *self.columns[:, index].tolist()))
+        return ShipState(*self.columns[:, operator.index(index)].tolist())
 
     def __iter__(self):
-        return iter(self._states)
+        return map(ShipState, *self.columns.tolist())
 
     def __eq__(self, other):
         if isinstance(other, Trajectory):
             return np.array_equal(self.columns, other.columns)
         if isinstance(other, list):
-            return self._states == other
+            return len(self) == len(other) and list(self) == other
         return NotImplemented
 
     def __hash__(self) -> int:

@@ -3,11 +3,12 @@
 import heapq
 import math
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cgtc import baseline as baseline_mod
-from cgtc.errors import NoGridPath
+from cgtc.errors import GridTooLarge, NoGridPath
 from cgtc.grid import signed_degrees
 from cgtc.static_planner import Obstacle
 
@@ -102,3 +103,16 @@ def test_screened_astar_is_the_reference(pitch, start, steps, discs):
     expected = _outcome(reference_astar, start, goal, pitch, obstacles)
     assert _outcome(baseline_mod.astar_grid_path, start, goal, pitch, obstacles) == expected
 
+
+
+def test_a_grid_past_the_node_limit_is_refused_before_the_search():
+    """A leg of 166 pitches makes a grid of 999**2 nodes, within the limit;
+    one of 167 pitches a grid of 1005**2, which is refused unsearched."""
+    pitch = 600.0
+    assert baseline_mod.MAX_GRID_NODES == 1_000_000
+    path = baseline_mod.astar_grid_path((0.0, 0.0), (166 * pitch, 0.0), pitch, [])
+    assert path[0] == (0.0, 0.0) and path[-1] == (166 * pitch, 0.0) and len(path) == 167
+    with pytest.raises(GridTooLarge, match="1010025 nodes"):
+        baseline_mod.astar_grid_path((0.0, 0.0), (167 * pitch, 0.0), pitch, [])
+    with pytest.raises(GridTooLarge):
+        baseline_mod.astar_grid_path((0.0, 0.0), (1e9, 0.0), pitch, [])

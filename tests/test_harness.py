@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from array import array
@@ -278,6 +279,35 @@ class TestScenarioFiles:
             scenario_from_dict(_with_section(section, value))
         assert str(err.value).startswith(f"scenario.{section}")
         assert fault in str(err.value)
+
+    @pytest.mark.parametrize("field, value", [
+        ("obstacles[0].y_m", 1e300),
+        ("obstacles[0].y_m", math.nextafter(1e9, math.inf)),
+        ("obstacles[0].radius_m", 2e9),
+        ("destination.x_m", -1e10),
+        ("ship.steady_speed_mps", 1.5e9),
+        ("destination.y_m", 10 ** 400),  # an int past any float
+    ])
+    def test_magnitudes_past_the_bound_rejected(self, tmp_path, capsys, field, value):
+        data = json.loads((SCENARIO_DIR / "fig25_analog.json").read_text())
+        data.setdefault("ship", {})
+        section, key = field.rsplit(".", 1)
+        obj = data[section] if "[" not in section else data["obstacles"][0]
+        obj[key] = value
+        with pytest.raises(ValidationError, match=re.escape(
+                f"scenario.{field}: expected a finite number of magnitude at most 1e+09")):
+            scenario_from_dict(data)
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(data))
+        assert cli_main(["compare", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "magnitude" in capsys.readouterr().err
+
+    def test_magnitudes_at_the_bound_parse(self):
+        data = {**GOOD_SCENARIO, "destination": {"x_m": -1e9, "y_m": 1e9},
+                "obstacles": [{"x_m": 1e9, "y_m": -1e9, "radius_m": 1e9}]}
+        sc = scenario_from_dict(data)
+        assert (sc.dest_x_m, sc.obstacles[0].center, sc.obstacles[0].radius_m) == (
+            -1e9, (1e9, -1e9), 1e9)
 
     def test_shipped_scenarios_parse(self):
         for path in sorted(SCENARIO_DIR.glob("*.json")):
@@ -935,6 +965,16 @@ class TestCliExitCodes:
             "steering_ratio": report.steering_ratio,
         }
         assert written["length_ratio"] is not None and written["steering_ratio"] is not None
+
+    def test_compare_on_a_grid_past_the_node_limit_exits_one(self, tmp_path, capsys):
+        data = json.loads((SCENARIO_DIR / "fig25_analog.json").read_text())
+        data["destination"]["x_m"] = 1e9
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(data))
+        assert cli_main(["compare", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+        written = json.loads((tmp_path / "out" / "comparison.json").read_text())
+        assert written["grid"].startswith("GridTooLarge: a grid of ")
+        assert not written["circle"]["reached"]
 
     def test_compare_exits_one_when_a_plan_is_unsafe(self, tmp_path, capsys):
         path = tmp_path / "unsafe_grid.json"

@@ -6,10 +6,12 @@ format of the plan's own values, and a cell's text is formatted only once.
 """
 
 import math
+import struct
 import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
@@ -150,3 +152,30 @@ def test_state_text_is_cached_per_cell(cells600):
     assert cell._state_text is text and "_state_text" in vars(cell)
     assert text == [cells_mod.STATE_ROW % row
                     for row in zip(*cell.samples.columns[3:].tolist(), strict=True)]
+
+
+_LIMIT = cells_mod._FIXED_LIMIT
+_EDGE_VALUES = [-0.0, -4e-7, 0.0078125, 5e-324, math.nan, math.inf, -math.inf, 1e300,
+                math.nextafter(_LIMIT, 0.0), _LIMIT, math.nextafter(_LIMIT, math.inf),
+                -math.nextafter(_LIMIT, 0.0), -_LIMIT]
+_any_float = (st.floats(width=64)
+              | st.integers(0, 2 ** 64 - 1).map(lambda b: struct.unpack("<d", b.to_bytes(8, "little"))[0])
+              | st.sampled_from(_EDGE_VALUES)
+              | st.integers(-2 * 10 ** 15, 2 * 10 ** 15).map(lambda i: (i + 0.5) / 1e6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 4), values=st.lists(_any_float, max_size=60),
+       chunk=st.integers(1, 5) | st.just(cells_mod._FIXED_CHUNK))
+@example(k=1, values=_EDGE_VALUES, chunk=cells_mod._FIXED_CHUNK)
+@example(k=4, values=_EDGE_VALUES[:12], chunk=2)
+@example(k=3, values=[], chunk=cells_mod._FIXED_CHUNK)
+def test_fixed_rows_are_the_row_format(k, values, chunk):
+    """fixed_rows gives `%` of each row of any float64 block, byte for byte,
+    however many rows it formats at a time."""
+    values = values[:len(values) // k * k]
+    block = np.array(values, dtype=np.float64).reshape(-1, k).T
+    row_format = ",".join(["%.6f"] * k)
+    with mock.patch.object(cells_mod, "_FIXED_CHUNK", chunk):
+        assert cells_mod.fixed_rows(block) == [row_format % tuple(row)
+                                               for row in block.T.tolist()]

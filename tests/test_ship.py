@@ -1,6 +1,7 @@
 """Ship response-model tests: trim, symmetry, convergence, turn geometry."""
 
 import math
+from array import array
 from dataclasses import astuple, fields
 
 import numpy as np
@@ -154,6 +155,27 @@ def test_trajectory_hash_follows_equality():
     other[3, 1] += 1.0
     assert a != Trajectory(other)
     assert len({a, b, Trajectory(other)}) == 2
+
+
+def test_states_are_read_from_the_columns_each_time():
+    """A state is ShipState(*row) of its sample's values, built on each read
+    and not kept, so a heading row's 360.0 and -0.0 read back wrapped once
+    more, as ShipState wraps them."""
+    columns = np.array([[1.0, -2.0, 3.0], [4.0, 5.0, -6.0], [360.0, -0.0, 359.5],
+                        [7.7, 7.6, 7.5], [-0.0, 0.1, -0.2], [0.0, 0.3, -0.3],
+                        [35.0, -35.0, -0.0]])
+    trajectory = Trajectory(columns)
+    expected = [array("d", astuple(ShipState(*row))).tobytes() for row in columns.T.tolist()]
+    for states in (list(trajectory), list(trajectory), trajectory[:],
+                   [trajectory[i] for i in range(-3, 0)], trajectory[0:3]):
+        assert [array("d", astuple(s)).tobytes() for s in states] == expected
+    assert [s.heading_deg for s in trajectory] == [0.0, 0.0, 359.5]
+    assert trajectory[0] == trajectory[0] and trajectory[0] is not trajectory[0]
+    assert trajectory[True] == trajectory[1] and "_states" not in vars(trajectory)
+    with pytest.raises(IndexError):
+        trajectory[3]
+    with pytest.raises(TypeError):
+        trajectory[1.0]
 
 
 def test_command_clamping_reported(params):
