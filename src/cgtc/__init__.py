@@ -44,10 +44,7 @@ from .static_planner import (
     HeadingDecision,
     Obstacle,
     PlanResult,
-    is_bypassed,
     plan_static,
-    select_heading_free,
-    tangent_angles,
 )
 
 __version__ = "0.1.0"
@@ -79,7 +76,6 @@ __all__ = [
     "grid_baseline_plan",
     "heading_intersection",
     "invert_relation",
-    "is_bypassed",
     "load_scenario",
     "make_encounter",
     "min_separation",
@@ -90,11 +86,9 @@ __all__ = [
     "polar_to_world",
     "run_batch",
     "run_scenario",
-    "select_heading_free",
     "ship_domain_radius",
     "simulate_turn",
     "step",
-    "tangent_angles",
     "transform_cell",
     "trimmed_state",
     "validate_rules",

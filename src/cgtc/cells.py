@@ -206,6 +206,16 @@ class TrajectoryCell:
         return fixed_rows(self.samples.columns[_U:])
 
 
+def _path_length(xy: np.ndarray) -> float:
+    """Length of the path through a (2, n) x, y array: math.hypot of each step,
+    added one at a time in sample order as the scalar rollout adds its arc
+    (not sum(), which rounds differently from Python 3.12 on)."""
+    total = 0.0
+    for d in map(math.hypot, *np.diff(xy).tolist()):
+        total += d
+    return total
+
+
 def _cell(columns: np.ndarray, times: list[float], delta0: float,
           heading_change: float, arc: float, radius_m: float) -> TrajectoryCell:
     """The cell of one rollout: its sample columns and times, ending on the circle."""
@@ -608,9 +618,8 @@ def _lane_cells(params: ShipParams, delta0s: list[float], radius_m: float,
     """The cell of each delta0, from one recorded lockstep pass.
 
     Each cell equals _roll_until_crossing's bit for bit: the lanes give its
-    states, times, end sample and heading change, and its arc length sums
-    math.hypot of the sample-to-sample steps left to right, as the scalar
-    loop does. Every cell owns a compact array; the recording is dropped on
+    states, times, end sample and heading change, and _path_length its arc
+    length. Every cell owns a compact array; the recording is dropped on
     return. A lane that did not cross in time gives None.
     """
     record = _Recording(len(delta0s))
@@ -634,11 +643,8 @@ def _lane_cells(params: ShipParams, delta0s: list[float], radius_m: float,
         columns[:, 0] = start
         columns[:, 1:-1] = states[:, k0:k1]
         columns[:, -1] = record.end[:, lane]
-        arc = 0.0
-        for d in map(math.hypot, *np.diff(columns[:2]).tolist()):
-            arc += d
         cells.append(_cell(columns, [0.0, *times[k0:k1].tolist(), float(record.end_t[lane])],
-                           delta0, hc, arc, radius_m))
+                           delta0, hc, _path_length(columns[:2]), radius_m))
     return cells
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -28,7 +27,7 @@ from .errors import CGTCError, ScenarioError
 from .harness import (TRAJECTORY_COLUMNS, artifacts, compare_planners, run_batch,
                       run_scenario, scenario_is_safe, write_csv)
 from .relation import RelationSample, fit_poly, pearson
-from .scenario import load_scenario
+from .scenario import MAX_MAGNITUDE, load_scenario
 from .ship import ShipParams, check_dt, fitted_turn_radius, simulate_turn
 
 CELL_COLUMNS = ("t_s", "x_m", "y_m", "heading_deg", "u_mps", "v_mps", "rudder_deg")
@@ -84,8 +83,10 @@ def _read_relation_csv(path: str) -> list[RelationSample]:
             if k == 0:
                 continue  # header row: the first line neither blank nor a comment
             raise ValueError(f"{path}:{ln}: not numeric") from None
-        if not (math.isfinite(rudder) and math.isfinite(heading)):
-            raise ValueError(f"{path}:{ln}: not a finite number")
+        # one test for NaN, ±inf and a value whose powers would overflow the fit
+        if not (abs(rudder) <= MAX_MAGNITUDE and abs(heading) <= MAX_MAGNITUDE):
+            raise ValueError(f"{path}:{ln}: expected finite numbers of magnitude at most "
+                             f"{MAX_MAGNITUDE:g}")
         rows.append(RelationSample(rudder, heading))
     return rows
 

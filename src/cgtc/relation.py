@@ -112,7 +112,8 @@ def fit_poly(samples: Sequence[RelationSample], degree: int):
     than 3, and (CubicRelation, residual_stddev) for degree 3.
     residual_stddev is the root-mean-square fit residual. The solve runs on
     rudder values scaled to [-1, 1] for conditioning and the coefficients
-    are mapped back to the raw monomial basis.
+    are mapped back to the raw monomial basis; ValueError when a mapped
+    coefficient is not a finite float.
     """
     if not 1 <= degree <= 6:
         raise ValueError(f"degree must be in [1, 6], got {degree}")
@@ -126,7 +127,14 @@ def fit_poly(samples: Sequence[RelationSample], degree: int):
     scale = float(np.max(np.abs(xs))) or 1.0
     design = np.vander(xs / scale, degree + 1, increasing=True)
     coef_scaled, *_ = np.linalg.lstsq(design, ys, rcond=None)
-    coefs = [float(coef_scaled[k]) / scale**k for k in range(degree + 1)]
+    try:
+        coefs = [float(coef_scaled[k]) / scale**k for k in range(degree + 1)]
+        finite = all(map(math.isfinite, coefs))
+    except (OverflowError, ZeroDivisionError):  # a power of scale past float range
+        finite = False
+    if not finite:
+        raise ValueError(f"rudder values of magnitude {scale:g} leave the degree-{degree} "
+                         "fit no finite coefficients")
 
     fitted = design @ coef_scaled
     residual_stddev = float(np.sqrt(np.mean((ys - fitted) ** 2)))

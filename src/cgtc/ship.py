@@ -63,6 +63,8 @@ class ShipParams:
             raise ValueError("length_m must be positive")
         if not (self.rudder_limit_port_deg < 0.0 < self.rudder_limit_stbd_deg):
             raise ValueError("rudder limits must straddle zero (port < 0 < starboard)")
+        if not self.rudder_rate_degps > 0:
+            raise ValueError("rudder_rate_degps must be positive")
         if not self.steady_speed_mps > 0:
             raise ValueError("steady_speed_mps must be positive")
         if not self.turn_gain > 0:
@@ -75,6 +77,17 @@ class ShipParams:
             raise ValueError("kick_gain must be >= 0")
         if not (0.0 <= self.speed_loss_gain < 1.0):
             raise ValueError("speed_loss_gain must be in [0, 1)")
+        # the step divides by the starboard limit: the kick per degree of
+        # rudder travel and the speed loss at the larger limit, computed as
+        # the step computes them, must stay finite
+        stbd, widest = self.rudder_limit_stbd_deg, max(self.rudder_limit_stbd_deg,
+                                                       -self.rudder_limit_port_deg)
+        if not (math.isfinite(self.kick_gain * self.steady_speed_mps / stbd)
+                and math.isfinite(self.speed_loss_gain * widest / stbd)):
+            raise ValueError(f"rudder_limit_stbd_deg {stbd} leaves the step's coefficients "
+                             "kick_gain * steady_speed_mps / rudder_limit_stbd_deg and "
+                             "speed_loss_gain * max(rudder_limit_stbd_deg, "
+                             "-rudder_limit_port_deg) / rudder_limit_stbd_deg not finite")
 
 
 @dataclass(frozen=True, init=False)

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Callable, Optional, TypeVar
 import numpy as np
 
 from .cells import (MAX_HEADING_CHANGE_DEG, CellSet, TrajectoryCell, cell_library, joined,
-                    transform_cell)
+                    _path_length, transform_cell)
 from .errors import (
     DestinationInsideObstacle,
     InsideObstacle,
@@ -132,15 +132,14 @@ class PlanResult:
         return [] if self.relative_track is None else _separation_series(self.relative_track)
 
 
-def _screen(current: Point, obstacle: Obstacle, heading_deg: Optional[float] = None,
-            dest_bearing: Optional[float] = None) -> Optional[tuple[float, float]]:
+def _screen(current: Point, obstacle: Obstacle, heading_deg: float,
+            dest_bearing: float) -> Optional[tuple[float, float]]:
     """Compass bearings of the two tangent points of an obstacle disc, left
     first, or None when the obstacle is bypassed.
 
-    It is bypassed, at a heading and with a destination bearing (no test
-    without them), when its center sits more than 90 degrees off the
-    heading (abeam or astern) or the destination bearing clears its tangent
-    cone. Raises InsideObstacle from inside the disc.
+    It is bypassed when its center sits more than 90 degrees off the heading
+    (abeam or astern) or the destination bearing clears its tangent cone.
+    Raises InsideObstacle from inside the disc.
     """
     d = math.dist(current, obstacle.center)
     if d <= obstacle.radius_m:
@@ -149,26 +148,10 @@ def _screen(current: Point, obstacle: Obstacle, heading_deg: Optional[float] = N
         )
     center_bearing = compass_bearing(current, obstacle.center)
     half_deg = math.degrees(math.asin(obstacle.radius_m / d))
-    if dest_bearing is not None and (
-            abs(signed_degrees(center_bearing - heading_deg)) > 90.0
+    if (abs(signed_degrees(center_bearing - heading_deg)) > 90.0
             or abs(signed_degrees(dest_bearing - center_bearing)) >= half_deg):
         return None
     return wrap_degrees(center_bearing - half_deg), wrap_degrees(center_bearing + half_deg)
-
-
-def tangent_angles(current: Point, obstacle: Obstacle) -> tuple[float, float]:
-    """Compass bearings of the two tangent points of an obstacle disc, left first."""
-    return _screen(current, obstacle)
-
-
-def is_bypassed(pose: GridNode, obstacle: Obstacle, destination: Point) -> bool:
-    """True when the obstacle no longer needs to be tracked (_screen), False
-    from inside the disc."""
-    dest_bearing = compass_bearing(pose.position, destination)
-    try:
-        return _screen(pose.position, obstacle, pose.heading_deg, dest_bearing) is None
-    except InsideObstacle:
-        return False
 
 
 def _aim(pose: GridNode, bearing: float, side: int = 0) -> HeadingDecision:
@@ -176,11 +159,6 @@ def _aim(pose: GridNode, bearing: float, side: int = 0) -> HeadingDecision:
     diff = signed_degrees(bearing - pose.heading_deg)
     return HeadingDecision(max(-MAX_HEADING_CHANGE_DEG, min(MAX_HEADING_CHANGE_DEG, diff)),
                            side)
-
-
-def select_heading_free(pose: GridNode, destination: Point) -> HeadingDecision:
-    """Free-water decision: aim at the destination, capped at the max turn."""
-    return _aim(pose, compass_bearing(pose.position, destination))
 
 
 @dataclass(frozen=True)
@@ -296,11 +274,6 @@ def _polyline_gap(xy: np.ndarray, discs: list[tuple[Point, float]]) -> float:
                for i in np.flatnonzero(np.minimum(sq[:-1], sq[1:]) - seg_sq <= (cutoff + r) ** 2))
 
 
-def min_clearance(points: np.ndarray, obstacles: list[Obstacle]) -> float:
-    """Clearance of the straight path through an (n, 2) point array (_polyline_gap)."""
-    return _polyline_gap(points.T, [(o.center, o.radius_m) for o in obstacles])
-
-
 def check_endpoints(scenario: "Scenario", obstacles: list[Obstacle]) -> None:
     """Raise when the start or the destination lies inside an obstacle disc."""
     start_xy = (scenario.start_x_m, scenario.start_y_m)
@@ -333,9 +306,9 @@ def execute_cells(scenario: "Scenario", step: Step[State], state: State,
     tolerance of the destination, or with reached=False when the step
     budget runs out or the next cell would take the path past MAX_RUN_STEPS
     samples.
-    The path length sums the sample-to-sample distances in sample order.
-    Clearance (None without obstacles) is min_clearance of the path through
-    the samples, or of the start point if no cell ran.
+    The path length is cells._path_length of the samples. Clearance (None
+    without obstacles) is _polyline_gap of the path through the samples, or
+    of the start point if no cell ran.
     """
     start_xy = (scenario.start_x_m, scenario.start_y_m)
     dest = (scenario.dest_x_m, scenario.dest_y_m)
@@ -364,21 +337,17 @@ def execute_cells(scenario: "Scenario", step: Step[State], state: State,
 
     trajectory = transform_cell(run, nodes[:-1])
     xy = trajectory.xy if run else np.array([start_xy], dtype=np.float64).T
-    path_length = 0.0
-    for d in map(math.hypot, *np.diff(xy).tolist()):
-        path_length += d
-
-    min_clear = min_clearance(xy.T, obstacles) if obstacles else None
+    discs = [(o.center, o.radius_m) for o in obstacles]
 
     return PlanResult(
         nodes=nodes,
         trajectory=trajectory,
         rudder_commands=commands,
         heading_changes_deg=[c.heading_change_deg for c in run],
-        path_length_m=path_length,
+        path_length_m=_path_length(xy),
         steering_count=sum(1 for c in commands if abs(c) >= STEERING_THRESHOLD_DEG),
         reached=math.dist(pose.position, dest) < reach_tol,
-        min_clearance_m=min_clear,
+        min_clearance_m=_polyline_gap(xy, discs) if discs else None,
         executed_cells=run,
         cell_starts_s=starts,
     )

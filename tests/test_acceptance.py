@@ -26,7 +26,7 @@ from cgtc.harness import compare_planners
 from cgtc.relation import RelationSample, fit_poly, pearson
 from cgtc.scenario import Scenario, load_scenario
 from cgtc.ship import fitted_turn_radius, simulate_turn
-from cgtc.static_planner import Obstacle, plan_static, tangent_angles
+from cgtc.static_planner import Obstacle, _screen, plan_static
 
 from conftest import RUDDER_HEADING_TABLE
 
@@ -236,9 +236,9 @@ def test_c10_geometry_oracles():
         px = cx - d * math.sin(math.radians(theta))
         py = cy - d * math.cos(math.radians(theta))
         obstacle = Obstacle(center=(cx, cy), radius_m=r)
-        left, right = tangent_angles((px, py), obstacle)
-
         center_bearing = compass_bearing((px, py), (cx, cy))
+        left, right = _screen((px, py), obstacle, center_bearing, center_bearing)
+
         # the boundary at 0.01 deg steps, seen from the point: each bearing
         # wrapped to [0, 360), then signed from the centre bearing
         a = np.radians(-180.0 + 0.01 * np.arange(36001))

@@ -248,6 +248,10 @@ class TestScenarioFiles:
         ({"ship": {"draft_m": 6.0}}, "unknown field(s) ['draft_m']"),
         ({"ship": {"beam_m": 16.4}}, "unknown field(s) ['beam_m']"),
         ({"ship": {"propeller_rpm": 180.0}}, "unknown field(s) ['propeller_rpm']"),
+        # hulls whose step could not run
+        ({"ship": {"rudder_rate_degps": 0.0}}, "rudder_rate_degps"),
+        ({"ship": {"rudder_rate_degps": -1.0}}, "rudder_rate_degps"),
+        ({"ship": {"rudder_limit_stbd_deg": 5e-324}}, "rudder_limit_stbd_deg"),
     ])
     def test_cell_arguments_rejected(self, tmp_path, change, field):
         data = {**GOOD_SCENARIO, **change}
@@ -635,6 +639,11 @@ class TestCliExitCodes:
         b"".join(b"%d,5\n" % d for d in range(8)),              # ZeroVariance
         b"".join(b"%d,%d\n" % (d, d - d ** 3) for d in range(-4, 5)),  # MonotonicityViolation
         b"".join(b"%d,%d\n" % (d, d) for d in range(8)) + b"1,2,3\n",  # three columns
+        # past scenario.MAX_MAGNITUDE: a power in the fit would overflow, in
+        # its degree-5 loop and in the cubic
+        b"".join(b"%de61,%d\n" % (d, d) for d in range(7)),
+        b"0,0\n1,1\n2,2\n3,3\n1e103,4\n",
+        b"".join(b"%de-160,%d\n" % (d, d ** 3 + d) for d in range(8)),  # the cube underflows
     ])
     def test_fit_relation_bad_input_exit_two(self, tmp_path, capsys, content):
         csv = tmp_path / "rel.csv"

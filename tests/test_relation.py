@@ -119,6 +119,14 @@ class TestFitPoly:
             CubicRelation(a=-1.0, b=0.0, c=0.0, d=0.0,
                           domain_lo_deg=-3.0, domain_hi_deg=3.0)
 
+    @pytest.mark.parametrize("unit, degree", [(1e103, 3), (1e61, 5), (1e-160, 3)])
+    def test_coefficients_past_float_range_rejected(self, unit, degree):
+        """A power of the rudder scale that overflows, or underflows to
+        zero, leaves the raw-basis coefficients no float to hold them."""
+        samples = [RelationSample(d * unit, d ** 3 + d) for d in range(7)]
+        with pytest.raises(ValueError, match="finite coefficients"):
+            fit_poly(samples, degree)
+
     def test_non_cubic_degree_returns_coefficients(self):
         coefs, resid = fit_poly(TABLE_SAMPLES, 1)
         assert len(coefs) == 2

@@ -294,7 +294,14 @@ def test_params_validation():
 
 @pytest.mark.parametrize("bad, message", [({"turn_lag_s": 0.0}, "time constants"),
                                           ({"speed_recovery_s": -4.0}, "time constants"),
-                                          ({"kick_gain": -0.1}, "kick_gain")])
+                                          ({"kick_gain": -0.1}, "kick_gain"),
+                                          ({"rudder_rate_degps": 0.0}, "rudder_rate_degps"),
+                                          ({"rudder_rate_degps": -1.0}, "rudder_rate_degps"),
+                                          # the kick, then the speed loss, divides by it
+                                          ({"rudder_limit_stbd_deg": 5e-324,
+                                            "speed_loss_gain": 0.0}, "kick_gain"),
+                                          ({"rudder_limit_stbd_deg": 5e-324, "kick_gain": 0.0},
+                                           "speed_loss_gain")])
 def test_params_reject_out_of_range(bad, message):
     with pytest.raises(ValueError, match=message):
         ShipParams(**bad)

@@ -28,14 +28,13 @@ from cgtc.ship import ShipParams
 from cgtc.static_planner import (
     STEERING_THRESHOLD_DEG,
     Engagement,
+    HeadingDecision,
     Obstacle,
+    _polyline_gap,
+    _screen,
     clearance,
     decide_heading,
-    is_bypassed,
-    min_clearance,
     plan_static,
-    select_heading_free,
-    tangent_angles,
 )
 from conftest import mirror_scenario, segment_minimum, sequential_path_length
 
@@ -59,55 +58,66 @@ def brute_force_tangents(point, obstacle, step_deg=0.01):
     return wrap_degrees(center_bearing + lo), wrap_degrees(center_bearing + hi)
 
 
+def tangent_pair(point, obstacle):
+    """_screen's tangent pair: heading and destination bearing both at the
+    obstacle's centre, so the obstacle always blocks."""
+    c = compass_bearing(point, obstacle.center)
+    return _screen(point, obstacle, c, c)
+
+
 class TestTangentAngles:
     def test_obstacle_due_north(self):
-        left, right = tangent_angles((0.0, 0.0), Obstacle(center=(0.0, 1000.0), radius_m=500.0))
+        left, right = tangent_pair((0.0, 0.0), Obstacle(center=(0.0, 1000.0), radius_m=500.0))
         assert left == pytest.approx(330.0, abs=1e-9)
         assert right == pytest.approx(30.0, abs=1e-9)
 
     def test_obstacle_due_east(self):
-        left, right = tangent_angles((0.0, 0.0), Obstacle(center=(1000.0, 0.0), radius_m=500.0))
+        left, right = tangent_pair((0.0, 0.0), Obstacle(center=(1000.0, 0.0), radius_m=500.0))
         assert left == pytest.approx(60.0, abs=1e-9)
         assert right == pytest.approx(120.0, abs=1e-9)
 
     def test_matches_brute_force_scan(self):
         obstacle = Obstacle(center=(800.0, 600.0), radius_m=250.0)
-        left, right = tangent_angles((0.0, 0.0), obstacle)
+        left, right = tangent_pair((0.0, 0.0), obstacle)
         bf_left, bf_right = brute_force_tangents((0.0, 0.0), obstacle, step_deg=0.01)
         assert abs(signed_degrees(left - bf_left)) < 0.02
         assert abs(signed_degrees(right - bf_right)) < 0.02
 
     def test_inside_obstacle_raises(self):
         with pytest.raises(InsideObstacle):
-            tangent_angles((0.0, 0.0), Obstacle(center=(10.0, 0.0), radius_m=50.0))
+            tangent_pair((0.0, 0.0), Obstacle(center=(10.0, 0.0), radius_m=50.0))
 
 
 class TestSelectHeadingFree:
     def test_straight_ahead(self):
         pose = GridNode(position=(0.0, 0.0), heading_deg=0.0)
-        d = select_heading_free(pose, (0.0, 5000.0))
+        d = decide_heading(pose, (0.0, 5000.0), [], Engagement())[0]
         assert d.heading_change_deg == pytest.approx(0.0, abs=1e-12)
 
     def test_one_step_at_37(self):
         pose = GridNode(position=(0.0, 0.0), heading_deg=0.0)
         target = (5000.0 * math.sin(math.radians(37)), 5000.0 * math.cos(math.radians(37)))
-        d = select_heading_free(pose, target)
+        d = decide_heading(pose, target, [], Engagement())[0]
         assert d.heading_change_deg == pytest.approx(37.0, abs=1e-9)
 
     def test_two_step_beyond_max(self):
         pose = GridNode(position=(0.0, 0.0), heading_deg=0.0)
         target = (5000.0 * math.sin(math.radians(135)), 5000.0 * math.cos(math.radians(135)))
-        d = select_heading_free(pose, target)
+        d = decide_heading(pose, target, [], Engagement())[0]
         assert d.heading_change_deg == pytest.approx(90.0)
 
 
 class TestSelectHeadingStatic:
     def test_reduces_to_free_without_obstacles(self):
+        """With nothing blocking, the decision aims at the destination, with
+        no side, and the engagement ends."""
         pose = GridNode(position=(0.0, 0.0), heading_deg=10.0)
         dest = (3000.0, 4000.0)
-        a = decide_heading(pose, dest, [], Engagement())[0]
-        b = select_heading_free(pose, dest)
-        assert a == b
+        free = HeadingDecision(signed_degrees(compass_bearing(pose.position, dest) - 10.0))
+        astern = Obstacle(center=(0.0, -2000.0), radius_m=500.0)
+        for tracked in ([], [(0, astern)]):
+            assert decide_heading(pose, dest, tracked, Engagement(+1, frozenset({0}))) == \
+                (free, Engagement())
 
     def test_symmetric_obstacle_tie_breaks_starboard(self):
         pose = GridNode(position=(0.0, 0.0), heading_deg=0.0)
@@ -168,22 +178,26 @@ class TestSelectHeadingStatic:
         assert str(err.value) == "point (0.0, 0.0) is inside obstacle at (30.0, -40.0) (r=100.0)"
 
 
+def bypassed(pose, obstacle, destination):
+    """_screen's verdict at a pose: None is an obstacle no longer tracked."""
+    dest_bearing = compass_bearing(pose.position, destination)
+    return _screen(pose.position, obstacle, pose.heading_deg, dest_bearing) is None
+
+
 class TestIsBypassed:
     def test_obstacle_astern(self):
         pose = GridNode(position=(0.0, 0.0), heading_deg=0.0)
-        assert is_bypassed(pose, Obstacle(center=(0.0, -2000.0), radius_m=500.0),
-                           (0.0, 5000.0))
+        assert bypassed(pose, Obstacle(center=(0.0, -2000.0), radius_m=500.0), (0.0, 5000.0))
 
     def test_obstacle_dead_ahead(self):
         pose = GridNode(position=(0.0, 0.0), heading_deg=0.0)
-        assert not is_bypassed(pose, Obstacle(center=(0.0, 2000.0), radius_m=500.0),
-                               (0.0, 5000.0))
+        assert not bypassed(pose, Obstacle(center=(0.0, 2000.0), radius_m=500.0),
+                            (0.0, 5000.0))
 
     def test_cone_cleared(self):
         pose = GridNode(position=(0.0, 0.0), heading_deg=0.0)
         # obstacle well off to the side of the destination bearing
-        assert is_bypassed(pose, Obstacle(center=(3000.0, 500.0), radius_m=400.0),
-                           (0.0, 5000.0))
+        assert bypassed(pose, Obstacle(center=(3000.0, 500.0), radius_m=400.0), (0.0, 5000.0))
 
 
 def fig20_scenario(params):
@@ -219,7 +233,7 @@ class TestPlanStatic:
         res = plan_static(sc, cells=cells600)
         o2 = sc.obstacles[1]
         dest = (sc.dest_x_m, sc.dest_y_m)
-        flags = [is_bypassed(n, o2, dest) for n in res.nodes]
+        flags = [bypassed(n, o2, dest) for n in res.nodes]
         assert not flags[0]
         assert any(flags)
         # once the obstacle is passed it stays passed
@@ -439,8 +453,9 @@ def test_min_clearance_equals_segment_minimum(case):
     """The numpy screen finds the segment-by-segment minimum exactly, and it
     is never above the point-by-point minimum by more than rounding."""
     points, obstacles = case
-    expected = segment_minimum(points, [(o.center, o.radius_m) for o in obstacles])
-    got = min_clearance(np.array(points, dtype=np.float64), obstacles)
+    discs = [(o.center, o.radius_m) for o in obstacles]
+    expected = segment_minimum(points, discs)
+    got = _polyline_gap(np.array(points, dtype=np.float64).T, discs)
     assert got.hex() == expected.hex()
     scale = max(max(map(abs, p)) for p in [*points, *(o.center for o in obstacles)])
     slack = 16 * math.ulp(scale + max(o.radius_m for o in obstacles))
