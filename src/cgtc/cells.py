@@ -78,10 +78,6 @@ _RUDDER_EPS_DEG = 1e-9
 # by _heading_changes), in ShipState field order.
 _X, _Y, _HDG, _U, _V, _R, _RUD = range(7)
 
-# The artifact text of a sample's state columns, u, v, yaw rate and rudder:
-# transform_cell leaves them as the cell has them (TrajectoryCell._state_text).
-STATE_ROW = ",".join(["%.6f"] * 4)
-
 # fixed_rows formats a value in int64 below this magnitude: there v * 1e6
 # rounds to an integer below 2**51, which float64 and int64 hold exactly.
 _FIXED_LIMIT = 2.0 ** 51 / 1e6
@@ -196,8 +192,8 @@ class TrajectoryCell:
 
     @cached_property
     def _state_text(self) -> list[str]:
-        """STATE_ROW of each sample's (u, v, yaw rate, rudder), as fixed_rows
-        formats it.
+        """The artifact text of each sample's state columns, (u, v, yaw rate,
+        rudder), as fixed_rows formats them.
 
         Placing the cell leaves these columns unchanged, so every plan that
         runs the cell writes this text; it is formatted once, on first read,

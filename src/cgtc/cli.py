@@ -18,14 +18,13 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .cells import (DEFAULT_DT_S, DEFAULT_RESOLUTION_DEG, build_cell_set,
                     check_radius, check_resolution, check_rollout_dt)
 from .errors import CGTCError, ScenarioError
-from .harness import (TRAJECTORY_COLUMNS, artifacts, compare_planners, run_batch,
-                      run_scenario, scenario_is_safe, write_csv)
+from .harness import (TRAJECTORY_COLUMNS, _plan_summary, artifacts, compare_planners,
+                      run_batch, run_scenario, write_csv)
 from .relation import RelationSample, fit_poly, pearson
 from .scenario import MAX_MAGNITUDE, load_scenario
 from .ship import ShipParams, check_dt, fitted_turn_radius, simulate_turn
@@ -118,12 +117,18 @@ def _cmd_fit_relation(args) -> int:
     return 0
 
 
+def _passed(summary) -> bool:
+    """The per-plan verdict of plan, compare and batch exit codes: a plan
+    summary (not an error string) that reached the destination safely."""
+    return isinstance(summary, dict) and summary["reached"] and summary["safe"]
+
+
 def _cmd_plan(args) -> int:
     scenario, result = run_scenario(args.scenario, args.out_dir)
-    safe = scenario_is_safe(scenario, result)
-    print(f"{scenario.name}: reached={result.reached} safe={safe} "
-          f"length={result.path_length_m:.0f} m steerings={result.steering_count}")
-    return 0 if result.reached and safe else 1
+    plan = _plan_summary(scenario, result)
+    print(f"{scenario.name}: reached={plan['reached']} safe={plan['safe']} "
+          f"length={plan['path_length_m']:.0f} m steerings={plan['steering_count']}")
+    return 0 if _passed(plan) else 1
 
 
 def _cmd_compare(args) -> int:
@@ -132,17 +137,10 @@ def _cmd_compare(args) -> int:
         scenario = load_scenario(args.scenario)
         out.mkdir(parents=True, exist_ok=True)
         report = compare_planners(scenario)
-        payload = {
-            "circle": asdict(report.circle) if report.circle else report.circle_error,
-            "grid": asdict(report.grid) if report.grid else report.grid_error,
-            "length_ratio": report.length_ratio,
-            "steering_ratio": report.steering_ratio,
-        }
-        put("comparison.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    both_ok = all(side is not None and side.reached and side.safe
-                  for side in (report.circle, report.grid))
-    return 0 if both_ok else 1
+        text = json.dumps(report, indent=2, sort_keys=True)
+        put("comparison.json").write_text(text + "\n")
+    print(text)
+    return 0 if _passed(report["circle"]) and _passed(report["grid"]) else 1
 
 
 def _cmd_batch(args) -> int:
@@ -153,7 +151,7 @@ def _cmd_batch(args) -> int:
         else:
             print(f"{name}: reached={row['reached']} safe={row['safe']} "
                   f"length={row['path_length_m']:.0f} steerings={row['steering_count']}")
-    return 0 if all(row["reached"] and row["safe"] for row in summary.values()) else 1
+    return 0 if all(map(_passed, summary.values())) else 1
 
 
 def _cmd_turn_test(args) -> int:

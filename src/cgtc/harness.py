@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from .baseline import grid_baseline_plan
-from .cells import STATE_ROW, fixed_rows, joined
+from .cells import fixed_rows, joined
 from .dynamic_planner import plan_dynamic
 from .errors import CGTCError, ScenarioError, ValidationError
 from .scenario import Scenario, load_scenario
@@ -26,71 +24,50 @@ from .static_planner import PlanResult, plan_static
 
 TRAJECTORY_COLUMNS = ("t_s", "x_m", "y_m", "heading_deg", "u_mps", "v_mps",
                       "yaw_rate_degps", "rudder_deg")
-# t_s, x_m, y_m, heading_deg: what a plan places; the state columns after
-# them are the cells' own, as cells.STATE_ROW formats them
-POSE_ROW = ",".join(["%.6f"] * 4)
-TRAJECTORY_ROW = POSE_ROW + "," + STATE_ROW
 COMMAND_COLUMNS = ("step", "delta0_deg", "heading_change_deg")
 COMMAND_ROW = "%d,%.6f,%.6f"
 SEPARATION_COLUMNS = ("t_s", "distance_m")
-SEPARATION_ROW = "%.6f,%.6f"
 # every file run_scenario may write into its out dir
 RUN_ARTIFACTS = ("trajectory.csv", "commands.csv", "separation.csv", "metrics.json")
 
 
-@dataclass
-class PlannerMetrics:
-    path_length_m: float
-    steering_count: int
-    reached: bool
-    safe: bool
-    min_clearance_m: Optional[float]
+def _plan_summary(scenario: Scenario, result: PlanResult) -> dict:
+    """The per-plan fields that every report shares: a comparison.json side
+    as it is, metrics.json's with its run fields added, and a summary.json
+    row less min_clearance_m."""
+    return {
+        "reached": result.reached,
+        "safe": scenario_is_safe(scenario, result),
+        "path_length_m": result.path_length_m,
+        "steering_count": result.steering_count,
+        "min_clearance_m": result.min_clearance_m,
+    }
 
 
-@dataclass
-class ComparisonReport:
-    circle: Optional[PlannerMetrics] = None
-    grid: Optional[PlannerMetrics] = None
-    circle_error: Optional[str] = None
-    grid_error: Optional[str] = None
-    length_ratio: Optional[float] = None
-    steering_ratio: Optional[float] = None
-
-
-def _metrics_of(scenario: Scenario, result: PlanResult) -> PlannerMetrics:
-    return PlannerMetrics(
-        path_length_m=result.path_length_m,
-        steering_count=result.steering_count,
-        reached=result.reached,
-        safe=scenario_is_safe(scenario, result),
-        min_clearance_m=result.min_clearance_m,
-    )
-
-
-def compare_planners(scenario: Scenario) -> ComparisonReport:
+def compare_planners(scenario: Scenario) -> dict:
     """Run circle-grid and grid-baseline planners on the same scenario.
 
-    A failure on one side is reported as that side's error string while the
-    other side's metrics, with their safety verdict, still come through.
-    Ratios (circle over grid) are filled only when both planners reached
-    the destination.
+    Returns what comparison.json holds. "circle" and "grid" each give that
+    side's _plan_summary, or the error string of the CGTCError it raised,
+    while the other side still comes through. The ratios, circle over grid,
+    are filled only when both planners reached the destination, and
+    "steering_ratio" only when the grid plan steered; otherwise they are None.
     """
     if scenario.obstacles and any(o.moving for o in scenario.obstacles):
         raise ValidationError("compare_planners handles static and free scenarios only")
 
-    sides = {}
+    report = {}
     for side, plan in (("circle", plan_static), ("grid", grid_baseline_plan)):
         try:
-            sides[side] = _metrics_of(scenario, plan(scenario))
+            report[side] = _plan_summary(scenario, plan(scenario))
         except CGTCError as exc:
-            sides[f"{side}_error"] = f"{type(exc).__name__}: {exc}"
-
-    report = ComparisonReport(**sides)
-    circle, grid = report.circle, report.grid
-    if circle and grid and circle.reached and grid.reached:
-        report.length_ratio = circle.path_length_m / grid.path_length_m
-        if grid.steering_count > 0:
-            report.steering_ratio = circle.steering_count / grid.steering_count
+            report[side] = f"{type(exc).__name__}: {exc}"
+    circle, grid = report["circle"], report["grid"]
+    both = all(isinstance(s, dict) and s["reached"] for s in (circle, grid))
+    report["length_ratio"] = (circle["path_length_m"] / grid["path_length_m"]
+                              if both else None)
+    report["steering_ratio"] = (circle["steering_count"] / grid["steering_count"]
+                                if both and grid["steering_count"] > 0 else None)
     return report
 
 
@@ -148,12 +125,12 @@ def scenario_is_safe(scenario: Scenario, result: PlanResult) -> bool:
 def write_plan(put, result: PlanResult) -> None:
     """Write a plan's CSV artifacts to the paths put(name) gives.
 
-    trajectory.csv has TRAJECTORY_ROW of each sample: POSE_ROW of its time
-    and pose, then the STATE_ROW text that its cell caches (cells.joined
+    Each trajectory.csv row is its sample's time and pose, then the state
+    text that its cell caches (TrajectoryCell._state_text; cells.joined
     gives each sample's cell), so a cell's state columns are formatted once
     for every plan that runs it. commands.csv has COMMAND_ROW of each step,
     and separation.csv, written only for a plan with a separation series,
-    SEPARATION_ROW of each sample. The six-decimal rows, pose, state and
+    each sample's time and distance. The six-decimal rows, pose, state and
     separation, are formatted by cells.fixed_rows.
     """
     times = result._times
@@ -189,13 +166,9 @@ def run_scenario(path: str | Path, out_dir: str | Path) -> tuple[Scenario, PlanR
         metrics = {
             "scenario": scenario.name,
             "mode": scenario.mode,
-            "reached": result.reached,
-            "safe": scenario_is_safe(scenario, result),
+            **_plan_summary(scenario, result),
             "steps": len(result.rudder_commands),
             "duration_s": result.sample_times_s[-1] if result.sample_times_s else 0.0,
-            "path_length_m": result.path_length_m,
-            "steering_count": result.steering_count,
-            "min_clearance_m": result.min_clearance_m,
             "min_separation_m": result.min_separation_m,
         }
         put("metrics.json").write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n")
@@ -253,11 +226,8 @@ def run_batch(scenario_dir: str | Path, out_dir: str | Path) -> dict[str, dict]:
                 summary[path.stem] = {"reached": False, "safe": False,
                                       "error": f"{type(exc).__name__}: {exc}"}
                 continue
-            summary[path.stem] = {
-                "reached": result.reached,
-                "safe": scenario_is_safe(scenario, result),
-                "path_length_m": result.path_length_m,
-                "steering_count": result.steering_count,
-            }
+            row = _plan_summary(scenario, result)
+            del row["min_clearance_m"]
+            summary[path.stem] = row
         summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary

@@ -291,11 +291,12 @@ _HORIZON_CIRCLES = 100
 
 def _max_horizon_s(params: ShipParams) -> float:
     """The longest horizon online_generate takes for this hull, in seconds:
-    _HORIZON_CIRCLES steady full-rudder circles on its slower-turning side."""
+    _HORIZON_CIRCLES steady full-rudder circles on its slower-turning side,
+    or math.inf where that side's yaw rate underflows to 0."""
     slowest_degps = params.turn_gain * min(params.rudder_limit_stbd_deg,
                                            -params.rudder_limit_port_deg
                                            / params.asymmetry_factor)
-    return _HORIZON_CIRCLES * 360.0 / slowest_degps
+    return _HORIZON_CIRCLES * 360.0 / slowest_degps if slowest_degps > 0.0 else math.inf
 
 
 def online_generate(state: ShipState, params: ShipParams, rudder_command_deg: float,

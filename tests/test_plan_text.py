@@ -25,14 +25,9 @@ from cgtc.ship import ShipParams
 from cgtc.static_planner import Obstacle, plan_static
 
 
-class _CountingFormat(str):
-    """A format string that counts the rows it formats."""
-
-    calls = 0
-
-    def __mod__(self, values):
-        type(self).calls += 1
-        return str.__mod__(self, values)
+def _row(k: int) -> str:
+    """The documented row format of k six-decimal columns."""
+    return ",".join(["%.6f"] * k)
 
 
 def _scene(mode, heading, bearing, distance, discs=(), mover=None, max_steps=12):
@@ -65,21 +60,17 @@ def _check_lines(result, files: dict[str, str]) -> None:
     times = result.sample_times_s
     trajectory = files["trajectory.csv"].splitlines()
     assert trajectory[0] == ",".join(harness.TRAJECTORY_COLUMNS)
-    assert trajectory[1:] == [harness.TRAJECTORY_ROW % row for row in
+    # the time, then the seven ShipState columns
+    assert len(harness.TRAJECTORY_COLUMNS) == 1 + len(result.trajectory.columns) == 8
+    assert trajectory[1:] == [_row(8) % row for row in
                               zip(times, *result.trajectory.columns.tolist(), strict=True)]
     if result.separation_m:
         separation = files["separation.csv"].splitlines()
         assert separation[0] == ",".join(harness.SEPARATION_COLUMNS)
-        assert separation[1:] == [harness.SEPARATION_ROW % row for row in
+        assert separation[1:] == [_row(2) % row for row in
                                   zip(times, result.separation_m, strict=True)]
     else:
         assert "separation.csv" not in files
-
-
-def test_trajectory_row_is_the_pose_then_the_state():
-    assert harness.TRAJECTORY_ROW == ",".join(["%.6f"] * 8)
-    assert harness.TRAJECTORY_ROW == harness.POSE_ROW + "," + cells_mod.STATE_ROW
-    assert len(harness.TRAJECTORY_COLUMNS) == harness.TRAJECTORY_ROW.count("%")
 
 
 _angle = st.integers(0, 359).map(float)
@@ -112,15 +103,21 @@ def test_lines_are_the_row_formats_of_the_plan(cells600, mode, heading, bearing,
         assert files["trajectory.csv"] == ",".join(harness.TRAJECTORY_COLUMNS) + "\n"
 
     # a second plan on the set writes the same bytes from the same cached
-    # text objects, formatting none of it again
+    # text objects: fixed_rows formats its pose block (and its separation
+    # block) and no cell's state columns again
     cached = [(cell, vars(cell)["_state_text"]) for cell in result.executed_cells]
-    counting = _CountingFormat(cells_mod.STATE_ROW)
-    with mock.patch.object(cells_mod, "STATE_ROW", counting), \
+    blocks, real_fixed_rows = [], cells_mod.fixed_rows
+
+    def counting(columns):
+        blocks.append(columns.shape[0])
+        return real_fixed_rows(columns)
+
+    with mock.patch.object(cells_mod, "fixed_rows", counting), \
+            mock.patch.object(harness, "fixed_rows", counting), \
             tempfile.TemporaryDirectory() as tmp:
-        _CountingFormat.calls = 0
         again = _plan(scenario, cells600)
         assert _write(again, Path(tmp) / "out") == files
-    assert _CountingFormat.calls == 0
+    assert blocks == ([4, 2] if result.separation_m else [4])
     for (cell, text), cell_again in zip(cached, again.executed_cells, strict=True):
         assert cell_again is cell and vars(cell)["_state_text"] is text
 
@@ -150,7 +147,7 @@ def test_state_text_is_cached_per_cell(cells600):
     cell = cells600.cells[3]
     text = cell._state_text
     assert cell._state_text is text and "_state_text" in vars(cell)
-    assert text == [cells_mod.STATE_ROW % row
+    assert text == [_row(4) % row
                     for row in zip(*cell.samples.columns[3:].tolist(), strict=True)]
 
 
@@ -175,7 +172,6 @@ def test_fixed_rows_are_the_row_format(k, values, chunk):
     however many rows it formats at a time."""
     values = values[:len(values) // k * k]
     block = np.array(values, dtype=np.float64).reshape(-1, k).T
-    row_format = ",".join(["%.6f"] * k)
     with mock.patch.object(cells_mod, "_FIXED_CHUNK", chunk):
-        assert cells_mod.fixed_rows(block) == [row_format % tuple(row)
+        assert cells_mod.fixed_rows(block) == [_row(k) % tuple(row)
                                                for row in block.T.tolist()]

@@ -110,6 +110,18 @@ def test_horizon_beyond_the_hulls_turning_circles_rejected(params, monkeypatch):
     assert ship_mod._max_horizon_s(quick) == pytest.approx(limit / 2.0, rel=1e-12)
 
 
+def test_yaw_rate_underflow_leaves_only_the_step_bound():
+    # the slowest full-rudder yaw rate, turn_gain * rudder_limit_stbd_deg, is
+    # 0.0 at 1e-300 * 1e-300 (underflow) and 1e-320 at 1e-300 * 1e-20, whose
+    # bound overflows to inf: both hulls run with MAX_RUN_STEPS their only bound
+    for stbd_deg in (1e-300, 1e-20):
+        slow = ShipParams(turn_gain=1e-300, rudder_limit_stbd_deg=stbd_deg)
+        assert ship_mod._max_horizon_s(slow) == math.inf
+        assert len(simulate_turn(slow, stbd_deg, 10.0, 0.5)) == 21
+        with pytest.raises(ValueError, match="at most 1000000 steps"):
+            simulate_turn(slow, stbd_deg, 1e300, 0.5)
+
+
 @pytest.mark.parametrize("dt", [1e-9, 1e-6, math.nextafter(8e-4, 0.0)])
 def test_run_past_the_step_bound_rejected_before_any_step(params, dt, monkeypatch):
     # 800 s in at most MAX_RUN_STEPS (1e6) steps needs dt >= 0.0008 s;

@@ -2,12 +2,16 @@
 
 Runs these commands in-process, each into its own out dir under a temp
 dir, and prints `<command> <file> <sha256>` for every file each leaves
-there (paths relative to its out dir), then `<command> exit <code>`:
+there (paths relative to its out dir), then `<command> stdout <sha256>` and
+`<command> stderr <sha256>` of what it printed (its out dir written as
+<out>), then `<command> exit <code>`:
 
     batch                 on scenarios/
     batch-again           on scenarios/ once more, into batch's out dir, so
                           every file it writes replaces one already there
-    compare:<name>        on each non-dynamic scenario in scenarios/
+    compare:<name>        on each scenario in scenarios/ (a dynamic one
+                          exits 2 and leaves no file), then on each of
+                          COMPARE_SCENES, written into the temp dir
     gen-cells:5, :2       the default hull's cells at 5 and 2 deg
     turn-test             the default turning circles
     fit-relation          on a CSV of the 5 deg set's (delta0, change) pairs,
@@ -23,35 +27,61 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
 
 from cgtc.cli import main as cli_main
-from cgtc.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 
+# the comparison.json cases the shipped scenes leave out; each starts at
+# (0, 0), heading 0, with a 600 m circle
+_START = {"start": {"x_m": 0.0, "y_m": 0.0, "heading_deg": 0.0}, "circle_radius_m": 600.0}
+_FREE_RUN = {**_START, "mode": "free", "destination": {"x_m": 0.0, "y_m": 6000.0}}
+COMPARE_SCENES = {
+    # the grid finds no node path past the disc; the circle plan is reported
+    "grid-fails": {**_START, "mode": "static", "destination": {"x_m": 0.0, "y_m": 2000.0},
+                   "obstacles": [{"x_m": 0.0, "y_m": 1750.0, "radius_m": 100.0}],
+                   "sim": {"max_steps": 40}},
+    # both reach without steering: a length ratio, no steering ratio
+    "grid-never-steers": {**_FREE_RUN, "sim": {"max_steps": 40}},
+    # both stop after one step, unreached: no ratio
+    "unreached": {**_FREE_RUN, "sim": {"max_steps": 1}},
+}
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
 
 def _run(label: str, argv: list[str], out: Path):
     """Run one command into out; yield its digest lines."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    printed = {"stdout": io.StringIO(), "stderr": io.StringIO()}
+    with contextlib.redirect_stdout(printed["stdout"]), \
+            contextlib.redirect_stderr(printed["stderr"]):
         code = cli_main([*argv, "--out-dir", str(out)])
     if out.is_dir():
         for path in sorted(p for p in out.rglob("*") if p.is_file()):
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            yield f"{label} {path.relative_to(out).as_posix()} {digest}"
+            yield f"{label} {path.relative_to(out).as_posix()} {_digest(path.read_bytes())}"
+    for stream, text in printed.items():
+        text = text.getvalue().replace(str(out), "<out>")
+        yield f"{label} {stream} {_digest(text.encode())}"
     yield f"{label} exit {code}"
 
 
 def artifact_lines(tmp: Path):
     yield from _run("batch", ["batch", str(SCENARIOS)], tmp / "batch")
     yield from _run("batch-again", ["batch", str(SCENARIOS)], tmp / "batch")
-    for path in sorted(SCENARIOS.glob("*.json")):
-        if load_scenario(path).mode != "dynamic":
-            yield from _run(f"compare:{path.stem}", ["compare", str(path)],
-                            tmp / "compare" / path.stem)
+    scenes = sorted(SCENARIOS.glob("*.json"))
+    for name, scene in COMPARE_SCENES.items():
+        scenes.append(tmp / f"{name}.json")
+        scenes[-1].write_text(json.dumps(scene))
+    for path in scenes:
+        yield from _run(f"compare:{path.stem}", ["compare", str(path)],
+                        tmp / "compare" / path.stem)
     for resolution in ("5", "2"):
         yield from _run(f"gen-cells:{resolution}", ["gen-cells", "--resolution", resolution],
                         tmp / f"cells{resolution}")
