@@ -37,7 +37,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import NonConvergence, Unreachable
+from .errors import CGTCError, NonConvergence, Unreachable
 from .grid import GridNode, compass_bearing, wrap_degrees
 from .relation import CubicRelation, RelationSample, fit_poly, invert_relation
 from .ship import ShipParams, Trajectory, check_dt, step_floats
@@ -205,7 +205,10 @@ class TrajectoryCell:
 def _path_length(xy: np.ndarray) -> float:
     """Length of the path through a (2, n) x, y array: math.hypot of each step,
     added one at a time in sample order as the scalar rollout adds its arc
-    (not sum(), which rounds differently from Python 3.12 on)."""
+    (not sum(), which rounds differently from Python 3.12 on).
+
+    The one rule for a cell's arc_length_m; a plan's path length is the
+    math.fsum of its cells' arcs (static_planner.execute_cells)."""
     total = 0.0
     for d in map(math.hypot, *np.diff(xy).tolist()):
         total += d
@@ -879,12 +882,13 @@ def build_cell_set(params: ShipParams, radius_m: float,
 
 
 # At most this many library sets are kept, and at most this many keys of
-# released sets are remembered.
+# released sets or failed builds are remembered.
 _LIBRARY_SETS = 4
 # The keys the library was asked for, least recently used first. A kept set's
 # key maps to (set, reused), reused telling whether the key was asked for
-# again; a released set leaves its key mapped to None.
-_library: dict[tuple, tuple[CellSet, bool] | None] = {}
+# again; a released set leaves its key mapped to None, and a build that
+# raised a CGTCError leaves a copy of that error, without its traceback.
+_library: dict[tuple, tuple[CellSet, bool] | CGTCError | None] = {}
 
 
 def cell_library(params: ShipParams, radius_m: float,
@@ -900,23 +904,35 @@ def cell_library(params: ShipParams, radius_m: float,
     distinct keys holds one set at a time; then the least recently used sets
     are released until fewer than _LIBRARY_SETS remain. So the library holds
     at most _LIBRARY_SETS sets (about 1.6 MB each at 2 degrees and 600 m),
-    and remembers the _LIBRARY_SETS most recently used keys of released sets.
+    and remembers the _LIBRARY_SETS most recently used keys of released sets
+    and failed builds. A key whose build raised a CGTCError raises an error
+    of the same class and message when asked for again, without a build, so
+    one command that plans twice on a failing key builds it once.
     build_cell_set stays the uncached way to generate a set.
     """
     key = (params, radius_m, resolution_deg, dt)
     asked_before = key in _library
     kept = _library.pop(key, None)
+    if isinstance(kept, CGTCError):
+        _library[key] = kept
+        raise type(kept)(*kept.args)
     if kept is not None:
         _library[key] = (kept[0], True)
         return kept[0]
     # keep the most recent reused sets, release the rest and forget old keys
-    stay = [k for k, entry in _library.items() if entry and entry[1]][1 - _LIBRARY_SETS:]
+    stay = [k for k, entry in _library.items()
+            if isinstance(entry, tuple) and entry[1]][1 - _LIBRARY_SETS:]
     released = [k for k in _library if k not in stay]
     for k in released[:-_LIBRARY_SETS]:
         del _library[k]
     for k in released[-_LIBRARY_SETS:]:
-        _library[k] = None
-    cells = build_cell_set(params, radius_m, resolution_deg, dt=dt)
+        if not isinstance(_library[k], CGTCError):
+            _library[k] = None
+    try:
+        cells = build_cell_set(params, radius_m, resolution_deg, dt=dt)
+    except CGTCError as exc:
+        _library[key] = type(exc)(*exc.args)
+        raise
     _library[key] = (cells, asked_before)
     return cells
 

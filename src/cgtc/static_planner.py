@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Callable, Optional, TypeVar
 import numpy as np
 
 from .cells import (MAX_HEADING_CHANGE_DEG, CellSet, TrajectoryCell, cell_library, joined,
-                    _path_length, transform_cell)
+                    transform_cell)
 from .errors import (
     DestinationInsideObstacle,
     InsideObstacle,
@@ -306,9 +306,11 @@ def execute_cells(scenario: "Scenario", step: Step[State], state: State,
     tolerance of the destination, or with reached=False when the step
     budget runs out or the next cell would take the path past MAX_RUN_STEPS
     samples.
-    The path length is cells._path_length of the samples. Clearance (None
-    without obstacles) is _polyline_gap of the path through the samples, or
-    of the start point if no cell ran.
+    The path length is math.fsum of the executed cells' arc_length_m, each
+    measured once when its cell was built, so 0.0 when no cell ran; placing
+    a cell is a rotation and a shift, so this equals the length of the
+    polyline through the placed samples to within rounding. Clearance (None without obstacles) is _polyline_gap of the
+    path through the samples, or of the start point if no cell ran.
     """
     start_xy = (scenario.start_x_m, scenario.start_y_m)
     dest = (scenario.dest_x_m, scenario.dest_y_m)
@@ -344,7 +346,7 @@ def execute_cells(scenario: "Scenario", step: Step[State], state: State,
         trajectory=trajectory,
         rudder_commands=commands,
         heading_changes_deg=[c.heading_change_deg for c in run],
-        path_length_m=_path_length(xy),
+        path_length_m=math.fsum(c.arc_length_m for c in run),
         steering_count=sum(1 for c in commands if abs(c) >= STEERING_THRESHOLD_DEG),
         reached=math.dist(pose.position, dest) < reach_tol,
         min_clearance_m=_polyline_gap(xy, discs) if discs else None,

@@ -6,7 +6,7 @@ import pytest
 from cgtc.cells import build_cell_set
 from cgtc.scenario import Scenario
 from cgtc.ship import ShipParams, clamp_rudder
-from cgtc.static_planner import PlanResult, _segment_gap
+from cgtc.static_planner import _segment_gap
 
 # Published rudder-vs-heading table used by the correlation and fit tests.
 RUDDER_HEADING_TABLE = [
@@ -81,11 +81,12 @@ def mirror_scenario(scenario: Scenario) -> Scenario:
     )
 
 
-def sequential_path_length(result: PlanResult, start) -> float:
-    """Reference for PlanResult.path_length_m: math.hypot of each step
-    between consecutive samples (the start point alone when no cell ran),
-    added one at a time from 0.0 in sample order."""
-    points = [(s.x_m, s.y_m) for s in result.trajectory] or [start]
+def sequential_path_length(trajectory, start) -> float:
+    """Length of the polyline through a trajectory's samples (the start
+    point alone when it has none): math.hypot of each step, added one at a
+    time from 0.0 in sample order. PlanResult.path_length_m, the sum of its
+    cells' arcs, must equal it to within rounding."""
+    points = [(s.x_m, s.y_m) for s in trajectory] or [start]
     total = 0.0
     for (ax, ay), (bx, by) in zip(points, points[1:]):
         total += math.hypot(bx - ax, by - ay)

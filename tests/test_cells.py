@@ -5,6 +5,7 @@ import functools
 import math
 import pickle
 import random
+import re
 import weakref
 from array import array
 from dataclasses import astuple, fields, replace
@@ -36,11 +37,12 @@ from cgtc.cells import (
 )
 from cgtc.dynamic_planner import plan_dynamic
 from cgtc.errors import NonConvergence, Unreachable
-from cgtc.grid import GridNode, wrap_degrees
+from cgtc.grid import GridNode, advance_pose, wrap_degrees
 from cgtc.relation import RelationSample, fit_poly, pearson
 from cgtc.scenario import load_scenario
 from cgtc.ship import ShipParams, ShipState, Trajectory, step, trimmed_state
 from cgtc.static_planner import PlanResult, plan_static
+from conftest import sequential_path_length
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -547,6 +549,28 @@ def test_sequence_placement_joins_the_one_cell_placements(picks, at, odd_hull):
     assert not placed.columns.flags.writeable and not placed.xy.flags.writeable
 
 
+@settings(max_examples=100, deadline=None)
+@given(picks=st.lists(st.integers(0, 36), min_size=1, max_size=6),
+       start=st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4), finite | edge_headings),
+       odd_hull=st.booleans())
+@example(picks=[18, 0, 36], start=(0.0, -0.0, -1e-13), odd_hull=False)
+@example(picks=[18, 3, 33, 0, 36, 7], start=(1e4, -1e4, 359.99999999999994), odd_hull=True)
+def test_arc_sum_is_the_placed_path_length(picks, start, odd_hull):
+    """The correctly rounded sum of a run's cell arcs, a plan's path_length_m,
+    is the length of the polyline through the samples transform_cell places,
+    each cell at the node the one before it ends on, to within rel 1e-12.
+    The start stays within 1e4 m of the origin: far out, rounding the
+    placed coordinates alone moves the polyline's length by more."""
+    cells = _placement_sets()[odd_hull].cells
+    run = [cells[pick % len(cells)] for pick in picks]
+    nodes = [GridNode(start[:2], start[2])]
+    for cell in run[:-1]:
+        nodes.append(advance_pose(nodes[-1], cell))
+    placed = transform_cell(run, nodes)
+    assert math.fsum(c.arc_length_m for c in run) == pytest.approx(
+        sequential_path_length(placed, None), rel=1e-12)
+
+
 def test_no_cells_place_to_an_empty_trajectory():
     assert transform_cell([], []).columns.shape == (7, 0)
 
@@ -898,6 +922,29 @@ def test_cell_library_holds_one_set_of_a_distinct_key_stream(asks):
     asks.ask(*radii)
     assert asks.builds == [(radius, []) for radius in radii]
     assert len(cells_mod._library) <= cells_mod._LIBRARY_SETS + 1
+
+
+def test_cell_library_remembers_a_failed_build(asks):
+    """A key whose build raised raises the same class and message when asked
+    again, without a build, until it falls out of the remembered keys."""
+    weak = replace(ShipParams(), turn_gain=ShipParams().turn_gain * 0.05)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(Unreachable) as raised:
+            cell_library(weak, 600.0)
+        errors.append(str(raised.value))
+    assert len(asks.builds) == 1 and errors[0] == errors[1]
+    assert errors[0].startswith("target -90.0 deg")
+    # kept as a released set's key is: after _LIBRARY_SETS distinct keys it
+    # still raises unbuilt, and after one more it is built again
+    asks.ask(*[600.0 + 50.0 * i for i in range(cells_mod._LIBRARY_SETS)])
+    with pytest.raises(Unreachable, match=re.escape(errors[0])):
+        cell_library(weak, 600.0)
+    assert len(asks.builds) == 1 + cells_mod._LIBRARY_SETS
+    asks.ask(*[900.0 + 50.0 * i for i in range(cells_mod._LIBRARY_SETS + 1)])
+    with pytest.raises(Unreachable, match=re.escape(errors[0])):
+        cell_library(weak, 600.0)
+    assert len(asks.builds) == 3 + 2 * cells_mod._LIBRARY_SETS
 
 
 def test_plan_from_library_equals_plan_from_explicit_cells(empty_library):

@@ -1145,6 +1145,16 @@ class TestCellLibraryReuse:
         compare_planners(load_scenario(SCENARIO_DIR / "fig25_analog.json"))
         assert len(builds) == 1
 
+    def test_compare_builds_a_failing_key_once(self, builds):
+        """Both sides plan on one key; its build raises once, and the grid
+        side reads the error that cell_library remembered."""
+        scenario = load_scenario(SCENARIO_DIR / "fig25_analog.json")
+        weak = dataclasses.replace(scenario.ship, turn_gain=scenario.ship.turn_gain * 0.05)
+        report = compare_planners(dataclasses.replace(scenario, ship=weak))
+        assert len(builds) == 1
+        assert report["circle"] == report["grid"]
+        assert report["circle"].startswith("Unreachable: target -90.0 deg")
+
     def test_batch_passes_reuse_the_library(self, tmp_path, builds):
         passes = []
         for i in range(3):

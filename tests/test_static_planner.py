@@ -337,6 +337,11 @@ def test_safety_over_random_two_obstacle_scenes(params, cells600):
                 assert math.dist((s.x_m, s.y_m), o.center) > o.radius_m
 
 
+def arc_sum(result) -> float:
+    """math.fsum of the executed cells' arc_length_m, 0.0 when none ran."""
+    return math.fsum(c.arc_length_m for c in result.executed_cells)
+
+
 @pytest.mark.parametrize("planner", [plan_static, plan_dynamic, grid_baseline_plan])
 def test_start_within_reach_tolerance(planner):
     """Already at the destination: no cell runs, clearance is the start's."""
@@ -373,7 +378,9 @@ def test_executor_contract(planner, name):
     pts = [(s.x_m, s.y_m) for s in result.trajectory]
     length = sum(math.dist(a, b) for a, b in zip(pts, pts[1:]))
     assert result.path_length_m == pytest.approx(length, rel=1e-12)
-    assert result.path_length_m.hex() == sequential_path_length(result, pts[0]).hex()
+    assert result.path_length_m == pytest.approx(
+        sequential_path_length(result.trajectory, pts[0]), rel=1e-12)
+    assert result.path_length_m.hex() == arc_sum(result).hex()
     assert result.steering_count == sum(
         1 for c in result.rudder_commands if abs(c) >= STEERING_THRESHOLD_DEG)
 
@@ -381,8 +388,10 @@ def test_executor_contract(planner, name):
 @pytest.mark.parametrize("planner", [plan_static, plan_dynamic, grid_baseline_plan])
 @pytest.mark.parametrize("dest_y_m, cells_run", [(100.0, 0), (700.0, 1), (2500.0, None)])
 def test_path_length_is_the_sequential_sum(planner, dest_y_m, cells_run):
-    """path_length_m is conftest.sequential_path_length's loop, bit for bit,
-    for a plan that runs no cell, one cell or several."""
+    """path_length_m is the correctly rounded sum of the executed cells'
+    arcs, bit for bit, and conftest.sequential_path_length's loop over the
+    samples to within rounding, for a plan that runs no cell, one cell or
+    several."""
     static = Obstacle(center=(1500.0, 1200.0), radius_m=300.0)
     mover = Obstacle(center=(-3000.0, 3000.0), radius_m=600.0,
                      speed_mps=5.0, course_deg=90.0)
@@ -393,7 +402,9 @@ def test_path_length_is_the_sequential_sum(planner, dest_y_m, cells_run):
                   obstacles=[static, mover] if dynamic else [static])
     result = planner(sc)
     assert cells_run is None or len(result.executed_cells) == cells_run
-    assert result.path_length_m.hex() == sequential_path_length(result, (10.0, -20.0)).hex()
+    assert result.path_length_m.hex() == arc_sum(result).hex()
+    assert result.path_length_m == pytest.approx(
+        sequential_path_length(result.trajectory, (10.0, -20.0)), rel=1e-12)
 
 
 @pytest.mark.parametrize("planner", [plan_static, plan_dynamic, grid_baseline_plan])

@@ -4,12 +4,12 @@ Plans the replan scenes of seeds 1-2 (plan_static, or plan_dynamic for a
 dynamic scene) and the first 60 compare scenes of seed 1 (plan_static and
 grid_baseline_plan), with scenes from perfbench/gen.py. Each line reads
 
-    <family>-<seed>-<index> <planner> <sha256> <min_clearance_m> <min_separation_m>
+    <family>-<seed>-<index> <planner> <sha256> <path_length_m> <min_clearance_m> <min_separation_m>
 
 where the hash covers every other PlanResult field (float bits, not
 reprs), the trajectory's column bytes, the node count and every node's
-(x, y, heading_deg), and the two minima follow as float.hex() ("-" for
-None). So a change to how the minima are measured shows as moved minima
+(x, y, heading_deg), and the three measures follow as float.hex() ("-"
+for None). So a change to how a plan is measured shows as a moved column
 beside unchanged hashes. A plan that raises prints its error class and
 message instead. Run it on two checkouts and diff the outputs; the first
 differing line names the first plan that moved:
@@ -20,7 +20,7 @@ A checkout whose GridNode still holds a CompassAngle (`node.heading`) has
 no `heading_deg`: there, run a copy of this script that reads
 `node.heading.degrees` in its place. Its lines compare with this script's.
 Earlier versions of this script also hashed each node's cell index and
-depth, so their lines do not.
+depth, or hashed path_length_m, so their lines do not.
 """
 
 from __future__ import annotations
@@ -63,11 +63,11 @@ def digest(result: PlanResult) -> str:
     for series in (result.sample_times_s, result.rudder_commands,
                    result.heading_changes_deg, result.separation_m):
         _floats(h, series)
-    h.update(struct.pack("<d", result.path_length_m))
     h.update(repr((result.steering_count, result.reached)).encode())
-    minima = ("-" if value is None else value.hex()
-              for value in (result.min_clearance_m, result.min_separation_m))
-    return " ".join((h.hexdigest(), *minima))
+    measures = ("-" if value is None else value.hex()
+                for value in (result.path_length_m, result.min_clearance_m,
+                              result.min_separation_m))
+    return " ".join((h.hexdigest(), *measures))
 
 
 def _line(label: str, name: str, plan, scenario) -> str:
